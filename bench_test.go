@@ -14,7 +14,7 @@
 //
 // Plus ablations for the design decisions DESIGN.md calls out:
 //
-//	BenchmarkAblationHPipeline — fast (NTT/subproduct-tree) vs naive O(n²)
+//	BenchmarkAblationHPipeline — evaluation-basis quotient (six NTTs) vs naive O(n³)
 //	                             construction of H(t)
 //	BenchmarkAblationPolyMul   — NTT vs schoolbook multiplication
 //	BenchmarkAblationMLEFold   — single-mul vs two-mul sum-check table fold
@@ -375,9 +375,10 @@ func BenchmarkFig9Encodings(b *testing.B) {
 
 // --- Ablations ---
 
-// BenchmarkAblationHPipeline compares the prover's FFT-based H(t)
-// construction (§A.3) against naive O(n²) interpolation — the gap is the
-// paper's "nearly linear" prover claim in action.
+// BenchmarkAblationHPipeline compares the prover's H(t) construction (the
+// evaluation-basis quotient of internal/qap; sub-benchmark "fft") against
+// naive interpolation and long division — the gap is the paper's "nearly
+// linear" prover claim in action.
 func BenchmarkAblationHPipeline(b *testing.B) {
 	// Naive interpolation is O(|C|³) overall, so this ablation uses a small
 	// hand-built system (a 256-step squaring chain); the gap is already two

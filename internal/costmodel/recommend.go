@@ -90,12 +90,14 @@ const cryptoFieldRatio = 10_000
 
 // RecommendBackend generalizes RecommendProtocol to a three-way breakeven.
 // If the constraint system stratifies into a layered circuit, the
-// sum-check lane is compared against the cheaper commitment lane in
-// field-multiplication equivalents: the commitment lanes pay at least one
-// group operation (≈cryptoFieldRatio·f) per proof-vector element per
-// instance, the sum-check prover pays pure field work. Programs that do
-// not stratify (nondeterministic advice from comparisons, order tests)
-// fall back to the two-way recommendation.
+// sum-check lane is compared against the recommended commitment lane's
+// per-instance prover in field-multiplication equivalents: one group
+// operation (≈cryptoFieldRatio·f) per proof-vector element plus the
+// multiplications that construct the proof vector, against the sum-check
+// prover's pure field work. A cheaper Zaatar construction therefore moves
+// the breakeven toward Zaatar; TestRecommendBackendPinned holds the picks.
+// Programs that do not stratify (nondeterministic advice from comparisons,
+// order tests) fall back to the two-way recommendation.
 func RecommendBackend(f *field.Field, gs *constraint.GingerSystem, qs *constraint.QuadSystem) string {
 	fallback := RecommendProtocol(gs, qs)
 	lc, err := constraint.Layer(f, gs)
@@ -103,11 +105,15 @@ func RecommendBackend(f *field.Field, gs *constraint.GingerSystem, qs *constrain
 		return fallback
 	}
 	ug, uz := constraint.ProofVectorSizes(gs, qs)
-	u := ug
-	if uz < u {
-		u = uz
+	var lane float64
+	if fallback == pcp.BackendGinger {
+		nz := float64(gs.NumUnbound())
+		lane = float64(ug)*cryptoFieldRatio + nz*nz
+	} else {
+		st := gs.Stats()
+		lane = float64(uz)*cryptoFieldRatio + zaatarConstructMults(qs.NumConstraints(), st.K, st.K2)
 	}
-	if sumcheckProverMults(lc.Stats()) <= float64(u)*cryptoFieldRatio {
+	if sumcheckProverMults(lc.Stats()) <= lane {
 		return pcp.BackendSumcheck
 	}
 	return fallback

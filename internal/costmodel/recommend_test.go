@@ -1,8 +1,10 @@
 package costmodel
 
 import (
+	"math"
 	"testing"
 
+	"zaatar/internal/benchprogs"
 	"zaatar/internal/compiler"
 	"zaatar/internal/constraint"
 	"zaatar/internal/field"
@@ -104,6 +106,58 @@ func TestRecommendBackendDegenerateFallsBackToGinger(t *testing.T) {
 	// the degenerate recommendation survives the generalization.
 	if got := RecommendBackend(f, gs, qs); got != pcp.BackendGinger {
 		t.Errorf("degenerate system recommended %v, want ginger", got)
+	}
+}
+
+// TestRecommendBackendPinned holds the three-way pick on the benchmark
+// programs, so a change to either lane's prover model (the Zaatar construct
+// term became cheaper when H(t) moved to the evaluation basis) shows up
+// here as a decision, not as drift: the paper's five computations compare
+// and branch, do not stratify and stay on Zaatar; the matrix chain is pure
+// arithmetic and goes to sum-check.
+func TestRecommendBackendPinned(t *testing.T) {
+	want := map[string]string{
+		"pam-clustering":             pcp.BackendZaatar,
+		"root-finding":               pcp.BackendZaatar,
+		"all-pairs-shortest-path":    pcp.BackendZaatar,
+		"fannkuch":                   pcp.BackendZaatar,
+		"longest-common-subsequence": pcp.BackendZaatar,
+	}
+	progs := append(benchprogs.Small(), benchprogs.MatMulChain(4, 2), benchprogs.MatMulChain(8, 6))
+	for _, b := range progs {
+		prog, err := compiler.Compile(b.Field, b.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		pick, ok := want[b.Name]
+		if !ok {
+			pick = pcp.BackendSumcheck // the two matrix chains
+		}
+		if got := RecommendBackend(prog.Field, prog.Ginger, prog.Quad); got != pick {
+			t.Errorf("%s (%s): recommended %s, want %s", b.Name, b.Label, got, pick)
+		}
+	}
+}
+
+// TestZaatarConstructBelowPaper: the evaluation-basis construct term is
+// below Figure 3's 3f·|C|·log²|C| at every benchmark size, and the printed
+// formula is still what ProverConstructZaatarPaper returns.
+func TestZaatarConstructBelowPaper(t *testing.T) {
+	p := OpCosts{F: 1}
+	for _, c := range []int{256, 2179, 2636, 98253} {
+		q := Quantities{CZaatar: c, K: 3 * c / 2, K2: c / 2}
+		ours, paper := ProverConstructZaatar(p, q), ProverConstructZaatarPaper(p, q)
+		l := math.Log2(float64(c))
+		if want := 3 * float64(c) * l * l; math.Abs(paper-want) > 1e-6*want {
+			t.Errorf("|C|=%d: paper term %g, want 3|C|log²|C| = %g", c, paper, want)
+		}
+		if ours >= paper {
+			t.Errorf("|C|=%d: evaluation-basis term %g not below the paper's %g", c, ours, paper)
+		}
+	}
+	// 2179 constraints: N = 8192, so 3·N·13 + 3·N + 8·2179 + K + 3K₂.
+	if got, want := zaatarConstructMults(2179, 3396, 0), float64(3*8192*13+3*8192+8*2179+3396); got != want {
+		t.Errorf("zaatarConstructMults(2179, 3396, 0) = %g, want %g", got, want)
 	}
 }
 

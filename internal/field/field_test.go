@@ -1,10 +1,14 @@
 package field
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"zaatar/internal/prg"
 )
 
 // testReader adapts math/rand to io.Reader for deterministic element
@@ -450,4 +454,66 @@ func BenchmarkInnerProduct(b *testing.B) {
 		f.InnerProduct(x, y)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/term")
+}
+
+// TestRandGoldenStream pins Rand, RandVector and RandNonZero to the byte
+// stream they consumed before RandVector read in chunks: the elements drawn
+// from a fixed prg seed, and where the stream stands afterwards (rejected
+// attempts included — FTiny rejects a quarter of them).
+func TestRandGoldenStream(t *testing.T) {
+	for _, g := range []struct {
+		field   string
+		first   [3]string // v[0..2] of a 1000-element RandVector
+		sum     string    // sha256 over the encoded vector
+		rand    string    // the Rand that follows
+		nonZero string    // the RandNonZero after that
+		next    uint64    // the stream's next 8 bytes
+	}{
+		{"F128", [3]string{"ead81fb3aba76cac9e5438e358c946e2", "20a8d491ae56bd7bc414ae02b8fc166b", "750153aed5b4a3d6abf91fc6df1b18d1"}, "263d6888882874d5f1ed4f6418dcb970ad1e76e88c67176d01c15d30e62bc2bf", "da3128c38d24daddb5ef3e05258ece0d", "b55be324de648532612f24e7b42a69aa", 0x2d77d7b52536ba55},
+		{"F220", [3]string{"ad81fb3aba76cac9e5438e358c946e220a8d491ae56bd7bc414ae02", "8fc166b750153aed5b4a3d6abf91fc6df1b18d186d9e90a9056ce9d", "48db37f4e1509d8304c7434efecf62f82ab235f61283722f0c1cb00"}, "9c24084e8863dd1ca35c43084957657236c6d045a2d3310381901969724013db", "af4153c5cbde5324344bcc75b2fe1f7371b06a888e24e08717e16a1", "99537e07476edeb94342489c6432b34cabb5f8ff0d881b539e83ff2", 0xabc51cdedfceb25a},
+		{"FTiny", [3]string{"2ad8", "1fb3", "2ba7"}, "b1f004b490b385e2f0a652f69ad7b75d7bad1bfd3825a6d1348da834b15022eb", "3b7", "1b0e", 0x509d7cae4a90f92d},
+		{"FTest", [3]string{"ad81fb3aba76cac", "a8d491ae56bd7b", "414ae02b8fc166b"}, "de3df5afa3ab3a1dab241feba7ff29dcb5976e1505395e9f58faf65378af7a3c", "e1a8152356a2c6d", "6582d752b6e511e", 0x3859cb7ad7143480},
+	} {
+		var f *Field
+		for _, c := range allFields() {
+			if c.Name() == g.field {
+				f = c
+			}
+		}
+		r := prg.NewFromSeed([]byte("field.Rand golden"), 7)
+		v := f.RandVector(1000, r)
+		for i, want := range g.first {
+			if got := f.ToBig(v[i]).Text(16); got != want {
+				t.Errorf("%s: v[%d] = %s, want %s", g.field, i, got, want)
+			}
+		}
+		h := sha256.New()
+		for _, e := range v {
+			h.Write(AppendElement(nil, e))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.sum {
+			t.Errorf("%s: vector digest %s, want %s", g.field, got, g.sum)
+		}
+		if got := f.ToBig(f.Rand(r)).Text(16); got != g.rand {
+			t.Errorf("%s: Rand after the vector = %s, want %s", g.field, got, g.rand)
+		}
+		if got := f.ToBig(f.RandNonZero(r)).Text(16); got != g.nonZero {
+			t.Errorf("%s: RandNonZero = %s, want %s", g.field, got, g.nonZero)
+		}
+		if got := r.Uint64(); got != g.next {
+			t.Errorf("%s: stream stands at %#x, want %#x", g.field, got, g.next)
+		}
+	}
+}
+
+func BenchmarkRandVector(b *testing.B) {
+	for _, f := range []*Field{F128(), F220()} {
+		b.Run(f.Name(), func(b *testing.B) {
+			r := prg.NewFromSeed([]byte("bench"), 0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.RandVector(4096, r)
+			}
+		})
+	}
 }

@@ -1,40 +1,75 @@
 package field
 
 import (
+	"encoding/binary"
 	"io"
 	"math/big"
 	"math/bits"
 )
 
 // Rand returns a uniformly random field element drawn from r using rejection
-// sampling over the modulus' bit length.
+// sampling over the modulus' bit length: each attempt consumes
+// ⌈bits/8⌉ bytes of r, read as one big-endian integer with the excess top
+// bits cleared.
 func (f *Field) Rand(r io.Reader) Element {
-	nbytes := (f.bits + 7) / 8
-	topMask := byte(0xff >> (uint(nbytes*8-f.bits) & 7))
-	buf := make([]byte, nbytes)
+	buf := make([]byte, (f.bits+7)/8)
 	for {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			panic("field: randomness source failed: " + err.Error())
-		}
-		buf[0] &= topMask
-		var raw Element
-		for i := 0; i < nbytes; i++ {
-			raw[i/8] |= uint64(buf[nbytes-1-i]) << (uint(i%8) * 8)
-		}
-		if f.lessThanP(raw) {
-			// raw is a canonical residue; convert to Montgomery form.
-			return f.Mul(raw, f.r2)
+		readRandom(r, buf)
+		if e, ok := f.fromRandomBytes(buf); ok {
+			return e
 		}
 	}
 }
 
-// RandVector fills a new length-n vector with uniformly random elements.
+// randChunk is how many attempts RandVector reads from its source at once.
+const randChunk = 256
+
+// RandVector fills a new length-n vector with uniformly random elements. It
+// consumes exactly the bytes n successive Rand calls would, in the same
+// order, but reads them in chunks through one reused buffer.
 func (f *Field) RandVector(n int, r io.Reader) []Element {
 	v := make([]Element, n)
-	for i := range v {
-		v[i] = f.Rand(r)
+	nbytes := (f.bits + 7) / 8
+	buf := make([]byte, min(n, randChunk)*nbytes)
+	for i := 0; i < n; {
+		// Every element still missing costs at least one attempt, so a chunk
+		// of that many attempts never reads past where Rand would stop.
+		chunk := buf[:min(n-i, randChunk)*nbytes]
+		readRandom(r, chunk)
+		for ; len(chunk) > 0; chunk = chunk[nbytes:] {
+			if e, ok := f.fromRandomBytes(chunk[:nbytes]); ok {
+				v[i] = e
+				i++
+			}
+		}
 	}
 	return v
+}
+
+func readRandom(r io.Reader, buf []byte) {
+	if _, err := io.ReadFull(r, buf); err != nil {
+		panic("field: randomness source failed: " + err.Error())
+	}
+}
+
+// fromRandomBytes is one rejection-sampling attempt: b, of ⌈bits/8⌉ bytes,
+// is masked to the modulus' bit length in place and accepted if below p.
+func (f *Field) fromRandomBytes(b []byte) (Element, bool) {
+	b[0] &= byte(0xff >> (uint(len(b)*8-f.bits) & 7))
+	var raw Element
+	limb := 0
+	for ; len(b) >= 8; limb++ {
+		raw[limb] = binary.BigEndian.Uint64(b[len(b)-8:])
+		b = b[:len(b)-8]
+	}
+	for _, c := range b { // the leading partial word
+		raw[limb] = raw[limb]<<8 | uint64(c)
+	}
+	if !f.lessThanP(raw) {
+		return Element{}, false
+	}
+	// raw is a canonical residue; convert to Montgomery form.
+	return f.Mul(raw, f.r2), true
 }
 
 // RandNonZero returns a uniformly random non-zero field element.

@@ -90,7 +90,7 @@ type Backend interface {
 	// commitment key sizes). Interactive backends return (0, 0).
 	OracleLens(pre Precomputed) (n1, n2 int)
 	// ConstructKernel names the dominant kernel of BuildProof for trace
-	// spans (e.g. "kernel.ntt.divide").
+	// spans (e.g. "kernel.ntt.quotient").
 	ConstructKernel() string
 }
 

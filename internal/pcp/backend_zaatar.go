@@ -12,8 +12,8 @@ import (
 func init() { Register(zaatarBackend{}) }
 
 // zaatarBackend adapts the QAP-based linear PCP (Figure 10) to the Backend
-// seam. The precomputation is the QAP encoding — divisor polynomial, Newton
-// inverse series, NTT subproduct tree — shared by prover and verifier.
+// seam. The precomputation is the QAP encoding — the sparse rows plus
+// O(|C|) evaluation-basis tables — shared by prover and verifier.
 type zaatarBackend struct{}
 
 type zaatarPre struct {
@@ -22,7 +22,7 @@ type zaatarPre struct {
 
 func (zaatarBackend) Name() string            { return BackendZaatar }
 func (zaatarBackend) NeedsCommitment() bool   { return true }
-func (zaatarBackend) ConstructKernel() string { return "kernel.ntt.divide" }
+func (zaatarBackend) ConstructKernel() string { return "kernel.ntt.quotient" }
 
 func (zaatarBackend) Precompute(prog *compiler.Program) (Precomputed, error) {
 	q, err := qap.New(prog.Field, prog.Quad)

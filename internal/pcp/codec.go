@@ -45,7 +45,7 @@ func DecodePrecomputed(bk Backend, prog *compiler.Program, data []byte) (Precomp
 	return c.DecodePrecomputed(prog, data)
 }
 
-// --- zaatar: the QAP encoding is the expensive part; serialize all of it.
+// --- zaatar: the QAP's sparse rows; its O(|C|) tables are rebuilt on load.
 
 func (zaatarBackend) EncodePrecomputed(pre Precomputed) ([]byte, error) {
 	p, ok := pre.(*zaatarPre)

@@ -162,6 +162,30 @@ func TestZaatarCatchesCorruptWitness(t *testing.T) {
 	}
 }
 
+// TestZaatarCatchesPerturbedH: h holds H on the shifted points, and every
+// one of its entries reaches H(τ) through a non-zero Lagrange coefficient.
+// A linear π_h that differs from the honest one in a single entry passes the
+// linearity tests and fails the divisibility-correction test.
+func TestZaatarCatchesPerturbedH(t *testing.T) {
+	f := field.F128()
+	qs, witness := squareChainQuad(f, 6)
+	q, _ := qap.New(f, qs)
+	v, _ := NewZaatar(q, TestParams(), prg.NewFromSeed([]byte("perturbed-h"), 0))
+	w := witness(3)
+	z, h, _ := BuildProof(q, w)
+	for k := range h {
+		bad := append([]field.Element(nil), h...)
+		bad[k] = f.Add(bad[k], f.One())
+		res := v.Check(Answer(f, z, v.ZQueries), Answer(f, bad, v.HQueries), w[q.NZ+1:])
+		if res.OK {
+			t.Fatalf("h with entry %d perturbed accepted", k)
+		}
+		if !strings.Contains(res.Reason, "divisibility") {
+			t.Errorf("entry %d: unexpected failure reason: %s", k, res.Reason)
+		}
+	}
+}
+
 func TestZaatarCatchesTamperedLinearity(t *testing.T) {
 	f := field.F128()
 	qs, witness := squareChainQuad(f, 5)

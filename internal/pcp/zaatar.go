@@ -91,8 +91,9 @@ func NewZaatar(q *qap.QAP, params Params, rnd io.Reader) (*ZaatarPCP, error) {
 
 // BuildProof computes the proof vectors (z, h) for a satisfying assignment
 // w of the QAP's constraint system: z is the unbound part of w, h the
-// coefficients of H(t) (§3, "The proof vector"). Together they define the
-// prover's linear functions π_z and π_h.
+// values of H(t) on the shifted points |C|+1..2|C|+1 (§3, "The proof
+// vector", with H in the evaluation basis; see internal/qap). Together they
+// define the prover's linear functions π_z and π_h.
 func BuildProof(q *qap.QAP, w []field.Element) (z, h []field.Element, err error) {
 	h, err = q.BuildH(w)
 	if err != nil {

@@ -1,13 +1,14 @@
-// Package poly implements dense univariate polynomial algebra over the prime
-// fields of internal/field: NTT-based multiplication, fast division via
-// Newton inversion, and subproduct-tree multipoint evaluation and
-// interpolation at arbitrary points.
+// Package poly implements the dense univariate polynomial arithmetic the QAP
+// layer needs over the prime fields of internal/field: the radix-2 NTT, NTT
+// multiplication, and cyclic convolution against a fixed kernel.
 //
-// These are exactly the "operations based on the FFT (interpolation,
-// polynomial multiplication, and polynomial division)" that §4 and §A.3 of
-// the paper charge to the prover at ≈ 3·f·|C|·log²|C|: the prover
-// interpolates A(t), B(t), C(t) from their evaluations at σ_0..σ_|C|,
-// multiplies A·B, and divides P_w(t) by D(t) to obtain H(t).
+// §4 and §A.3 of the paper charge the prover ≈ 3·f·|C|·log²|C| for
+// "operations based on the FFT (interpolation, polynomial multiplication,
+// and polynomial division)". This code base does not run that pipeline: the
+// prover's quotient H(t) is produced in the evaluation basis (internal/qap),
+// which needs no interpolation and no division, only the Convolver below.
+// The schoolbook routines (MulNaive, DivRemNaive, InterpolateNaive) remain
+// as the correctness oracles and the ablation baseline.
 //
 // A polynomial is a []field.Element of coefficients, lowest degree first.
 // The zero polynomial is represented by an empty (or all-zero) slice.
@@ -15,6 +16,7 @@ package poly
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"zaatar/internal/field"
@@ -48,19 +50,6 @@ func Equal(f *field.Field, a, b []field.Element) bool {
 	return true
 }
 
-// Add returns a + b.
-func Add(f *field.Field, a, b []field.Element) []field.Element {
-	if len(b) > len(a) {
-		a, b = b, a
-	}
-	out := make([]field.Element, len(a))
-	copy(out, a)
-	for i := range b {
-		out[i] = f.Add(out[i], b[i])
-	}
-	return out
-}
-
 // Sub returns a - b.
 func Sub(f *field.Field, a, b []field.Element) []field.Element {
 	n := len(a)
@@ -75,15 +64,6 @@ func Sub(f *field.Field, a, b []field.Element) []field.Element {
 	return out
 }
 
-// Scale returns s·a.
-func Scale(f *field.Field, s field.Element, a []field.Element) []field.Element {
-	out := make([]field.Element, len(a))
-	for i := range a {
-		out[i] = f.Mul(s, a[i])
-	}
-	return out
-}
-
 // Eval evaluates p at x by Horner's rule.
 func Eval(f *field.Field, p []field.Element, x field.Element) field.Element {
 	acc := f.Zero()
@@ -93,9 +73,8 @@ func Eval(f *field.Field, p []field.Element, x field.Element) field.Element {
 	return acc
 }
 
-// MulNaive returns a·b by the schoolbook algorithm; used for small operands
-// and as the correctness oracle for the NTT path (and as the ablation
-// baseline in the benchmarks).
+// MulNaive returns a·b by the schoolbook algorithm: the correctness oracle
+// for the NTT path and the ablation baseline in the benchmarks.
 func MulNaive(f *field.Field, a, b []field.Element) []field.Element {
 	a, b = Trim(f, a), Trim(f, b)
 	if len(a) == 0 || len(b) == 0 {
@@ -111,22 +90,6 @@ func MulNaive(f *field.Field, a, b []field.Element) []field.Element {
 		}
 	}
 	return out
-}
-
-// mulThreshold is the operand size below which schoolbook multiplication
-// beats the NTT.
-const mulThreshold = 64
-
-// Mul returns a·b, choosing between schoolbook and NTT multiplication.
-func Mul(f *field.Field, a, b []field.Element) []field.Element {
-	a, b = Trim(f, a), Trim(f, b)
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	if len(a) < mulThreshold || len(b) < mulThreshold {
-		return MulNaive(f, a, b)
-	}
-	return MulNTT(f, a, b)
 }
 
 // MulNTT returns a·b via three number-theoretic transforms.
@@ -161,11 +124,11 @@ func nextPow2(n int) int {
 // nttPlan holds the precomputed twiddle factors for one (field, size,
 // direction) transform: the per-level power rows w^0..w^(half-1), flattened
 // level after level (n-1 elements total), plus the 1/n scaling for the
-// inverse direction. Plans are cached process-wide — the prover runs many
-// same-size transforms per proof (interpolate A, B, C; multiply; divide by
-// D(t)) — which removes both the per-call f.Inv of the root and the serial
-// wj-update multiply that used to run once per butterfly (half the NTT's
-// multiplication count).
+// inverse direction. Plans are cached process-wide — the prover runs six
+// same-size transforms per proof (internal/qap's BuildH) — which removes
+// both the per-call f.Inv of the root and the serial wj-update multiply that
+// would otherwise run once per butterfly (half the NTT's multiplication
+// count).
 type nttPlan struct {
 	tw   []field.Element // concatenated twiddle rows, canonical form
 	nInv field.Element   // 1/n (inverse transforms only)
@@ -280,128 +243,47 @@ func NTT(f *field.Field, a []field.Element, invert bool) {
 	}
 }
 
-// reverse returns the coefficient-reversed polynomial of the exact length n
-// (padding with zeros if deg < n-1).
-func reverse(p []field.Element, n int) []field.Element {
-	out := make([]field.Element, n)
-	for i := 0; i < len(p) && i < n; i++ {
-		out[n-1-i] = p[i]
-	}
-	return out
+// Convolver computes cyclic convolutions against one fixed kernel, whose
+// forward transform is taken once. It is immutable after construction and
+// safe for concurrent use.
+type Convolver struct {
+	f    *field.Field
+	kHat []field.Element // NTT of the zero-padded kernel
 }
 
-// InvSeries returns the power-series inverse of p modulo x^n by Newton
-// iteration: g ← g(2 - pg). p[0] must be non-zero.
-func InvSeries(f *field.Field, p []field.Element, n int) []field.Element {
-	if len(p) == 0 || f.IsZero(p[0]) {
-		panic("poly: invSeries of series with zero constant term")
+// NewConvolver prepares cyclic convolution of size nextPow2(len(kernel))
+// against kernel. It fails if the field has no root of unity of that order.
+func NewConvolver(f *field.Field, kernel []field.Element) (*Convolver, error) {
+	n := nextPow2(len(kernel))
+	if bits.Len(uint(n))-1 > int(f.TwoAdicity()) {
+		return nil, fmt.Errorf("poly: convolution size %d exceeds the 2^%d-point NTT limit of %s", n, f.TwoAdicity(), f.Name())
 	}
-	g := []field.Element{f.Inv(p[0])}
-	for k := 1; k < n; k <<= 1 {
-		m := k << 1
-		if m > n {
-			m = n
-		}
-		pm := p
-		if len(pm) > m {
-			pm = pm[:m]
-		}
-		pg := Mul(f, pm, g)
-		if len(pg) > m {
-			pg = pg[:m]
-		}
-		// t = 2 - p·g
-		t := make([]field.Element, m)
-		copy(t, pg)
-		for i := range t {
-			t[i] = f.Neg(t[i])
-		}
-		t[0] = f.Add(t[0], f.FromUint64(2))
-		g = Mul(f, g, t)
-		if len(g) > m {
-			g = g[:m]
-		}
-	}
-	return g[:min(len(g), n)]
+	kHat := make([]field.Element, n)
+	copy(kHat, kernel)
+	NTT(f, kHat, false)
+	return &Convolver{f: f, kHat: kHat}, nil
 }
 
-// Divisor is a fixed divisor polynomial with its reversed power-series
-// inverse precomputed to a given precision, letting repeated divisions by
-// the same polynomial skip the Newton iteration. The QAP divisor D(t) and
-// every subproduct-tree node use this.
-type Divisor struct {
-	b      []field.Element
-	invRev []field.Element
+// Size returns the convolution length, a power of two.
+func (c *Convolver) Size() int { return len(c.kHat) }
+
+// Convolve replaces a, which must have length Size, by its cyclic
+// convolution with the kernel: a[m] ← Σ_{i+j ≡ m} a[i]·kernel[j]. Two NTTs
+// and Size multiplications.
+func (c *Convolver) Convolve(a []field.Element) {
+	if len(a) != len(c.kHat) {
+		panic(fmt.Sprintf("poly: Convolve on %d elements, want %d", len(a), len(c.kHat)))
+	}
+	f := c.f
+	NTT(f, a, false)
+	for i := range a {
+		a[i] = f.Mul(a[i], c.kHat[i])
+	}
+	NTT(f, a, true)
 }
 
-// NewDivisor precomputes the inverse of b's reversal to precision maxPrec,
-// enough to divide any dividend of degree ≤ deg b + maxPrec - 1.
-func NewDivisor(f *field.Field, b []field.Element, maxPrec int) *Divisor {
-	b = Trim(f, b)
-	if len(b) == 0 {
-		panic("poly: division by zero polynomial")
-	}
-	if maxPrec < 1 {
-		maxPrec = 1
-	}
-	return &Divisor{b: b, invRev: InvSeries(f, reverse(b, len(b)), maxPrec)}
-}
-
-// DivRem divides a by the fixed divisor. The dividend degree must stay
-// within the precomputed precision.
-func (d *Divisor) DivRem(f *field.Field, a []field.Element) (q, r []field.Element) {
-	a = Trim(f, a)
-	if len(a) < len(d.b) {
-		return nil, a
-	}
-	da, db := len(a)-1, len(d.b)-1
-	n := da - db + 1
-	if n > len(d.invRev) {
-		panic("poly: Divisor precision exceeded")
-	}
-	return divCore(f, a, d.b, d.invRev[:n], n)
-}
-
-// DivRem returns (q, r) with a = q·b + r and deg r < deg b, using Newton
-// inversion of the reversed divisor (O(n log n) with NTT multiplication).
-// It panics if b is zero.
-func DivRem(f *field.Field, a, b []field.Element) (q, r []field.Element) {
-	a, b = Trim(f, a), Trim(f, b)
-	if len(b) == 0 {
-		panic("poly: division by zero polynomial")
-	}
-	if len(a) < len(b) {
-		return nil, a
-	}
-	da, db := len(a)-1, len(b)-1
-	n := da - db + 1
-	rb := reverse(b, db+1)
-	inv := InvSeries(f, rb, n)
-	return divCore(f, a, b, inv, n)
-}
-
-func divCore(f *field.Field, a, b, inv []field.Element, n int) (q, r []field.Element) {
-	da := len(a) - 1
-	ra := reverse(a, da+1)
-	if len(ra) > n {
-		ra = ra[:n] // rq is only needed mod x^n
-	}
-	rq := Mul(f, ra, inv)
-	if len(rq) > n {
-		rq = rq[:n]
-	} else {
-		for len(rq) < n {
-			rq = append(rq, f.Zero())
-		}
-	}
-	q = reverse(rq, n)
-	qb := Mul(f, q, b)
-	r = Trim(f, Sub(f, a, qb))
-	return q, r
-}
-
-// DivRemNaive is schoolbook long division, used as the correctness oracle
-// for DivRem.
+// DivRemNaive is schoolbook long division: returns (q, r) with a = q·b + r
+// and deg r < deg b. It panics if b is zero.
 func DivRemNaive(f *field.Field, a, b []field.Element) (q, r []field.Element) {
 	a, b = Trim(f, a), Trim(f, b)
 	if len(b) == 0 {
@@ -427,14 +309,40 @@ func DivRemNaive(f *field.Field, a, b []field.Element) (q, r []field.Element) {
 	return q, Trim(f, r)
 }
 
-// Derivative returns p'.
-func Derivative(f *field.Field, p []field.Element) []field.Element {
-	if len(p) <= 1 {
-		return nil
+// InterpolateNaive is Lagrange interpolation from the definition, O(n³) as
+// written: the unique polynomial of degree < n through (points[i],
+// values[i]), for distinct points.
+func InterpolateNaive(f *field.Field, points, values []field.Element) []field.Element {
+	n := len(points)
+	if len(values) != n {
+		panic("poly: InterpolateNaive length mismatch")
 	}
-	out := make([]field.Element, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		out[i-1] = f.Mul(p[i], f.FromUint64(uint64(i)))
+	// All n Lagrange denominators ∏_{j≠i}(u_i - u_j) first, inverted in one
+	// BatchInv pass (3(n-1)+1 mults + one inversion instead of n inversions).
+	denoms := make([]field.Element, n)
+	for i := 0; i < n; i++ {
+		d := f.One()
+		for j := 0; j < n; j++ {
+			if j != i {
+				d = f.Mul(d, f.Sub(points[i], points[j]))
+			}
+		}
+		denoms[i] = d
 	}
-	return out
+	f.BatchInv(denoms, denoms)
+	out := make([]field.Element, n)
+	for i := 0; i < n; i++ {
+		// basis_i(x) = ∏_{j≠i} (x - u_j)/(u_i - u_j)
+		basis := []field.Element{f.One()}
+		for j := 0; j < n; j++ {
+			if j != i {
+				basis = MulNaive(f, basis, []field.Element{f.Neg(points[j]), f.One()})
+			}
+		}
+		c := f.Mul(values[i], denoms[i])
+		for k := range basis {
+			out[k] = f.Add(out[k], f.Mul(c, basis[k]))
+		}
+	}
+	return Trim(f, out)
 }

@@ -49,24 +49,16 @@ func TestTrimAndDegree(t *testing.T) {
 	}
 }
 
-func TestAddSubScaleEval(t *testing.T) {
+func TestSubEval(t *testing.T) {
 	f := field.F128()
 	rng := testReader{rand.New(rand.NewSource(1))}
 	for i := 0; i < 30; i++ {
 		a := randPoly(f, rng, rng.r.Intn(20))
 		b := randPoly(f, rng, rng.r.Intn(20))
 		x := f.Rand(rng)
-		sum := Add(f, a, b)
-		if got, want := Eval(f, sum, x), f.Add(Eval(f, a, x), Eval(f, b, x)); !f.Equal(got, want) {
-			t.Fatal("(a+b)(x) != a(x)+b(x)")
-		}
 		diff := Sub(f, a, b)
 		if got, want := Eval(f, diff, x), f.Sub(Eval(f, a, x), Eval(f, b, x)); !f.Equal(got, want) {
 			t.Fatal("(a-b)(x) != a(x)-b(x)")
-		}
-		s := f.Rand(rng)
-		if got, want := Eval(f, Scale(f, s, a), x), f.Mul(s, Eval(f, a, x)); !f.Equal(got, want) {
-			t.Fatal("(s·a)(x) != s·a(x)")
 		}
 	}
 }
@@ -112,16 +104,13 @@ func TestNTTMatchesDFT(t *testing.T) {
 	}
 }
 
-func TestMulAgainstNaive(t *testing.T) {
+func TestMulNTTAgainstNaive(t *testing.T) {
 	f := field.F128()
 	rng := testReader{rand.New(rand.NewSource(4))}
 	for _, da := range []int{-1, 0, 1, 5, 63, 64, 100, 257} {
 		for _, db := range []int{-1, 0, 3, 64, 129} {
 			a := randPoly(f, rng, da)
 			b := randPoly(f, rng, db)
-			if !Equal(f, Mul(f, a, b), MulNaive(f, a, b)) {
-				t.Fatalf("Mul mismatch at deg %d×%d", da, db)
-			}
 			if !Equal(f, MulNTT(f, a, b), MulNaive(f, a, b)) {
 				t.Fatalf("MulNTT mismatch at deg %d×%d", da, db)
 			}
@@ -136,28 +125,23 @@ func TestMulEvalProperty(t *testing.T) {
 		a := randPoly(f, rng, 40+rng.r.Intn(100))
 		b := randPoly(f, rng, 40+rng.r.Intn(100))
 		x := f.Rand(rng)
-		if got, want := Eval(f, Mul(f, a, b), x), f.Mul(Eval(f, a, x), Eval(f, b, x)); !f.Equal(got, want) {
+		if got, want := Eval(f, MulNTT(f, a, b), x), f.Mul(Eval(f, a, x), Eval(f, b, x)); !f.Equal(got, want) {
 			t.Fatal("(ab)(x) != a(x)b(x)")
 		}
 	}
 }
 
-func TestDivRem(t *testing.T) {
+func TestDivRemNaive(t *testing.T) {
 	f := field.F128()
 	rng := testReader{rand.New(rand.NewSource(6))}
-	for _, da := range []int{0, 1, 10, 100, 255} {
-		for _, db := range []int{1, 2, 17, 100} {
+	for _, da := range []int{0, 1, 10, 100} {
+		for _, db := range []int{0, 1, 2, 17, 100} {
 			a := randPoly(f, rng, da)
 			b := randPoly(f, rng, db)
-			q, r := DivRem(f, a, b)
-			qn, rn := DivRemNaive(f, a, b)
-			if !Equal(f, q, qn) || !Equal(f, r, rn) {
-				t.Fatalf("DivRem disagrees with naive at deg %d/%d", da, db)
-			}
-			// a = qb + r and deg r < deg b
-			recon := Add(f, Mul(f, q, b), r)
-			if !Equal(f, recon, a) {
-				t.Fatalf("DivRem reconstruction failed at deg %d/%d", da, db)
+			q, r := DivRemNaive(f, a, b)
+			// a − q·b = r and deg r < deg b
+			if !Equal(f, Sub(f, a, MulNaive(f, q, b)), r) {
+				t.Fatalf("a != q·b + r at deg %d/%d", da, db)
 			}
 			if Degree(f, r) >= Degree(f, b) {
 				t.Fatalf("remainder degree %d >= divisor degree %d", Degree(f, r), Degree(f, b))
@@ -166,130 +150,74 @@ func TestDivRem(t *testing.T) {
 	}
 }
 
-func TestDivRemExact(t *testing.T) {
-	// Exact divisibility: (x-1)(x-2)...(x-n) / ∏ subsets.
-	f := field.F128()
-	pts := make([]field.Element, 33)
-	for i := range pts {
-		pts[i] = f.FromUint64(uint64(i + 1))
-	}
-	full := ZeroPoly(f, pts)
-	half := ZeroPoly(f, pts[:16])
-	q, r := DivRem(f, full, half)
-	if Degree(f, r) != -1 {
-		t.Fatal("exact division left a remainder")
-	}
-	if !Equal(f, Mul(f, q, half), full) {
-		t.Fatal("quotient reconstruction failed")
-	}
-}
-
 func TestDivByZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("DivRem by zero did not panic")
+			t.Error("DivRemNaive by zero did not panic")
 		}
 	}()
 	f := field.F128()
-	DivRem(f, []field.Element{f.One()}, nil)
+	DivRemNaive(f, []field.Element{f.One()}, nil)
 }
 
-func TestZeroPolyRoots(t *testing.T) {
-	f := field.F128()
-	pts := make([]field.Element, 20)
-	for i := range pts {
-		pts[i] = f.FromUint64(uint64(3*i + 1))
-	}
-	z := ZeroPoly(f, pts)
-	if Degree(f, z) != len(pts) {
-		t.Fatalf("ZeroPoly degree = %d, want %d", Degree(f, z), len(pts))
-	}
-	for _, u := range pts {
-		if !f.IsZero(Eval(f, z, u)) {
-			t.Fatalf("ZeroPoly does not vanish at %v", f.ToBig(u))
-		}
-	}
-	// Monic.
-	if !f.IsOne(z[len(z)-1]) {
-		t.Fatal("ZeroPoly is not monic")
-	}
-}
-
-func TestEvalMulti(t *testing.T) {
-	f := field.F128()
-	rng := testReader{rand.New(rand.NewSource(7))}
-	for _, n := range []int{1, 2, 3, 7, 8, 33, 100} {
-		pts := make([]field.Element, n)
-		for i := range pts {
-			pts[i] = f.FromUint64(uint64(i))
-		}
-		tree := NewSubproductTree(f, pts)
-		p := randPoly(f, rng, n+5)
-		got := tree.EvalMulti(p)
-		for i, u := range pts {
-			want := Eval(f, p, u)
-			if !f.Equal(got[i], want) {
-				t.Fatalf("n=%d: EvalMulti[%d] mismatch", n, i)
-			}
-		}
-	}
-}
-
-func TestInterpolate(t *testing.T) {
-	f := field.F128()
+func TestInterpolateNaive(t *testing.T) {
+	f := field.F220()
 	rng := testReader{rand.New(rand.NewSource(8))}
-	for _, n := range []int{1, 2, 3, 5, 8, 17, 64, 100} {
+	for _, n := range []int{1, 2, 3, 8, 17, 50} {
 		pts := make([]field.Element, n)
 		for i := range pts {
 			pts[i] = f.FromUint64(uint64(i)) // arithmetic progression incl. 0, like the QAP
 		}
-		vals := f.RandVector(n, rng)
-		tree := NewSubproductTree(f, pts)
-		p := tree.Interpolate(vals)
-		if Degree(f, p) >= n {
-			t.Fatalf("n=%d: interpolant degree %d too high", n, Degree(f, p))
+		// Interpolating the evaluations of a known polynomial recovers it.
+		p := randPoly(f, rng, n-1)
+		vals := make([]field.Element, n)
+		for i := range vals {
+			vals[i] = Eval(f, p, pts[i])
 		}
-		for i := range pts {
-			if !f.Equal(Eval(f, p, pts[i]), vals[i]) {
-				t.Fatalf("n=%d: interpolant misses point %d", n, i)
+		if !Equal(f, InterpolateNaive(f, pts, vals), p) {
+			t.Fatalf("n=%d: interpolation round trip failed", n)
+		}
+	}
+}
+
+func TestConvolveAgainstDefinition(t *testing.T) {
+	for _, f := range []*field.Field{field.F128(), field.F220(), field.FTiny()} {
+		rng := testReader{rand.New(rand.NewSource(9))}
+		for _, klen := range []int{1, 2, 3, 4, 5, 31, 32, 33, 100} {
+			kernel := f.RandVector(klen, rng)
+			c, err := NewConvolver(f, kernel)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if n <= 17 {
-			if !Equal(f, p, InterpolateNaive(f, pts, vals)) {
-				t.Fatalf("n=%d: Interpolate disagrees with naive Lagrange", n)
+			n := c.Size()
+			if n != nextPow2(klen) {
+				t.Fatalf("kernel of %d: size %d", klen, n)
+			}
+			a := f.RandVector(n, rng)
+			want := make([]field.Element, n)
+			for i := range a {
+				for j := range kernel {
+					m := (i + j) % n
+					want[m] = f.Add(want[m], f.Mul(a[i], kernel[j]))
+				}
+			}
+			c.Convolve(a)
+			for m := range want {
+				if !f.Equal(a[m], want[m]) {
+					t.Fatalf("%s, kernel of %d: entry %d differs", f.Name(), klen, m)
+				}
 			}
 		}
 	}
 }
 
-func TestInterpolateRoundTrip(t *testing.T) {
-	// Interpolating the evaluations of a known polynomial recovers it.
-	f := field.F220()
-	rng := testReader{rand.New(rand.NewSource(9))}
-	n := 50
-	p := randPoly(f, rng, n-1)
-	pts := make([]field.Element, n)
-	for i := range pts {
-		pts[i] = f.FromUint64(uint64(i))
+func TestConvolverSizeLimit(t *testing.T) {
+	f := field.FTiny() // 2-adicity 12
+	if _, err := NewConvolver(f, make([]field.Element, 1<<12)); err != nil {
+		t.Fatalf("size 2^12 refused: %v", err)
 	}
-	tree := NewSubproductTree(f, pts)
-	vals := tree.EvalMulti(p)
-	q := tree.Interpolate(vals)
-	if !Equal(f, p, q) {
-		t.Fatal("interpolation round trip failed")
-	}
-}
-
-func TestDerivative(t *testing.T) {
-	f := field.F128()
-	// d/dx (3 + 2x + 5x³) = 2 + 15x²
-	p := []field.Element{f.FromUint64(3), f.FromUint64(2), f.Zero(), f.FromUint64(5)}
-	want := []field.Element{f.FromUint64(2), f.Zero(), f.FromUint64(15)}
-	if !Equal(f, Derivative(f, p), want) {
-		t.Fatal("Derivative mismatch")
-	}
-	if Derivative(f, []field.Element{f.One()}) != nil {
-		t.Fatal("derivative of constant should be nil")
+	if _, err := NewConvolver(f, make([]field.Element, 1<<12+1)); err == nil {
+		t.Fatal("size 2^13 accepted over a field of 2-adicity 12")
 	}
 }
 
@@ -323,20 +251,19 @@ func BenchmarkMulNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkInterpolate(b *testing.B) {
+func BenchmarkConvolve(b *testing.B) {
 	f := field.F128()
 	rng := testReader{rand.New(rand.NewSource(12))}
-	for _, n := range []int{256, 1024} {
+	for _, n := range []int{1024, 8192} {
 		b.Run(sizeName(n), func(b *testing.B) {
-			pts := make([]field.Element, n)
-			for i := range pts {
-				pts[i] = f.FromUint64(uint64(i))
+			c, err := NewConvolver(f, f.RandVector(n, rng))
+			if err != nil {
+				b.Fatal(err)
 			}
-			tree := NewSubproductTree(f, pts)
-			vals := f.RandVector(n, rng)
+			a := f.RandVector(n, rng)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tree.Interpolate(vals)
+				c.Convolve(a)
 			}
 		})
 	}

@@ -5,16 +5,12 @@ import (
 	"fmt"
 
 	"zaatar/internal/field"
-	"zaatar/internal/poly"
 )
 
-// Binary serialization of the full QAP encoding, so a program bundle can
-// restore a prover's precomputation without re-running qap.New (whose
-// subproduct-tree NTT build and divisor Newton iteration dominate vc.setup).
-// Everything expensive is serialized — sparse rows, divisor coefficients,
-// inverse series, tree layers; the barycentric weights are recomputed on
-// load (one inversion plus O(|C|) multiplications) and the per-node divisor
-// cache stays lazy.
+// Binary serialization of the QAP encoding, so a program bundle can restore
+// a prover's precomputation without walking the constraint system again.
+// Only the sparse rows are serialized; the O(|C|) tables are a function of
+// (field, |C|) and are rebuilt on load (one NTT and two batched inversions).
 
 func appendRows(dst []byte, rows [][]Entry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
@@ -34,6 +30,9 @@ func decodeRows(b []byte, nc int) ([][]Entry, []byte, error) {
 		return nil, nil, fmt.Errorf("qap: bad row-count prefix")
 	}
 	b = b[used:]
+	if n > uint64(len(b)) { // a row takes at least its one-byte length prefix
+		return nil, nil, fmt.Errorf("qap: %d rows in %d bytes", n, len(b))
+	}
 	rows := make([][]Entry, n)
 	for i := range rows {
 		m, used := binary.Uvarint(b)
@@ -43,6 +42,9 @@ func decodeRows(b []byte, nc int) ([][]Entry, []byte, error) {
 		b = b[used:]
 		if m == 0 {
 			continue
+		}
+		if m > uint64(len(b)) {
+			return nil, nil, fmt.Errorf("qap: row of %d entries in %d bytes", m, len(b))
 		}
 		row := make([]Entry, m)
 		for k := range row {
@@ -77,15 +79,13 @@ func (q *QAP) MarshalBinary() ([]byte, error) {
 	dst = appendRows(dst, q.A)
 	dst = appendRows(dst, q.B)
 	dst = appendRows(dst, q.C)
-	dst = field.AppendElements(dst, q.div)
-	dst = q.divPre.AppendBinary(dst)
-	dst = q.tree.AppendBinary(dst)
 	return dst, nil
 }
 
 // UnmarshalQAP restores a QAP serialized by MarshalBinary over the given
-// field. Structural inconsistencies (row counts, tree shape, trailing
-// garbage) return an error; callers treat any error as a cache miss.
+// field. Structural inconsistencies (row counts, entry indices, trailing
+// garbage, a size the field cannot carry) return an error; callers treat any
+// error as a cache miss.
 func UnmarshalQAP(f *field.Field, b []byte) (*QAP, error) {
 	var dims [4]uint64
 	for i := range dims {
@@ -97,7 +97,10 @@ func UnmarshalQAP(f *field.Field, b []byte) (*QAP, error) {
 		b = b[used:]
 	}
 	q := &QAP{F: f, NC: int(dims[0]), N: int(dims[1]), NZ: int(dims[2]), nnz: int(dims[3])}
-	if q.NC < 1 || q.N < 0 || q.NZ < 0 || q.NZ > q.N {
+	// The tables below are sized by NC, which must therefore be bounded by
+	// what was actually read: every constraint a compiler emits has at least
+	// one entry, and an entry takes at least two bytes.
+	if q.NC < 1 || q.NC > len(b) || q.N < 0 || q.NZ < 0 || q.NZ > q.N {
 		return nil, fmt.Errorf("qap: implausible dimensions NC=%d N=%d NZ=%d", q.NC, q.N, q.NZ)
 	}
 	var err error
@@ -113,24 +116,11 @@ func UnmarshalQAP(f *field.Field, b []byte) (*QAP, error) {
 	if len(q.A) != q.N+1 || len(q.B) != q.N+1 || len(q.C) != q.N+1 {
 		return nil, fmt.Errorf("qap: row count does not match N=%d", q.N)
 	}
-	if q.div, b, err = field.DecodeElements(b); err != nil {
-		return nil, err
-	}
-	if len(q.div) != q.NC+1 {
-		return nil, fmt.Errorf("qap: divisor degree %d, want %d", len(q.div)-1, q.NC)
-	}
-	if q.divPre, b, err = poly.UnmarshalDivisor(f, b); err != nil {
-		return nil, err
-	}
-	if q.tree, b, err = poly.UnmarshalSubproductTree(f, b); err != nil {
-		return nil, err
-	}
-	if q.tree.Len() != q.NC+1 {
-		return nil, fmt.Errorf("qap: tree over %d points, want %d", q.tree.Len(), q.NC+1)
-	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("qap: %d trailing bytes after decode", len(b))
 	}
-	q.tree.SetWeights(baryWeights(f, q.NC))
+	if err := q.initTables(); err != nil {
+		return nil, err
+	}
 	return q, nil
 }

@@ -2,10 +2,11 @@ package qap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"zaatar/internal/field"
-	"zaatar/internal/poly"
 )
 
 func TestQAPMarshalRoundTrip(t *testing.T) {
@@ -28,10 +29,8 @@ func TestQAPMarshalRoundTrip(t *testing.T) {
 			got.NC, got.N, got.NZ, got.NNZ(), orig.NC, orig.N, orig.NZ, orig.NNZ())
 	}
 
-	// The decoded QAP must be behaviorally identical: same H(t) for a
-	// satisfying witness, same divisor evaluations, and the fast pipeline
-	// (tree interpolation + precomputed divisor) must agree with the
-	// original's on fresh inputs.
+	// The decoded QAP must be behaviorally identical: bit-identical h for a
+	// satisfying witness and bit-identical queries at the same τ.
 	w := witness(3)
 	h0, err := orig.BuildH(w)
 	if err != nil {
@@ -41,29 +40,20 @@ func TestQAPMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h0) != len(h1) {
-		t.Fatalf("H length %d vs %d", len(h1), len(h0))
-	}
-	for i := range h0 {
-		if h0[i] != h1[i] {
-			t.Fatalf("H[%d] differs after round trip", i)
-		}
+	if !reflect.DeepEqual(h0, h1) {
+		t.Fatal("h differs after round trip")
 	}
 	tau := f.FromUint64(987654)
-	if got.EvalD(tau) != orig.EvalD(tau) {
-		t.Fatal("D(τ) differs after round trip")
+	q0, err := orig.BuildQueries(tau)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Interpolation through the restored tree must still invert EvalMulti.
-	vals := make([]field.Element, got.NC+1)
-	for i := range vals {
-		vals[i] = f.FromUint64(uint64(i*i + 1))
+	q1, err := got.BuildQueries(tau)
+	if err != nil {
+		t.Fatal(err)
 	}
-	vals[0] = f.Zero()
-	p := got.tree.Interpolate(vals)
-	for j := 1; j <= got.NC; j++ {
-		if poly.Eval(f, p, f.FromUint64(uint64(j))) != vals[j] {
-			t.Fatalf("restored tree interpolation wrong at σ_%d", j)
-		}
+	if !reflect.DeepEqual(q0, q1) {
+		t.Fatal("queries differ after round trip")
 	}
 
 	// A non-witness must still be rejected.
@@ -93,5 +83,23 @@ func TestUnmarshalQAPRejectsCorruption(t *testing.T) {
 	}
 	if _, err := UnmarshalQAP(f, nil); err == nil {
 		t.Fatal("empty blob decoded without error")
+	}
+	// Every prefix fails cleanly, and so does a header whose |C| or row
+	// counts promise more than the payload holds.
+	for n := range blob {
+		if _, err := UnmarshalQAP(f, blob[:n]); err == nil {
+			t.Fatalf("%d-byte prefix decoded without error", n)
+		}
+	}
+	huge := binary.AppendUvarint(nil, 1<<40)
+	if _, err := UnmarshalQAP(f, append(huge, blob[1:]...)); err == nil {
+		t.Fatal("|C| = 2^40 decoded without error")
+	}
+	hdr := binary.AppendUvarint(nil, uint64(orig.NC))
+	hdr = binary.AppendUvarint(hdr, uint64(orig.N))
+	hdr = binary.AppendUvarint(hdr, uint64(orig.NZ))
+	hdr = binary.AppendUvarint(hdr, uint64(orig.NNZ()))
+	if _, err := UnmarshalQAP(f, append(binary.AppendUvarint(hdr, 1<<40), blob[len(hdr)+1:]...)); err == nil {
+		t.Fatal("2^40 rows decoded without error")
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"zaatar/internal/constraint"
 	"zaatar/internal/field"
-	"zaatar/internal/poly"
 )
 
 // randQuadSystem builds a random satisfiable canonical quadratic-form
@@ -74,8 +73,12 @@ func TestQAPSoundnessRandom(t *testing.T) {
 		}
 		// Identity at a random point.
 		tau := f.Rand(rdr)
-		lhs := f.Mul(q.EvalD(tau), poly.Eval(f, h, tau))
-		if !f.Equal(lhs, q.EvalPw(w, tau)) {
+		qr, err := q.BuildQueries(tau)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		lhs := f.Mul(qr.DTau, f.InnerProduct(h, qr.QD))
+		if !f.Equal(lhs, evalPw(q, w, tau)) {
 			t.Fatalf("trial %d: D·H != P_w", trial)
 		}
 		// Corrupt a wire that appears in some constraint: BuildH must fail

@@ -19,8 +19,28 @@
 // the verifier checks the factorization at a random point τ.
 //
 // Following §A.3 the interpolation points are the arithmetic progression
-// σ_j = j, which makes the barycentric weights computable with one field
-// inversion plus O(|C|) multiplications.
+// σ_j = j, j = 0..|C| (σ_0 = 0 carries the A_i(0) = 0 condition), which
+// makes the barycentric weights v_j factorial products: one field inversion
+// plus O(|C|) multiplications.
+//
+// Departing from §A.3, H is never interpolated. The H oracle is an arbitrary
+// linear function, so the proof vector h may hold H in any basis the
+// verifier's query q_d matches; here h[k] = H(|C|+1+k), the values of H on
+// the shifted progression {|C|+1, …, 2|C|+1}, and q_d is the Lagrange basis
+// of those points at τ. With n = |C| and u_j = v_j·A(σ_j), barycentric
+// evaluation gives
+//
+//	A(n+1+k) = ℓ(n+1+k) · Σ_j u_j / (n+1+k−j),   ℓ(x) = ∏_{j=0..n} (x − j)
+//
+// and the sum is one cyclic convolution against the fixed kernel
+// g[i] = 1/(i+1). Since D(x) = ℓ(x)/x, the quotient needs no inversion:
+//
+//	H(n+1+k) = (n+1+k) · (ℓ(n+1+k)·c^A_k·c^B_k − c^C_k)
+//
+// where c^A, c^B, c^C are the three convolution outputs. Coefficients and
+// values on n+1 distinct points are related by an invertible linear map on
+// polynomials of degree ≤ n, so the functions a cheating π_h can induce —
+// and with them the soundness analysis of §A.1/§A.2 — are unchanged.
 package qap
 
 import (
@@ -51,11 +71,16 @@ type QAP struct {
 	// polynomial, for i in 0..N (0 is the constant row).
 	A, B, C [][]Entry
 
-	nnz    int                  // total non-zero entries (≤ K + 3K2, §A.3)
-	tree   *poly.SubproductTree // over points 0, 1, ..., NC
-	div    []field.Element      // D(t) coefficients
-	divPre *poly.Divisor        // D with precomputed inverse series
+	nnz int // total non-zero entries (≤ K + 3K2, §A.3)
+
+	// O(|C|) tables derived from (F, NC) alone; see initTables.
+	v    []field.Element // barycentric weights of 0..NC (and of any translate)
+	ell  []field.Element // ell[k] = ℓ(NC+1+k) = (NC+1+k)!/k!, k = 0..NC
+	conv *poly.Convolver // against g[i] = 1/(i+1), i = 0..2NC
 }
+
+// errUnsatisfied is BuildH's refusal of a non-satisfying assignment.
+var errUnsatisfied = errors.New("qap: assignment does not satisfy the constraints (D ∤ P_w)")
 
 // New builds the QAP for a canonical quadratic-form system.
 func New(f *field.Field, qs *constraint.QuadSystem) (*QAP, error) {
@@ -101,30 +126,51 @@ func New(f *field.Field, qs *constraint.QuadSystem) (*QAP, error) {
 		add(q.C, c.C, j)
 	}
 
-	// Interpolation points 0..NC (σ_0 = 0 carries the A_i(0) = 0 condition).
-	pts := make([]field.Element, q.NC+1)
-	for j := 0; j <= q.NC; j++ {
-		pts[j] = f.FromUint64(uint64(j))
+	if err := q.initTables(); err != nil {
+		return nil, err
 	}
-	q.tree = poly.NewSubproductTree(f, pts)
-	q.tree.SetWeights(baryWeights(f, q.NC))
-	q.div = poly.ZeroPoly(f, pts[1:])
-	q.divPre = poly.NewDivisor(f, q.div, q.NC+1)
 	return q, nil
+}
+
+// initTables builds everything BuildH and BuildQueries need beyond the
+// sparse rows: the barycentric weights, ℓ at the shifted points and the
+// convolution kernel's transform. It refuses sizes the field cannot carry:
+// the shifted points reach 2·NC+1, which must stay below p, and the
+// convolution needs an NTT of nextPow2(2·NC+1) points.
+func (q *QAP) initTables() error {
+	f, n := q.F, q.NC
+	if p := f.Modulus(); p.IsUint64() && uint64(2*n+2) > p.Uint64() {
+		return fmt.Errorf("qap: %d constraints need %d distinct points, %s has %v", n, 2*n+2, f.Name(), p)
+	}
+	// x[i] = i+1 and g[i] = 1/(i+1), i = 0..2n.
+	x := make([]field.Element, 2*n+1)
+	x[0] = f.One()
+	for i := 1; i < len(x); i++ {
+		x[i] = f.Add(x[i-1], x[0])
+	}
+	g := make([]field.Element, len(x))
+	f.BatchInv(g, x)
+	// ℓ(n+1) = (n+1)!, then ℓ(n+1+k) = ℓ(n+k)·(n+1+k)/k.
+	q.ell = make([]field.Element, n+1)
+	q.ell[0] = f.One()
+	for _, xi := range x[:n+1] {
+		q.ell[0] = f.Mul(q.ell[0], xi)
+	}
+	for k := 1; k <= n; k++ {
+		q.ell[k] = f.Mul(q.ell[k-1], f.Mul(x[n+k], g[k-1]))
+	}
+	var err error
+	if q.conv, err = poly.NewConvolver(f, g); err != nil {
+		return fmt.Errorf("qap: %d constraints: %w", n, err)
+	}
+	q.v = baryWeights(f, n)
+	return nil
 }
 
 // NNZ returns the number of non-zero row-polynomial evaluations; the
 // verifier's query construction performs one multiplication per entry
 // (the K + 3K₂ term of Figure 3).
 func (q *QAP) NNZ() int { return q.nnz }
-
-// Divisor returns the coefficients of D(t).
-func (q *QAP) Divisor() []field.Element { return q.div }
-
-// EvalD evaluates D(τ).
-func (q *QAP) EvalD(tau field.Element) field.Element {
-	return poly.Eval(q.F, q.div, tau)
-}
 
 // aggregate computes the evaluations (Σ_i w_i·rows[i](σ_j)) for j = 0..NC.
 // The value at σ_0 = 0 is zero by construction.
@@ -143,59 +189,75 @@ func (q *QAP) aggregate(rows [][]Entry, w []field.Element) []field.Element {
 	return vals
 }
 
-// BuildH computes the coefficient vector h = (h_0, ..., h_|C|) of
-// H(t) = P_w(t)/D(t) for a full assignment w (indexed by wire, w[0] = 1).
-// This is the prover's §A.3 pipeline: three interpolations, one product,
-// one division — ≈ 3·f·|C|·log²|C|. It returns an error if D does not
-// divide P_w, i.e. if w is not a satisfying assignment.
+// BuildH computes the proof vector h = (H(NC+1), ..., H(2NC+1)), the values
+// of H(t) = P_w(t)/D(t) on the shifted progression, for a full assignment w
+// (indexed by wire, w[0] = 1): three cyclic convolutions — six NTTs of
+// nextPow2(2·NC+1) points — and O(NC) multiplications (see the package
+// comment). It returns an error if D does not divide P_w, i.e. if w is not a
+// satisfying assignment.
 func (q *QAP) BuildH(w []field.Element) ([]field.Element, error) {
-	f := q.F
+	f, n := q.F, q.NC
 	if len(w) != q.N+1 {
 		return nil, fmt.Errorf("qap: assignment has %d entries, want %d", len(w), q.N+1)
 	}
 	if !f.IsOne(w[0]) {
 		return nil, errors.New("qap: w[0] must be 1")
 	}
-	aw := q.tree.Interpolate(q.aggregate(q.A, w))
-	bw := q.tree.Interpolate(q.aggregate(q.B, w))
-	cw := q.tree.Interpolate(q.aggregate(q.C, w))
-	pw := poly.Sub(f, poly.Mul(f, aw, bw), cw)
-	h, r := q.divPre.DivRem(f, pw)
-	if poly.Degree(f, r) != -1 {
-		return nil, errors.New("qap: assignment does not satisfy the constraints (D ∤ P_w)")
+	a, b, c := q.aggregate(q.A, w), q.aggregate(q.B, w), q.aggregate(q.C, w)
+	// D | P_w iff P_w vanishes at σ_1..σ_NC.
+	for j := 1; j <= n; j++ {
+		if !f.Equal(f.Mul(a[j], b[j]), c[j]) {
+			return nil, errUnsatisfied
+		}
 	}
-	out := make([]field.Element, q.NC+1)
-	copy(out, h)
-	return out, nil
+	ca, cb, cc := q.shift(a), q.shift(b), q.shift(c)
+	h := make([]field.Element, n+1)
+	x, one := f.FromUint64(uint64(n+1)), f.One()
+	for k := range h {
+		h[k] = f.Mul(x, f.Sub(f.Mul(q.ell[k], f.Mul(ca[k], cb[k])), cc[k]))
+		x = f.Add(x, one)
+	}
+	return h, nil
 }
 
-// BuildHNaive is BuildH with O(n²) Lagrange interpolation and schoolbook
-// multiplication/division — the ablation baseline showing why the prover
-// needs the FFT-based pipeline.
+// shift maps the values vals[j] = P(j), j = 0..NC, of a polynomial of degree
+// ≤ NC to c[k] = P(NC+1+k)/ℓ(NC+1+k), k = 0..NC: with u_j = v_j·vals[j],
+// c[k] = Σ_j u_j·g[NC+k−j], entries NC..2NC of u ⋆ g. The linear convolution
+// has 3·NC+1 entries; at size ≥ 2·NC+1 the wrapped tail lands below NC.
+func (q *QAP) shift(vals []field.Element) []field.Element {
+	f, n := q.F, q.NC
+	buf := make([]field.Element, q.conv.Size())
+	for j, a := range vals {
+		buf[j] = f.Mul(q.v[j], a)
+	}
+	q.conv.Convolve(buf)
+	return buf[n : 2*n+1]
+}
+
+// BuildHNaive computes the monomial coefficients of H(t) by the textbook
+// route — O(n³) Lagrange interpolation of A, B, C, schoolbook product and
+// long division by D(t). It is the oracle the tests compare BuildH against
+// (BuildH(w)[k] is this polynomial at NC+1+k) and the ablation baseline;
+// the protocol never calls it.
 func (q *QAP) BuildHNaive(w []field.Element) ([]field.Element, error) {
 	f := q.F
 	pts := make([]field.Element, q.NC+1)
+	d := []field.Element{f.One()} // D(t) = ∏_{j=1..NC} (t − σ_j)
 	for j := 0; j <= q.NC; j++ {
 		pts[j] = f.FromUint64(uint64(j))
+		if j > 0 {
+			d = poly.MulNaive(f, d, []field.Element{f.Neg(pts[j]), f.One()})
+		}
 	}
 	aw := poly.InterpolateNaive(f, pts, q.aggregate(q.A, w))
 	bw := poly.InterpolateNaive(f, pts, q.aggregate(q.B, w))
 	cw := poly.InterpolateNaive(f, pts, q.aggregate(q.C, w))
 	pw := poly.Sub(f, poly.MulNaive(f, aw, bw), cw)
-	h, r := poly.DivRemNaive(f, pw, q.div)
+	h, r := poly.DivRemNaive(f, pw, d)
 	if poly.Degree(f, r) != -1 {
-		return nil, errors.New("qap: assignment does not satisfy the constraints (D ∤ P_w)")
+		return nil, errUnsatisfied
 	}
 	out := make([]field.Element, q.NC+1)
 	copy(out, h)
 	return out, nil
-}
-
-// EvalPw evaluates P_w(τ) directly from the definition; used by tests.
-func (q *QAP) EvalPw(w []field.Element, tau field.Element) field.Element {
-	f := q.F
-	a := poly.Eval(f, q.tree.Interpolate(q.aggregate(q.A, w)), tau)
-	b := poly.Eval(f, q.tree.Interpolate(q.aggregate(q.B, w)), tau)
-	c := poly.Eval(f, q.tree.Interpolate(q.aggregate(q.C, w)), tau)
-	return f.Sub(f.Mul(a, b), c)
 }

@@ -21,50 +21,54 @@ type Queries struct {
 	IOA, IOB, IOC []field.Element
 	// ConstA = A_0(τ), the constant row's contribution.
 	ConstA, ConstB, ConstC field.Element
-	// QD = (1, τ, τ², ..., τ^|C|), the query to the H oracle.
+	// QD is the query to the H oracle: the Lagrange basis of the shifted
+	// points |C|+1+k at τ, so that ⟨QD, h⟩ = H(τ) for h = BuildH(w).
 	QD []field.Element
 	// DTau = D(τ).
 	DTau field.Element
 }
 
 // ErrTauCollision is returned when τ coincides with an interpolation point
-// σ_j, which would make the barycentric weights undefined. Callers draw a
-// fresh τ; the probability is |C|/|F|.
+// σ_j or with one of the shifted points h is indexed by, either of which
+// would make a barycentric denominator zero. Callers draw a fresh τ; the
+// probability is (2|C|+2)/|F|.
 var ErrTauCollision = errors.New("qap: τ collides with an interpolation point, redraw")
 
 // BuildQueries evaluates every row polynomial at τ using barycentric
-// Lagrange interpolation over the arithmetic-progression points (§A.3):
-// one field inversion, O(|C|) multiplications for the weights, then one
-// multiplication per non-zero matrix entry (≤ K + 3K₂ total).
+// Lagrange interpolation over the arithmetic-progression points (§A.3),
+// with the weights v_j taken from New: one batched inversion of the 2|C|+2
+// differences τ − x, O(|C|) multiplications for the two Lagrange bases, then
+// one multiplication per non-zero matrix entry (≤ K + 3K₂ total).
 func (q *QAP) BuildQueries(tau field.Element) (*Queries, error) {
 	f := q.F
 	nc := q.NC
 
-	// diffs[j] = τ - σ_j for j = 0..NC; reject τ equal to any σ_j.
-	diffs := make([]field.Element, nc+1)
-	for j := 0; j <= nc; j++ {
-		diffs[j] = f.Sub(tau, f.FromUint64(uint64(j)))
-		if f.IsZero(diffs[j]) {
+	// inv[x] = 1/(τ − x) for x = 0..2NC+1: the σ_j, then the shifted points.
+	inv := make([]field.Element, 2*nc+2)
+	diff, one := tau, f.One()
+	for x := range inv {
+		if f.IsZero(diff) {
 			return nil, ErrTauCollision
 		}
+		inv[x] = diff
+		diff = f.Sub(diff, one)
 	}
-
-	// ℓ(τ) = ∏_j (τ - σ_j); D(τ) = ℓ(τ)/ (τ - σ_0) = ℓ(τ)/τ.
-	ell := f.One()
-	for _, d := range diffs {
-		ell = f.Mul(ell, d)
+	// ℓ(τ) = ∏_j (τ − σ_j) and its translate ℓ′(τ) = ∏_k (τ − (NC+1+k)).
+	ell, ellShift := f.One(), f.One()
+	for j := 0; j <= nc; j++ {
+		ell = f.Mul(ell, inv[j])
+		ellShift = f.Mul(ellShift, inv[nc+1+j])
 	}
+	f.BatchInv(inv, inv)
 
-	// Barycentric weights v_j for σ_j = 0..NC (factorial closed form plus
-	// one batched inversion — the (f_div + …)·|C| term of Figure 3), then
-	// λ_j = ℓ(τ)·v_j/(τ - σ_j) with the (τ - σ_j) inverted in one batch too.
-	v := baryWeights(f, nc)
-	invDiff := make([]field.Element, nc+1)
-	copy(invDiff, diffs)
-	f.BatchInv(invDiff, invDiff)
+	// λ_j = ℓ(τ)·v_j/(τ − σ_j) is the Lagrange basis of the σ_j at τ; the
+	// weights v_j depend only on the points' spacing, so the basis of the
+	// shifted points is the same expression with ℓ′ and the shifted inverses.
 	lambda := make([]field.Element, nc+1)
+	qd := make([]field.Element, nc+1)
 	for j := range lambda {
-		lambda[j] = f.Mul(ell, f.Mul(v[j], invDiff[j]))
+		lambda[j] = f.Mul(ell, f.Mul(q.v[j], inv[j]))
+		qd[j] = f.Mul(ellShift, f.Mul(q.v[j], inv[nc+1+j]))
 	}
 
 	evalRows := func(rows [][]Entry) []field.Element {
@@ -82,13 +86,8 @@ func (q *QAP) BuildQueries(tau field.Element) (*Queries, error) {
 	evalB := evalRows(q.B)
 	evalC := evalRows(q.C)
 
-	qd := make([]field.Element, nc+1)
-	qd[0] = f.One()
-	for j := 1; j <= nc; j++ {
-		qd[j] = f.Mul(qd[j-1], tau)
-	}
-
-	dTau := f.Mul(ell, f.Inv(diffs[0]))
+	// D(τ) = ℓ(τ)/(τ − σ_0).
+	dTau := f.Mul(ell, inv[0])
 
 	return &Queries{
 		Tau:    tau,

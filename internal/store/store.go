@@ -49,7 +49,10 @@ const FormatVersion = 1
 // codecs). A reader only accepts bundles whose CodeVersion matches its own
 // exactly: payload formats carry no internal versioning, so skew here would
 // decode garbage with a valid checksum. Bump on any payload format change.
-const CodeVersion = "zb1"
+//
+// zb2: the zaatar precomputation payload is the QAP's sparse rows only (zb1
+// appended the divisor, its inverse series and the subproduct-tree layers).
+const CodeVersion = "zb2"
 
 var magic = [8]byte{'z', 'a', 'a', 't', 'a', 'r', 'z', 'b'}
 

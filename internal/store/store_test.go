@@ -185,6 +185,29 @@ func TestLoadRejectsVersionSkew(t *testing.T) {
 	}
 }
 
+// TestParentFormatBundleIsAVersionMiss reads a bundle written by the last
+// zb1 build (testdata/zb1-F128-zaatar.zb: the transport tests' sessionSrc on
+// F128, zaatar backend, whose precomputation payload still carries the
+// divisor, inverse series and tree layers). Its checksum is intact; it must
+// be refused by the version gate, never handed to the zb2 decoder.
+func TestParentFormatBundleIsAVersionMiss(t *testing.T) {
+	const fixture = "testdata/zb1-F128-zaatar.zb"
+	var ve *VersionError
+	if _, err := ReadBundle(fixture); !errors.As(err, &ve) {
+		t.Fatalf("ReadBundle(zb1 fixture): %v, want *VersionError", err)
+	}
+	if ve.GotFormat != FormatVersion || ve.GotCode != "zb1" {
+		t.Fatalf("fixture reports (format %d, code %q), want (%d, \"zb1\")", ve.GotFormat, ve.GotCode, FormatVersion)
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Install(fixture); !errors.As(err, &ve) {
+		t.Fatalf("Install(zb1 fixture): %v, want *VersionError", err)
+	}
+}
+
 func TestLoadRejectsRenamedBundle(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

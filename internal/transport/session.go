@@ -294,7 +294,7 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 	cfg.Group = opts.Group
 	cfg.Obs = opts.Obs
 	setupTr, setupCtx := trace.Child(tctx, "vc.setup")
-	s.verifier, err = vc.NewVerifierCtx(setupCtx, s.prog, cfg)
+	s.verifier, err = vc.NewVerifierPre(setupCtx, s.prog, cfg, nil)
 	setupTr.End()
 	if err != nil {
 		return nil, err

@@ -146,13 +146,21 @@ func RunBatch(ctx context.Context, prog *compiler.Program, cfg Config, inputs []
 	batchTr.WithArg("instances", int64(len(inputs)))
 	defer batchTr.End()
 
-	setupSpan := reg.StartSpan(MetricSpanSetup)
-	setupTr, setupCtx := trace.Child(ctx, "vc.setup")
-	verifier, err := NewVerifierCtx(setupCtx, prog, cfg)
+	// Both ends share one program-dependent precomputation: it is immutable,
+	// and building it is not part of the verifier's per-batch setup.
+	preTr := trace.Start(ctx, "vc.preprocess")
+	pre, err := PreprocessBackend(prog, cfg.BackendName())
+	preTr.End()
 	if err != nil {
 		return nil, err
 	}
-	prover, err := NewProver(prog, cfg)
+	setupSpan := reg.StartSpan(MetricSpanSetup)
+	setupTr, setupCtx := trace.Child(ctx, "vc.setup")
+	verifier, err := NewVerifierPre(setupCtx, prog, cfg, pre)
+	if err != nil {
+		return nil, err
+	}
+	prover, err := NewProverPre(prog, cfg, pre)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package vc
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"zaatar/internal/compiler"
@@ -59,6 +60,25 @@ func TestPrecomputationRoundTrip(t *testing.T) {
 			proof, err := bk.BuildProof(restored.pre, w)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The decoded state is the original's equal, bit for bit: the same
+			// query vectors from the same randomness (for zaatar these hold
+			// q_d) and the same proof vectors (for zaatar U2 is h).
+			qs0, err := bk.Queries(orig.pre, pcp.TestParams(), codecRand{rand.New(rand.NewSource(11))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a1, a2 := qs0.Vectors()
+			b1, b2 := qs.Vectors()
+			if !reflect.DeepEqual(a1, b1) || !reflect.DeepEqual(a2, b2) {
+				t.Fatal("query vectors differ between original and decoded precomputation")
+			}
+			proof0, err := bk.BuildProof(orig.pre, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(proof0, proof) {
+				t.Fatal("proof vectors differ between original and decoded precomputation")
 			}
 			r1, r2, err := qs.Answer(proof)
 			if err != nil {

@@ -78,12 +78,13 @@ type InstanceState struct {
 
 // Precomputation holds the backend-dependent prover-side state that
 // depends only on the compiled program, not on a batch: for Zaatar the QAP
-// encoding (divisor polynomial, Newton inverse series, NTT subproduct
-// tree), for sum-check the layered circuit. It is immutable and safe to
-// share between concurrent provers, so a long-lived service can build it
-// once per program and hand it to every session (transport.Service does
-// exactly that). Keyed by backend name so a cache hit for one backend never
-// leaks into a session negotiating another.
+// encoding (sparse rows and the evaluation-basis tables), for sum-check the
+// layered circuit. It is immutable and safe to share between concurrent
+// provers and verifiers, so a long-lived service can build it once per
+// program and hand it to every session (transport.Service does exactly
+// that) and RunBatch builds it once for both ends. Keyed by backend name so
+// a cache hit for one backend never leaks into a session negotiating
+// another.
 type Precomputation struct {
 	Backend string
 
@@ -122,13 +123,20 @@ func NewProver(prog *compiler.Program, cfg Config) (*Prover, error) {
 // (or built for a different backend), in which case the precomputation is
 // performed here.
 func NewProverPre(prog *compiler.Program, cfg Config, pre *Precomputation) (*Prover, error) {
-	if pre == nil || pre.Backend != cfg.BackendName() {
-		var err error
-		if pre, err = PreprocessBackend(prog, cfg.BackendName()); err != nil {
-			return nil, err
-		}
+	pre, err := pre.orPreprocess(prog, cfg)
+	if err != nil {
+		return nil, err
 	}
 	return &Prover{Prog: prog, Cfg: cfg, bk: pre.bk, pre: pre.pre}, nil
+}
+
+// orPreprocess returns p if it was built for cfg's backend, and a fresh
+// precomputation otherwise (p may be nil).
+func (p *Precomputation) orPreprocess(prog *compiler.Program, cfg Config) (*Precomputation, error) {
+	if p != nil && p.Backend == cfg.BackendName() {
+		return p, nil
+	}
+	return PreprocessBackend(prog, cfg.BackendName())
 }
 
 // HandleCommitRequest stores the batch's encrypted commitment vectors and

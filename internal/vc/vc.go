@@ -127,10 +127,6 @@ func (c Config) BackendName() string {
 	return c.Protocol.String()
 }
 
-func (c Config) backend() (pcp.Backend, error) {
-	return pcp.Lookup(c.BackendName())
-}
-
 // CommitRequest opens a batch: the encrypted commitment vectors for the two
 // proof oracles. Both vectors are empty for backends that need no
 // commitment; the request still opens the batch (phase ordering is what

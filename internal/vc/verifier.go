@@ -45,25 +45,24 @@ type Verifier struct {
 // verifier's amortized per-batch setup — the "construct queries" rows of
 // Figure 3.
 func NewVerifier(prog *compiler.Program, cfg Config) (*Verifier, error) {
-	return NewVerifierCtx(context.Background(), prog, cfg)
+	return NewVerifierPre(context.Background(), prog, cfg, nil)
 }
 
-// NewVerifierCtx is NewVerifier with a context, so a trace attached to ctx
-// decomposes setup into query construction and commitment-key generation.
-func NewVerifierCtx(ctx context.Context, prog *compiler.Program, cfg Config) (*Verifier, error) {
+// NewVerifierPre is NewVerifier with a context, so a trace attached to ctx
+// decomposes setup into query construction and commitment-key generation,
+// reusing a Precomputation as NewProverPre does: pre may be nil (or built
+// for a different backend), in which case it is computed here.
+func NewVerifierPre(ctx context.Context, prog *compiler.Program, cfg Config, pre *Precomputation) (*Verifier, error) {
 	start := time.Now()
-	v := &Verifier{Prog: prog, Cfg: cfg}
-	var err error
+	pre, err := pre.orPreprocess(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	v := &Verifier{Prog: prog, Cfg: cfg, bk: pre.bk, pre: pre.pre}
 	if v.seed, err = freshSeed(cfg); err != nil {
 		return nil, err
 	}
-	if v.bk, err = cfg.backend(); err != nil {
-		return nil, err
-	}
 	qTr := trace.Start(ctx, "verifier.queries")
-	if v.pre, err = v.bk.Precompute(prog); err != nil {
-		return nil, err
-	}
 	if v.queries, err = queriesFromSeed(v.bk, v.pre, cfg.params(), v.seed); err != nil {
 		return nil, err
 	}
