@@ -175,7 +175,7 @@ func BenchmarkFig3ModelValidation(b *testing.B) {
 	q := costmodel.Quantities{
 		ZGinger: st.GingerVars, CGinger: st.GingerConstraints,
 		ZZaatar: st.ZaatarVars, CZaatar: st.ZaatarConstraints,
-		K: st.K, K2: st.K2, NX: prog.NumInputs(), NY: prog.NumOutputs(),
+		K: st.K, K2: st.K2, NNZ: prog.Quad.NNZ(prog.Field), NX: prog.NumInputs(), NY: prog.NumOutputs(),
 		Params: pcp.TestParams(),
 	}
 	b.ResetTimer()
@@ -205,7 +205,7 @@ func BenchmarkFig4Prover(b *testing.B) {
 			q := costmodel.Quantities{
 				ZGinger: st.GingerVars, CGinger: st.GingerConstraints,
 				ZZaatar: st.ZaatarVars, CZaatar: st.ZaatarConstraints,
-				K: st.K, K2: st.K2, NX: prog.NumInputs(), NY: prog.NumOutputs(),
+				K: st.K, K2: st.K2, NNZ: prog.Quad.NNZ(prog.Field), NX: prog.NumInputs(), NY: prog.NumOutputs(),
 				Params: pcp.TestParams(),
 			}
 			b.ResetTimer()
@@ -316,7 +316,7 @@ func BenchmarkFig7Breakeven(b *testing.B) {
 		T:       1e-3,
 		ZGinger: st.GingerVars, CGinger: st.GingerConstraints,
 		ZZaatar: st.ZaatarVars, CZaatar: st.ZaatarConstraints,
-		K: st.K, K2: st.K2, NX: prog.NumInputs(), NY: prog.NumOutputs(),
+		K: st.K, K2: st.K2, NNZ: prog.Quad.NNZ(prog.Field), NX: prog.NumInputs(), NY: prog.NumOutputs(),
 		Params: pcp.DefaultParams(),
 	}
 	b.ResetTimer()

@@ -75,11 +75,12 @@ func main() {
 	fmt.Printf("inputs: %d, outputs: %d\n", prog.NumInputs(), prog.NumOutputs())
 	fmt.Printf("Ginger encoding:  |Z| = %d  |C| = %d  K = %d  K2 = %d\n",
 		st.GingerVars, st.GingerConstraints, st.K, st.K2)
-	fmt.Printf("Zaatar encoding:  |Z| = %d  |C| = %d\n", st.ZaatarVars, st.ZaatarConstraints)
+	fmt.Printf("Zaatar encoding:  |Z| = %d  |C| = %d  (%d product variables minted; §4 bound |Z|+K2 = %d  |C|+K2 = %d)\n",
+		st.ZaatarVars, st.ZaatarConstraints, st.ZaatarVars-st.GingerVars, st.GingerVars+st.K2, st.GingerConstraints+st.K2)
 	fmt.Printf("proof vectors:    |u_ginger| = %d  |u_zaatar| = %d  (ratio %.1f×)\n",
 		st.UGinger, st.UZaatar, float64(st.UGinger)/float64(st.UZaatar))
 	k2star := (st.GingerVars*st.GingerVars - st.GingerVars) / 2
-	fmt.Printf("degeneracy check: K2 = %d vs K2* = %d (Zaatar wins while K2 < K2*; §4)\n", st.K2, k2star)
+	fmt.Printf("degeneracy check: K2 = %d vs K2* = %d (§4's transform wins while K2 < K2*; native rows only do better)\n", st.K2, k2star)
 
 	if *dump {
 		fmt.Println("\nquadratic-form constraints (pA · pB = pC):")

@@ -213,7 +213,7 @@ func writeTrace(path string, tc *trace.Ctx, prog *zaatar.Program, res *zaatar.Re
 	q := costmodel.Quantities{
 		ZGinger: st.GingerVars, CGinger: st.GingerConstraints,
 		ZZaatar: st.ZaatarVars, CZaatar: st.ZaatarConstraints,
-		K: st.K, K2: st.K2,
+		K: st.K, K2: st.K2, NNZ: prog.Quad.NNZ(prog.Field),
 		NX: prog.NumInputs(), NY: prog.NumOutputs(),
 		Params: params,
 	}

@@ -71,6 +71,10 @@ func TestBenchmarksEndToEndPCP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The cost model charges QuadSystem.NNZ for what qap stores.
+			if got, want := p.Quad.NNZ(b.Field), q.NNZ(); got != want {
+				t.Fatalf("QuadSystem.NNZ = %d, qap NNZ = %d", got, want)
+			}
 			v, err := pcp.NewZaatar(q, pcp.TestParams(), prg.NewFromSeed([]byte(b.Name), 0))
 			if err != nil {
 				t.Fatal(err)

@@ -53,6 +53,16 @@ for i = 0 to N-1 {
 		}
 		return string(h.Sum(nil))
 	}
+	// The hash covers ToQuad's native rows (pivot choice, B and C term
+	// order), not only its minted products: the muxes here are all native.
+	p, err := Compile(field.F128(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.ZaatarConstraints >= st.GingerConstraints+st.K2 {
+		t.Fatalf("|C_z| = %d: no Ginger row was kept in quadratic form (|C_g| = %d, K₂ = %d)",
+			st.ZaatarConstraints, st.GingerConstraints, st.K2)
+	}
 	want := sig()
 	for i := 0; i < 9; i++ {
 		if got := sig(); got != want {

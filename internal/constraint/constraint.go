@@ -7,10 +7,11 @@
 //     pA(W)·pB(W) = pC(W) with degree-1 polynomials pA, pB, pC — the shape
 //     QAPs encode.
 //
-// The package also implements the §4 transform from Ginger to Zaatar
-// constraints (replace every distinct degree-2 term with a fresh variable
-// plus a product constraint) and the K/K₂ accounting that drives the
-// cost-benefit analysis of Figure 3.
+// The package also implements the transform from Ginger to Zaatar
+// constraints (ToQuad: a Ginger constraint whose degree-2 terms share a
+// factor already is a quadratic-form row; §4's fresh variable plus product
+// constraint is paid only for degree-2 terms that do not share it) and the
+// K/K₂ accounting that drives the cost-benefit analysis of Figure 3.
 //
 // Wire numbering: wire 0 is the constant 1; wires 1..NumVars are the
 // computation's variables. An Assignment w assigns a field element to every
@@ -185,14 +186,28 @@ func ProofVectorSizes(gs *GingerSystem, qs *QuadSystem) (uGinger, uZaatar int) {
 	return nz + nz*nz, qs.NumUnbound() + qs.NumConstraints()
 }
 
-// ToQuad converts a Ginger system into quadratic form using the §4
-// transform: every distinct degree-2 term z_i·z_j across the whole system is
-// replaced by a fresh variable z', defined once by a product constraint
-// z_i·z_j = z'; each original constraint, now degree-1, becomes the
-// quadratic-form constraint (linear)·(1) = 0.
+// ToQuad converts a Ginger system into quadratic form, one row per Ginger
+// constraint plus one row per product variable it has to mint.
 //
-// The resulting system satisfies |Z_zaatar| = |Z_ginger| + K2 and
-// |C_zaatar| = |C_ginger| + K2 as in §4.
+// A constraint with degree-2 terms is emitted as it stands: its pivot z_p is
+// the wire that is a factor of the most degree-2 terms (the lower index on
+// ties), and the row is
+//
+//	(z_p)·(Σ κ_k·z_{j_k}) = −(everything else)
+//
+// with the left sum over the terms κ_k·z_p·z_{j_k}. A degree-2 term z_i·z_j
+// without the pivot goes to the right-hand side as the §4 product variable
+// z' = z_i·z_j, minted once system-wide and defined by the product row
+// z_i·z_j = z'; product rows follow the originals in creation order. A
+// linear-only constraint becomes (linear)·1 = 0.
+//
+// The result is equivalent to gs, not merely implied by it: under the
+// product rows, row j holds iff Ginger constraint j holds, so any assignment
+// satisfying the result satisfies gs on wires 0..gs.NumVars, and
+// ExtendAssignment carries every solution of gs to one of the result. §4's
+// identities become a bound: |Z_zaatar| − |Z_ginger| = |C_zaatar| −
+// |C_ginger| = minted ≤ K2, reached only if every product a pivot absorbs
+// is also minted for another row.
 func ToQuad(f *field.Field, gs *GingerSystem) *QuadSystem {
 	qs := &QuadSystem{
 		NumVars: gs.NumVars,
@@ -201,43 +216,101 @@ func ToQuad(f *field.Field, gs *GingerSystem) *QuadSystem {
 	}
 	prodVar := make(map[[2]int]int)
 	var prodCons []QuadConstraint
+	product := func(a, b int) int {
+		key := [2]int{min(a, b), max(a, b)}
+		v, ok := prodVar[key]
+		if !ok {
+			qs.NumVars++
+			v = qs.NumVars
+			prodVar[key] = v
+			prodCons = append(prodCons, QuadConstraint{
+				A: LinComb{{Coeff: f.One(), Var: key[0]}},
+				B: LinComb{{Coeff: f.One(), Var: key[1]}},
+				C: LinComb{{Coeff: f.One(), Var: v}},
+			})
+		}
+		return v
+	}
 	one := LinComb{{Coeff: f.One(), Var: 0}}
+	count := make(map[int]int)
 
 	for _, c := range gs.Cons {
-		var lin LinComb
+		p := pivot(c, count)
+		if p == 0 {
+			lin := make(LinComb, len(c))
+			for i, t := range c {
+				lin[i] = LinTerm{Coeff: t.Coeff, Var: t.A + t.B} // at most one is non-zero
+			}
+			qs.Cons = append(qs.Cons, QuadConstraint{A: lin, B: one})
+			continue
+		}
+		var b, rhs LinComb
 		for _, t := range c {
-			switch t.Degree() {
-			case 2:
-				key := [2]int{t.A, t.B}
-				if key[0] > key[1] {
-					key[0], key[1] = key[1], key[0]
-				}
-				v, ok := prodVar[key]
-				if !ok {
-					qs.NumVars++
-					v = qs.NumVars
-					prodVar[key] = v
-					prodCons = append(prodCons, QuadConstraint{
-						A: LinComb{{Coeff: f.One(), Var: key[0]}},
-						B: LinComb{{Coeff: f.One(), Var: key[1]}},
-						C: LinComb{{Coeff: f.One(), Var: v}},
-					})
-				}
-				lin = append(lin, LinTerm{Coeff: t.Coeff, Var: v})
-			case 1:
-				v := t.A
-				if v == 0 {
-					v = t.B
-				}
-				lin = append(lin, LinTerm{Coeff: t.Coeff, Var: v})
+			switch {
+			case t.Degree() < 2:
+				rhs = append(rhs, LinTerm{Coeff: f.Neg(t.Coeff), Var: t.A + t.B})
+			case t.A == p:
+				b = append(b, LinTerm{Coeff: t.Coeff, Var: t.B})
+			case t.B == p:
+				b = append(b, LinTerm{Coeff: t.Coeff, Var: t.A})
 			default:
-				lin = append(lin, LinTerm{Coeff: t.Coeff, Var: 0})
+				rhs = append(rhs, LinTerm{Coeff: f.Neg(t.Coeff), Var: product(t.A, t.B)})
 			}
 		}
-		qs.Cons = append(qs.Cons, QuadConstraint{A: lin, B: one, C: nil})
+		qs.Cons = append(qs.Cons, QuadConstraint{A: LinComb{{Coeff: f.One(), Var: p}}, B: b, C: rhs})
 	}
 	qs.Cons = append(qs.Cons, prodCons...)
 	return qs
+}
+
+// pivot returns the wire that is a factor of the most degree-2 terms of c,
+// the lower index on ties, or 0 if c has none. The choice depends only on
+// the terms, never on map order (count is scratch space).
+func pivot(c GingerConstraint, count map[int]int) int {
+	clear(count)
+	for _, t := range c {
+		if t.Degree() == 2 {
+			count[t.A]++
+			if t.B != t.A {
+				count[t.B]++
+			}
+		}
+	}
+	best := 0
+	for _, t := range c {
+		if t.Degree() != 2 {
+			continue
+		}
+		for _, w := range [2]int{t.A, t.B} {
+			if best == 0 || count[w] > count[best] || (count[w] == count[best] && w < best) {
+				best = w
+			}
+		}
+	}
+	return best
+}
+
+// NNZ returns the number of non-zero entries of the system's A, B and C
+// matrices: per row and per side, the variables whose summed coefficient is
+// non-zero. It is the entry count qap.New stores, and the verifier's query
+// construction and the prover's aggregation pay one multiplication each.
+func (s *QuadSystem) NNZ(f *field.Field) int {
+	sum := make(map[int]field.Element)
+	n := 0
+	for _, c := range s.Cons {
+		for _, lc := range [3]LinComb{c.A, c.B, c.C} {
+			clear(sum)
+			for _, t := range lc {
+				sum[t.Var] = f.Add(sum[t.Var], t.Coeff)
+			}
+			for _, v := range sum {
+				if !f.IsZero(v) {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // ExtendAssignment completes a satisfying assignment of the original Ginger
@@ -247,7 +320,7 @@ func ToQuad(f *field.Field, gs *GingerSystem) *QuadSystem {
 func ExtendAssignment(f *field.Field, gs *GingerSystem, qs *QuadSystem, w []field.Element) []field.Element {
 	out := make([]field.Element, qs.NumVars+1)
 	copy(out, w)
-	// Product constraints are emitted after the linearized originals, in
+	// Product constraints are emitted after the rows of the originals, in
 	// creation order, and each defines exactly the next fresh variable.
 	next := gs.NumVars + 1
 	for _, c := range qs.Cons[len(gs.Cons):] {

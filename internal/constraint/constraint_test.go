@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"zaatar/internal/field"
@@ -98,16 +99,53 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestToQuadSizes: every degree-2 row of mulAddSystem has a shared factor
+// (2·w1·w2 + w2·w2 pivots on w2), so nothing is minted and each row keeps
+// its shape.
 func TestToQuadSizes(t *testing.T) {
 	f := field.F128()
 	gs := mulAddSystem(f)
-	st := gs.Stats()
 	qs := ToQuad(f, gs)
-	if got, want := qs.NumVars, gs.NumVars+st.K2; got != want {
-		t.Errorf("|Z_zaatar| relation: vars = %d, want %d", got, want)
+	if m := minted(t, gs, qs); m != 0 {
+		t.Errorf("minted %d product variables, want 0 (K₂ = %d is only the bound)", m, gs.Stats().K2)
 	}
-	if got, want := qs.NumConstraints(), gs.NumConstraints()+st.K2; got != want {
-		t.Errorf("|C_zaatar| relation: cons = %d, want %d", got, want)
+	two, one, neg := f.FromUint64(2), f.One(), f.Neg(f.One())
+	want := []QuadConstraint{
+		{A: LinComb{{one, 1}}, B: LinComb{{one, 2}}, C: LinComb{{one, 3}}},
+		{A: LinComb{{one, 3}, {one, 1}, {neg, 4}}, B: LinComb{{one, 0}}},
+		{A: LinComb{{one, 2}}, B: LinComb{{two, 1}, {one, 2}}, C: LinComb{{one, 5}}},
+	}
+	if !reflect.DeepEqual(qs.Cons, want) {
+		t.Errorf("rows = %+v, want %+v", qs.Cons, want)
+	}
+}
+
+// TestToQuadPivot pins the pivot rule: the wire in the most degree-2 terms
+// wins over lower-indexed ones (w3 and w4 below, in two terms each), a
+// square counts its wire once, and a product without the pivot is minted
+// once although two rows use it.
+func TestToQuadPivot(t *testing.T) {
+	f := field.F128()
+	one := f.One()
+	gs := &GingerSystem{
+		NumVars: 6,
+		Cons: []GingerConstraint{
+			{{Coeff: one, A: 5, B: 1}, {Coeff: one, A: 2, B: 3}, {Coeff: one, A: 4, B: 3}, {Coeff: one, A: 6}},
+			{{Coeff: one, A: 4, B: 4}, {Coeff: one, A: 1, B: 5}, {Coeff: one, A: 4, B: 2}},
+		},
+	}
+	qs := ToQuad(f, gs)
+	if m := minted(t, gs, qs); m != 1 {
+		t.Fatalf("minted %d, want 1 (w7 = w1·w5)", m)
+	}
+	neg := f.Neg(one)
+	want := []QuadConstraint{
+		{A: LinComb{{one, 3}}, B: LinComb{{one, 2}, {one, 4}}, C: LinComb{{neg, 7}, {neg, 6}}},
+		{A: LinComb{{one, 4}}, B: LinComb{{one, 4}, {one, 2}}, C: LinComb{{neg, 7}}},
+		{A: LinComb{{one, 1}}, B: LinComb{{one, 5}}, C: LinComb{{one, 7}}},
+	}
+	if !reflect.DeepEqual(qs.Cons, want) {
+		t.Fatalf("rows = %+v, want %+v", qs.Cons, want)
 	}
 }
 
@@ -142,8 +180,10 @@ func TestToQuadRejectsBadWitness(t *testing.T) {
 }
 
 func TestPaperTransformExample(t *testing.T) {
-	// §4's example: {3·Z1Z2 + 2·Z3Z4 + Z5 − Z6 = 0} becomes three
-	// quadratic-form constraints with two new variables.
+	// §4's example: {3·Z1Z2 + 2·Z3Z4 + Z5 − Z6 = 0}. The paper's transform
+	// mints both products (K₂ = 2: three constraints, two new variables);
+	// ToQuad pivots on Z1, keeps 3·Z1Z2 in the row and mints only
+	// Z7 = Z3·Z4: (Z1)·(3·Z2) = −2·Z7 − Z5 + Z6 and (Z3)·(Z4) = Z7.
 	f := field.F128()
 	one := f.One()
 	gs := &GingerSystem{
@@ -156,8 +196,19 @@ func TestPaperTransformExample(t *testing.T) {
 		}},
 	}
 	qs := ToQuad(f, gs)
-	if qs.NumVars != 8 || len(qs.Cons) != 3 {
-		t.Fatalf("transform shape: vars=%d cons=%d, want 8, 3", qs.NumVars, len(qs.Cons))
+	if m, k2 := minted(t, gs, qs), gs.Stats().K2; m != 1 || k2 != 2 {
+		t.Fatalf("minted %d of K₂ = %d, want 1 of 2", m, k2)
+	}
+	if qs.NumVars != 7 || len(qs.Cons) != 2 {
+		t.Fatalf("transform shape: vars=%d cons=%d, want 7, 2", qs.NumVars, len(qs.Cons))
+	}
+	neg := f.Neg(one)
+	want := []QuadConstraint{
+		{A: LinComb{{one, 1}}, B: LinComb{{f.FromUint64(3), 2}}, C: LinComb{{f.Neg(f.FromUint64(2)), 7}, {neg, 5}, {one, 6}}},
+		{A: LinComb{{one, 3}}, B: LinComb{{one, 4}}, C: LinComb{{one, 7}}},
+	}
+	if !reflect.DeepEqual(qs.Cons, want) {
+		t.Fatalf("rows = %+v, want %+v", qs.Cons, want)
 	}
 	// Witness: z1..z6 with z5 = z6 - 3z1z2 - 2z3z4.
 	w := make([]field.Element, 7)

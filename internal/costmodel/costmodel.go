@@ -39,10 +39,11 @@ type Quantities struct {
 
 	ZGinger int // |Z_ginger|: unbound variables in the Ginger encoding
 	CGinger int // |C_ginger|
-	ZZaatar int // |Z_zaatar| = |Z_ginger| + K2
-	CZaatar int // |C_zaatar| = |C_ginger| + K2
+	ZZaatar int // |Z_zaatar| ≤ |Z_ginger| + K2 (§4's bound; constraint.ToQuad mints fewer)
+	CZaatar int // |C_zaatar| ≤ |C_ginger| + K2, with the same number minted
 	K       int // additive terms in C_ginger
 	K2      int // distinct degree-2 terms in C_ginger
+	NNZ     int // non-zero entries of C_zaatar's A, B, C (QuadSystem.NNZ = qap's NNZ)
 	NX, NY  int // |x|, |y|
 
 	Params pcp.Params
@@ -81,21 +82,22 @@ func ProverConstructGinger(p OpCosts, q Quantities) float64 {
 
 // zaatarConstructMults counts the field multiplications of this code base's
 // Zaatar proof-vector construction (internal/qap's BuildH), which produces
-// H(t) in the evaluation basis: K + 3K₂ to aggregate the rows at the
-// witness, six NTTs of N = nextPow2(2|C|+1) points at (N/2)·log₂N each,
+// H(t) in the evaluation basis: one per non-zero entry of A, B, C to
+// aggregate the rows at the witness (§A.3's K + 3K₂ under the paper's
+// transform), six NTTs of N = nextPow2(2|C|+1) points at (N/2)·log₂N each,
 // 3N pointwise products against the kernel, and about 8|C| for the
 // weights, the satisfaction check and the quotient itself.
-func zaatarConstructMults(c, k, k2 int) float64 {
+func zaatarConstructMults(c, nnz int) float64 {
 	logN := log2ceil(2*c + 1)
 	N := float64(int(1) << logN)
-	return float64(k+3*k2) + 3*N*float64(logN) + 3*N + 8*float64(c)
+	return float64(nnz) + 3*N*float64(logN) + 3*N + 8*float64(c)
 }
 
 // ProverConstructZaatar is T plus f per multiplication of the evaluation-
 // basis construction this code base runs (see zaatarConstructMults) — not
 // Figure 3's entry, which ProverConstructZaatarPaper keeps.
 func ProverConstructZaatar(p OpCosts, q Quantities) float64 {
-	return q.T + p.F*zaatarConstructMults(q.CZaatar, q.K, q.K2)
+	return q.T + p.F*zaatarConstructMults(q.CZaatar, q.NNZ)
 }
 
 // ProverConstructZaatarPaper is Figure 3's "Construct proof vector" for
@@ -144,10 +146,12 @@ func VerifierSetupGinger(p OpCosts, q Quantities) float64 {
 	return specific + oblivious
 }
 
-// VerifierSetupZaatar is ρ·(c + (f_div+5f)·|C| + f·K + 3f·K₂) plus
-// (e + 2c + ρ(2ρ_lin·c + ℓ′·f))·|u_zaatar|.
+// VerifierSetupZaatar is ρ·(c + (f_div+5f)·|C| + f·NNZ) plus
+// (e + 2c + ρ(2ρ_lin·c + ℓ′·f))·|u_zaatar|: Figure 3 charges f·(K + 3K₂)
+// for the query construction, the non-zero count of the paper's transform;
+// this charges the non-zero count of the system that runs.
 func VerifierSetupZaatar(p OpCosts, q Quantities) float64 {
-	specific := q.rho() * (p.C + (p.FDiv+5*p.F)*float64(q.CZaatar) + p.F*float64(q.K) + 3*p.F*float64(q.K2))
+	specific := q.rho() * (p.C + (p.FDiv+5*p.F)*float64(q.CZaatar) + p.F*float64(q.NNZ))
 	oblivious := (p.E + 2*p.C + q.rho()*(2*q.rhoLin()*p.C+q.ellP()*p.F)) * q.UZaatar()
 	return specific + oblivious
 }

@@ -31,7 +31,7 @@ func quantsFromProgram(t *testing.T, b *benchprogs.Benchmark, localTime float64)
 		T:       localTime,
 		ZGinger: st.GingerVars, CGinger: st.GingerConstraints,
 		ZZaatar: st.ZaatarVars, CZaatar: st.ZaatarConstraints,
-		K: st.K, K2: st.K2,
+		K: st.K, K2: st.K2, NNZ: prog.Quad.NNZ(prog.Field),
 		NX: prog.NumInputs(), NY: prog.NumOutputs(),
 		Params: pcp.DefaultParams(),
 	}
@@ -60,9 +60,11 @@ func TestZaatarBeatsGingerOnBenchmarks(t *testing.T) {
 	}
 }
 
-// TestDegenerateCaseFavorsGinger reproduces §4's caveat: when K2 approaches
-// its maximum (every pair of variables multiplied — dense degree-2
-// polynomial evaluation), Zaatar's proof vector slightly exceeds Ginger's.
+// TestDegenerateCaseFavorsGinger reproduces §4's caveat at §4's sizes
+// (every degree-2 term minted, the bound constraint.ToQuad stays under):
+// when K2 approaches its maximum (every pair of variables multiplied — dense
+// degree-2 polynomial evaluation), Zaatar's proof vector slightly exceeds
+// Ginger's.
 func TestDegenerateCaseFavorsGinger(t *testing.T) {
 	z := 100
 	k2max := z * (z + 1) / 2
@@ -92,12 +94,12 @@ func TestModelScaling(t *testing.T) {
 	p := paperParams()
 	base := Quantities{
 		T: 0, ZGinger: 1000, CGinger: 1000, ZZaatar: 1200, CZaatar: 1200,
-		K: 3000, K2: 200, NX: 10, NY: 10, Params: pcp.DefaultParams(),
+		K: 3000, K2: 200, NNZ: 4600, NX: 10, NY: 10, Params: pcp.DefaultParams(),
 	}
 	dbl := base
 	dbl.ZGinger, dbl.CGinger = 2000, 2000
 	dbl.ZZaatar, dbl.CZaatar = 2400, 2400
-	dbl.K, dbl.K2 = 6000, 400
+	dbl.K, dbl.K2, dbl.NNZ = 6000, 400, 9200
 
 	gRatio := ProverGinger(p, dbl) / ProverGinger(p, base)
 	zRatio := ProverZaatar(p, dbl) / ProverZaatar(p, base)

@@ -12,9 +12,10 @@ import (
 // approaches (|Z|²−|Z|)/2 — are detectable from the compiled constraint
 // statistics, so the system can simply pick the encoding with the smaller
 // proof vector. Programs produced by this repository's compiler always
-// recommend Zaatar (the compiler materializes every product into a fresh
-// variable, keeping K₂ ≤ |C|); hand-written constraint systems can tip the
-// other way. The result is a pcp backend name.
+// recommend Zaatar (their degree-2 rows share a factor, so constraint.ToQuad
+// mints almost nothing and |u_zaatar| stays near |Z| + |C|); hand-written
+// constraint systems can tip the other way. The result is a pcp backend
+// name.
 func RecommendProtocol(gs *constraint.GingerSystem, qs *constraint.QuadSystem) string {
 	ug, uz := constraint.ProofVectorSizes(gs, qs)
 	if ug < uz {
@@ -110,8 +111,7 @@ func RecommendBackend(f *field.Field, gs *constraint.GingerSystem, qs *constrain
 		nz := float64(gs.NumUnbound())
 		lane = float64(ug)*cryptoFieldRatio + nz*nz
 	} else {
-		st := gs.Stats()
-		lane = float64(uz)*cryptoFieldRatio + zaatarConstructMults(qs.NumConstraints(), st.K, st.K2)
+		lane = float64(uz)*cryptoFieldRatio + zaatarConstructMults(qs.NumConstraints(), qs.NNZ(f))
 	}
 	if sumcheckProverMults(lc.Stats()) <= lane {
 		return pcp.BackendSumcheck

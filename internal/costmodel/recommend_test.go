@@ -29,34 +29,44 @@ func TestRecommendProtocolCompiledPrograms(t *testing.T) {
 	}
 }
 
-// degenerateSystem builds §4's degenerate case: a single constraint
-// evaluating a dense degree-2 polynomial (every pair of variables
-// multiplied) makes Ginger's encoding the concise one.
+// degenerateSystem builds §4's degenerate case as it stands under native
+// quadratic-form rows. Every product of two of the n unbound wires, squares
+// included (K₂ = n(n+1)/2), appears in rows that share no factor: a
+// round-robin schedule over the odd n, one row per round holding the round's
+// (n−1)/2 pairs plus the square of the wire with the bye. ToQuad keeps each
+// row's pivot term and mints the rest; wire 1 is every row's pivot, so
+// minted = K₂ − n and |u_zaatar| = n + 2·minted + |C| = n² + |C| against
+// |u_ginger| = n² + n. One dense row per round is a tie, so the schedule
+// runs twice (a double round-robin, the second leg at coefficient 2):
+// |C| = 2n and Ginger's encoding is smaller by n.
 func degenerateSystem(t *testing.T, f *field.Field, n int) (*constraint.GingerSystem, *constraint.QuadSystem) {
 	t.Helper()
-	one := f.One()
-	var c constraint.GingerConstraint
-	for i := 1; i <= n; i++ {
-		for j := i; j <= n; j++ {
-			c = append(c, constraint.Term{Coeff: one, A: i, B: j})
+	if n%2 == 0 {
+		t.Fatalf("round-robin with byes needs an odd n, got %d", n)
+	}
+	gs := &constraint.GingerSystem{}
+	for leg := uint64(1); leg <= 2; leg++ {
+		for r := 0; r < n; r++ {
+			c := constraint.GingerConstraint{{Coeff: f.FromUint64(leg), A: r + 1, B: r + 1}}
+			for k := 1; k <= n/2; k++ {
+				c = append(c, constraint.Term{Coeff: f.FromUint64(leg), A: (r+k)%n + 1, B: (r-k+n)%n + 1})
+			}
+			out := n + len(gs.Cons) + 1
+			gs.Out = append(gs.Out, out)
+			gs.Cons = append(gs.Cons, append(c, constraint.Term{Coeff: f.Neg(f.One()), A: out}))
 		}
 	}
-	c = append(c, constraint.Term{Coeff: f.Neg(one), A: n + 1})
-	gs := &constraint.GingerSystem{
-		NumVars: n + 1,
-		Out:     []int{n + 1},
-		Cons:    []constraint.GingerConstraint{c},
-	}
+	gs.NumVars = n + len(gs.Cons)
 	qs := constraint.ToQuad(f, gs)
-	if qs.NumVars != gs.NumVars+n*(n+1)/2 {
-		t.Fatalf("unexpected K2 accounting: %d vars", qs.NumVars)
+	if st := gs.Stats(); st.K2 != n*(n+1)/2 || qs.NumVars-gs.NumVars != st.K2-n {
+		t.Fatalf("unexpected accounting: K₂ = %d, minted %d", st.K2, qs.NumVars-gs.NumVars)
 	}
 	return gs, qs
 }
 
 func TestRecommendProtocolDegenerate(t *testing.T) {
 	f := field.F128()
-	gs, qs := degenerateSystem(t, f, 12)
+	gs, qs := degenerateSystem(t, f, 13)
 	if got := RecommendProtocol(gs, qs); got != pcp.BackendGinger {
 		ug, uz := constraint.ProofVectorSizes(gs, qs)
 		t.Errorf("degenerate system recommended %v (|u_g|=%d |u_z|=%d), want ginger", got, ug, uz)
@@ -101,7 +111,7 @@ func TestRecommendBackendAdvice(t *testing.T) {
 
 func TestRecommendBackendDegenerateFallsBackToGinger(t *testing.T) {
 	f := field.F128()
-	gs, qs := degenerateSystem(t, f, 12)
+	gs, qs := degenerateSystem(t, f, 13)
 	// The dense constraint has many unknowns, so it does not stratify and
 	// the degenerate recommendation survives the generalization.
 	if got := RecommendBackend(f, gs, qs); got != pcp.BackendGinger {
@@ -145,7 +155,7 @@ func TestRecommendBackendPinned(t *testing.T) {
 func TestZaatarConstructBelowPaper(t *testing.T) {
 	p := OpCosts{F: 1}
 	for _, c := range []int{256, 2179, 2636, 98253} {
-		q := Quantities{CZaatar: c, K: 3 * c / 2, K2: c / 2}
+		q := Quantities{CZaatar: c, NNZ: 3 * c}
 		ours, paper := ProverConstructZaatar(p, q), ProverConstructZaatarPaper(p, q)
 		l := math.Log2(float64(c))
 		if want := 3 * float64(c) * l * l; math.Abs(paper-want) > 1e-6*want {
@@ -155,9 +165,9 @@ func TestZaatarConstructBelowPaper(t *testing.T) {
 			t.Errorf("|C|=%d: evaluation-basis term %g not below the paper's %g", c, ours, paper)
 		}
 	}
-	// 2179 constraints: N = 8192, so 3·N·13 + 3·N + 8·2179 + K + 3K₂.
-	if got, want := zaatarConstructMults(2179, 3396, 0), float64(3*8192*13+3*8192+8*2179+3396); got != want {
-		t.Errorf("zaatarConstructMults(2179, 3396, 0) = %g, want %g", got, want)
+	// 2179 constraints: N = 8192, so 3·N·13 + 3·N + 8·2179 + NNZ.
+	if got, want := zaatarConstructMults(2179, 3396), float64(3*8192*13+3*8192+8*2179+3396); got != want {
+		t.Errorf("zaatarConstructMults(2179, 3396) = %g, want %g", got, want)
 	}
 }
 

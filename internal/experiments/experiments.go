@@ -139,7 +139,7 @@ func quantities(prog *compiler.Program, localSeconds float64, params pcp.Params)
 		T:       localSeconds,
 		ZGinger: st.GingerVars, CGinger: st.GingerConstraints,
 		ZZaatar: st.ZaatarVars, CZaatar: st.ZaatarConstraints,
-		K: st.K, K2: st.K2,
+		K: st.K, K2: st.K2, NNZ: prog.Quad.NNZ(prog.Field),
 		NX: prog.NumInputs(), NY: prog.NumOutputs(),
 		Params: params,
 	}

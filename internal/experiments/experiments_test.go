@@ -173,8 +173,9 @@ func TestRunFig9(t *testing.T) {
 		if r.UZ >= r.UG {
 			t.Errorf("%s %s: |u_zaatar| = %d not below |u_ginger| = %d", r.Name, r.SizeLabel, r.UZ, r.UG)
 		}
-		if r.ZZ != r.ZG+r.K2 || r.CZ != r.CG+r.K2 {
-			t.Errorf("%s %s: §4 size relations violated", r.Name, r.SizeLabel)
+		if minted := r.ZZ - r.ZG; minted != r.CZ-r.CG || minted < 0 || minted > r.K2 {
+			t.Errorf("%s %s: minted = |Z_z|−|Z_g| = %d, |C_z|−|C_g| = %d, want equal and ≤ K₂ = %d",
+				r.Name, r.SizeLabel, minted, r.CZ-r.CG, r.K2)
 		}
 	}
 	var buf bytes.Buffer

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -25,13 +26,16 @@ sq = x * x;
 `
 
 // dieAfterAck wraps the server side of a pipe so the worker completes the
-// handshake (the hello ack is its first write) and then dies: once anything
-// has been written, the next read fails and the connection closes. From the
-// coordinator's side the worker accepted the session and vanished before
-// serving its first shard — the deterministic "killed mid-batch" stand-in.
+// handshake (the hello ack is its first write) and then dies on the first
+// frame the coordinator sends it: that read closes the connection and
+// fails. From the coordinator's side the worker accepted the session and
+// vanished while being handed its first shard — the deterministic "killed
+// mid-batch" stand-in. died, when non-nil, is closed at that moment.
 type dieAfterAck struct {
 	net.Conn
 	acked atomic.Bool
+	died  chan struct{}
+	once  sync.Once
 }
 
 func (c *dieAfterAck) Write(p []byte) (int, error) {
@@ -41,9 +45,35 @@ func (c *dieAfterAck) Write(p []byte) (int, error) {
 }
 
 func (c *dieAfterAck) Read(p []byte) (int, error) {
+	if !c.acked.Load() {
+		return c.Conn.Read(p)
+	}
+	_, _ = c.Conn.Read(p) // the coordinator has started a shard here
+	c.Conn.Close()
+	if c.died != nil {
+		c.once.Do(func() { close(c.died) })
+	}
+	return 0, errors.New("worker killed")
+}
+
+// gateAfterAck wraps the server side of a pipe so the worker completes the
+// handshake and then reads nothing more until open is closed: the
+// coordinator cannot finish a shard on this worker before then.
+type gateAfterAck struct {
+	net.Conn
+	acked atomic.Bool
+	open  <-chan struct{}
+}
+
+func (c *gateAfterAck) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.acked.Store(true)
+	return n, err
+}
+
+func (c *gateAfterAck) Read(p []byte) (int, error) {
 	if c.acked.Load() {
-		c.Conn.Close()
-		return 0, errors.New("worker killed")
+		<-c.open
 	}
 	return c.Conn.Read(p)
 }
@@ -135,18 +165,21 @@ func TestFarmShardedMatchesSingleProver(t *testing.T) {
 
 // TestFarmWorkerDeathRequeues kills one of two workers after the handshake:
 // its shards must requeue onto the survivor, the batch must still verify,
-// and farm.shard.requeued must tick.
+// and farm.shard.requeued must tick. Worker 0 takes no shard until worker 1
+// has died: otherwise leg 0 may pop every shard, its own and stolen ones,
+// before leg 1's goroutine pops one, and the dead connection is never used.
 func TestFarmWorkerDeathRequeues(t *testing.T) {
 	reg := obs.NewRegistry()
 	hello := transport.Hello{Source: farmSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
+	died := make(chan struct{})
 	f := newTestFarm(t, 2, hello,
 		transport.ClientOptions{Seed: []byte("kill"), Obs: reg},
 		Options{Seed: []byte("kill"), Obs: reg},
 		func(i int, conn net.Conn) net.Conn {
 			if i == 1 {
-				return &dieAfterAck{Conn: conn}
+				return &dieAfterAck{Conn: conn, died: died}
 			}
-			return conn
+			return &gateAfterAck{Conn: conn, open: died}
 		})
 	batch := intBatch(6)
 	res, err := f.RunBatch(context.Background(), batch)

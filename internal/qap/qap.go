@@ -71,7 +71,7 @@ type QAP struct {
 	// polynomial, for i in 0..N (0 is the constant row).
 	A, B, C [][]Entry
 
-	nnz int // total non-zero entries (≤ K + 3K2, §A.3)
+	nnz int // total non-zero entries (constraint.QuadSystem.NNZ)
 
 	// O(|C|) tables derived from (F, NC) alone; see initTables.
 	v    []field.Element // barycentric weights of 0..NC (and of any translate)
@@ -169,7 +169,7 @@ func (q *QAP) initTables() error {
 
 // NNZ returns the number of non-zero row-polynomial evaluations; the
 // verifier's query construction performs one multiplication per entry
-// (the K + 3K₂ term of Figure 3).
+// (Figure 3's K + 3K₂ term, which counts the entries of §4's transform).
 func (q *QAP) NNZ() int { return q.nnz }
 
 // aggregate computes the evaluations (Σ_i w_i·rows[i](σ_j)) for j = 0..NC.

@@ -38,7 +38,7 @@ var ErrTauCollision = errors.New("qap: τ collides with an interpolation point, 
 // Lagrange interpolation over the arithmetic-progression points (§A.3),
 // with the weights v_j taken from New: one batched inversion of the 2|C|+2
 // differences τ − x, O(|C|) multiplications for the two Lagrange bases, then
-// one multiplication per non-zero matrix entry (≤ K + 3K₂ total).
+// one multiplication per non-zero matrix entry (NNZ in total).
 func (q *QAP) BuildQueries(tau field.Element) (*Queries, error) {
 	f := q.F
 	nc := q.NC

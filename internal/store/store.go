@@ -52,7 +52,9 @@ const FormatVersion = 1
 //
 // zb2: the zaatar precomputation payload is the QAP's sparse rows only (zb1
 // appended the divisor, its inverse series and the subproduct-tree layers).
-const CodeVersion = "zb2"
+// zb3: the program's Quad system keeps Ginger rows that are already in
+// quadratic form (constraint.ToQuad); a zb2 bundle carries the doubled one.
+const CodeVersion = "zb3"
 
 var magic = [8]byte{'z', 'a', 'a', 't', 'a', 'r', 'z', 'b'}
 

@@ -185,26 +185,31 @@ func TestLoadRejectsVersionSkew(t *testing.T) {
 	}
 }
 
-// TestParentFormatBundleIsAVersionMiss reads a bundle written by the last
-// zb1 build (testdata/zb1-F128-zaatar.zb: the transport tests' sessionSrc on
-// F128, zaatar backend, whose precomputation payload still carries the
-// divisor, inverse series and tree layers). Its checksum is intact; it must
-// be refused by the version gate, never handed to the zb2 decoder.
+// TestParentFormatBundleIsAVersionMiss reads bundles written by the last
+// builds of each older code version, both of the transport tests' sessionSrc
+// on F128, zaatar backend: testdata/zb1-F128-zaatar.zb (its precomputation
+// payload still carries the divisor, inverse series and tree layers) and
+// testdata/zb2-F128-zaatar.zb (its program carries the quadratic-form
+// system with a product variable minted for every degree-2 term). Their
+// checksums are intact; each must be refused by the version gate, never
+// handed to this build's decoders.
 func TestParentFormatBundleIsAVersionMiss(t *testing.T) {
-	const fixture = "testdata/zb1-F128-zaatar.zb"
-	var ve *VersionError
-	if _, err := ReadBundle(fixture); !errors.As(err, &ve) {
-		t.Fatalf("ReadBundle(zb1 fixture): %v, want *VersionError", err)
-	}
-	if ve.GotFormat != FormatVersion || ve.GotCode != "zb1" {
-		t.Fatalf("fixture reports (format %d, code %q), want (%d, \"zb1\")", ve.GotFormat, ve.GotCode, FormatVersion)
-	}
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Install(fixture); !errors.As(err, &ve) {
-		t.Fatalf("Install(zb1 fixture): %v, want *VersionError", err)
+	for _, code := range []string{"zb1", "zb2"} {
+		fixture := "testdata/" + code + "-F128-zaatar.zb"
+		var ve *VersionError
+		if _, err := ReadBundle(fixture); !errors.As(err, &ve) {
+			t.Fatalf("ReadBundle(%s fixture): %v, want *VersionError", code, err)
+		}
+		if ve.GotFormat != FormatVersion || ve.GotCode != code {
+			t.Fatalf("fixture reports (format %d, code %q), want (%d, %q)", ve.GotFormat, ve.GotCode, FormatVersion, code)
+		}
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Install(fixture); !errors.As(err, &ve) {
+			t.Fatalf("Install(%s fixture): %v, want *VersionError", code, err)
+		}
 	}
 }
 

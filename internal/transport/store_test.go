@@ -354,49 +354,54 @@ func TestStoreCorruptBundleRecompiles(t *testing.T) {
 }
 
 // TestStoreParentFormatBundleRecompiles puts a bundle written by the last
-// zb1 build (the store package's fixture, made from sessionSrc) where the
-// service will look for it: the version gate makes it a miss, the service
-// compiles and preprocesses as on a cold start, and the write-back replaces
-// the stale file with one this build reads.
+// build of each older code version (the store package's zb1 and zb2
+// fixtures, made from sessionSrc) where the service will look for it: the
+// version gate makes it a miss, the service compiles and preprocesses as on
+// a cold start, and the write-back replaces the stale file with one this
+// build reads.
 func TestStoreParentFormatBundleRecompiles(t *testing.T) {
-	st := openStore(t, t.TempDir())
-	key := store.KeyFor(sessionSrc, "F128", pcp.BackendZaatar)
-	raw, err := os.ReadFile("../store/testdata/zb1-F128-zaatar.zb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(st.Path(key), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var ve *store.VersionError
-	if _, err := st.Load(key); !errors.As(err, &ve) {
-		t.Fatalf("zb1 bundle under its canonical name: %v, want *store.VersionError", err)
-	}
+	for _, code := range []string{"zb1", "zb2"} {
+		t.Run(code, func(t *testing.T) {
+			st := openStore(t, t.TempDir())
+			key := store.KeyFor(sessionSrc, "F128", pcp.BackendZaatar)
+			raw, err := os.ReadFile("../store/testdata/" + code + "-F128-zaatar.zb")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(st.Path(key), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var ve *store.VersionError
+			if _, err := st.Load(key); !errors.As(err, &ve) {
+				t.Fatalf("%s bundle under its canonical name: %v, want *store.VersionError", code, err)
+			}
 
-	svc, reg := testService(ServiceOptions{Workers: 2, Store: st})
-	ctx, tc := tracedContext(t)
-	client, errCh := servicePipe(svc)
-	res, err := RunSession(ctx, client, Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true},
-		ClientOptions{Seed: []byte("zb1"), Redial: redialTo(svc)}, instances(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllAccepted() {
-		t.Fatalf("rejected: %v", res.Reasons)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	if hits, misses := reg.Counter(MetricStoreHits).Value(), reg.Counter(MetricStoreMisses).Value(); hits != 0 || misses != 1 {
-		t.Fatalf("store hits/misses = %d/%d, want 0/1", hits, misses)
-	}
-	recs := tc.Recorder().Snapshot()
-	if c, p := len(byName(recs, "prover.compile")), len(byName(recs, "prover.preprocess")); c != 1 || p != 1 {
-		t.Fatalf("%d prover.compile and %d prover.preprocess spans, want one of each", c, p)
-	}
-	svc.FlushStore()
-	if _, err := st.Load(key); err != nil {
-		t.Fatalf("write-back did not replace the zb1 bundle: %v", err)
+			svc, reg := testService(ServiceOptions{Workers: 2, Store: st})
+			ctx, tc := tracedContext(t)
+			client, errCh := servicePipe(svc)
+			res, err := RunSession(ctx, client, Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true},
+				ClientOptions{Seed: []byte(code), Redial: redialTo(svc)}, instances(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.AllAccepted() {
+				t.Fatalf("rejected: %v", res.Reasons)
+			}
+			if err := <-errCh; err != nil {
+				t.Fatalf("server: %v", err)
+			}
+			if hits, misses := reg.Counter(MetricStoreHits).Value(), reg.Counter(MetricStoreMisses).Value(); hits != 0 || misses != 1 {
+				t.Fatalf("store hits/misses = %d/%d, want 0/1", hits, misses)
+			}
+			recs := tc.Recorder().Snapshot()
+			if c, p := len(byName(recs, "prover.compile")), len(byName(recs, "prover.preprocess")); c != 1 || p != 1 {
+				t.Fatalf("%d prover.compile and %d prover.preprocess spans, want one of each", c, p)
+			}
+			svc.FlushStore()
+			if _, err := st.Load(key); err != nil {
+				t.Fatalf("write-back did not replace the %s bundle: %v", code, err)
+			}
+		})
 	}
 }
 
