@@ -101,17 +101,19 @@ type Secrets struct {
 }
 
 // BuildDecommit folds the given PCP queries into a decommit message,
-// drawing fresh secret α's. Each query must have length len(k.R).
+// drawing fresh secret α's, one per query in query order, then computing
+// t = r + Σ α_i·q_i in one lazily reduced pass. Each query must have
+// length len(k.R).
 func (k *Key) BuildDecommit(queries [][]field.Element, rnd io.Reader) (Decommit, Secrets, error) {
-	t := append([]field.Element(nil), k.R...)
 	alphas := make([]field.Element, len(queries))
 	for i, q := range queries {
 		if len(q) != len(k.R) {
 			return Decommit{}, Secrets{}, errors.New("commit: query length mismatch")
 		}
 		alphas[i] = k.F.Rand(rnd)
-		k.F.AddScaled(t, alphas[i], q)
 	}
+	t := append([]field.Element(nil), k.R...)
+	k.F.AddLinearCombination(t, alphas, queries)
 	return Decommit{Queries: queries, T: t}, Secrets{Alphas: alphas}, nil
 }
 

@@ -1,6 +1,8 @@
 package commit
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"zaatar/internal/elgamal"
@@ -131,5 +133,43 @@ func TestKeyRejectsMismatchedGroup(t *testing.T) {
 	sk, _ := g.GenerateKey(rnd)
 	if _, err := NewKey(f, g, sk, 4, rnd); err == nil {
 		t.Error("NewKey accepted mismatched group/field")
+	}
+}
+
+// TestBuildDecommitPinned pins the consistency point t that BuildDecommit
+// sends for a fixed prg reader, on every field: the fold must reproduce the
+// term-by-term t = r + Σ α_i·q_i to the byte (the digests were taken from
+// that fold), and draw the same α's from the same reader. The stream
+// position afterwards shows nothing else was read.
+func TestBuildDecommitPinned(t *testing.T) {
+	for _, c := range []struct {
+		f    *field.Field
+		want string
+		next uint64
+	}{
+		{field.F128(), "854e2715d282e4dd26b12762016cc4d1a955ef1efe8dc5b163075ecb5b4dd088", 0xdfa45dba9b0081d4},
+		{field.F220(), "f1a6d8ff0f2c6ce9bed010de67f188310ff22ec4ed2cc9c97742ce3eb9a599ac", 0x37b32c34e40e6b29},
+		{field.FTest(), "fec29830731c9b367dec0ae4337ecf5c7e275013ad14eb693a812a693801818a", 0x6a0dcd38ea6582e7},
+		{field.FTiny(), "72e10ae3e1c4ceb250bbcb8be886d64ab6889212fac048dd6151f1ea6849f34e", 0x3fbfaf44f94e344a},
+	} {
+		f := c.f
+		rnd := prg.NewFromSeed([]byte("commit.BuildDecommit pin"), 0)
+		const n, mu = 300, 40
+		k := &Key{F: f, R: f.RandVector(n, rnd)}
+		queries := make([][]field.Element, mu)
+		for i := range queries {
+			queries[i] = f.RandVector(n, rnd)
+		}
+		d, _, err := k.BuildDecommit(queries, rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(field.AppendElements(nil, d.T))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: sha256(t) = %s, want %s", f.Name(), got, c.want)
+		}
+		if got := rnd.Uint64(); got != c.next {
+			t.Errorf("%s: stream stands at %#x, want %#x", f.Name(), got, c.next)
+		}
 	}
 }

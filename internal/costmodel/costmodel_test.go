@@ -124,12 +124,23 @@ func TestBreakeven(t *testing.T) {
 }
 
 func TestCalibrateFieldOnly(t *testing.T) {
-	p := Calibrate(field.F128(), nil, 200)
-	if p.F <= 0 || p.FLazy <= 0 || p.FDiv <= 0 || p.C <= 0 {
-		t.Fatalf("calibration returned non-positive field params: %+v", p)
-	}
-	if p.E != 0 || p.D != 0 || p.H != 0 {
-		t.Fatal("crypto params should be zero without a group")
+	// One calibration times a few microseconds of multiplies, so a single
+	// preemption can invert f and f_lazy. Each parameter's minimum over a few
+	// calibrations is the machine's cost with that noise taken out.
+	var p OpCosts
+	for i := 0; i < 5; i++ {
+		c := Calibrate(field.F128(), nil, 2000)
+		if c.F <= 0 || c.FLazy <= 0 || c.FDiv <= 0 || c.C <= 0 {
+			t.Fatalf("calibration returned non-positive field params: %+v", c)
+		}
+		if c.E != 0 || c.D != 0 || c.H != 0 {
+			t.Fatal("crypto params should be zero without a group")
+		}
+		if i == 0 {
+			p = c
+			continue
+		}
+		p.F, p.FLazy, p.FDiv = min(p.F, c.F), min(p.FLazy, c.FLazy), min(p.FDiv, c.FDiv)
 	}
 	// Lazy reduction must actually be cheaper than a full multiply, and
 	// inversion far more expensive.

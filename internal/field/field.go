@@ -10,7 +10,17 @@
 //
 // A Field value owns the modulus and all precomputed Montgomery and NTT
 // constants; Element values are meaningless without the Field that produced
-// them. Elements are always kept in Montgomery form.
+// them. Elements are always kept in Montgomery form, with R = 2^256 for
+// every modulus.
+//
+// Multiplication is dispatched once, at construction: the unrolled
+// four-limb kernel (mulfixed.go) or, under -tags purego, the generic CIOS
+// loop. Moduli below 2^128 (F128 and the test fields) additionally take a
+// two-limb lane wherever both operands' upper limbs are zero — a 2×2 product
+// and four one-word REDC steps in Mul, a 2×2 product in the lazily reduced
+// accumulations of InnerProduct and AddLinearCombination. R stays 2^256 on
+// that lane because Elements are serialized as their Montgomery limbs
+// (codec.go): a different R would change the wire and store formats.
 package field
 
 import (
@@ -67,6 +77,11 @@ type Field struct {
 	// specialization (-tags purego) and future generic widths keep working
 	// through the loop CIOS with no per-call feature probing.
 	fixed bool
+	// twoLimb selects the two-limb lane (mulUnrolled2, mulAcc2) for moduli
+	// below 2^128, decided next to fixed and only where fixed holds. Each
+	// call still checks that both operands' upper limbs are zero, so a
+	// lazy-domain operand in [2^128, 2p) takes the four-limb kernel.
+	twoLimb bool
 
 	twoAdicity  uint    // s where p-1 = odd·2^s
 	rootOfUnity Element // a primitive 2^s-th root of unity (Montgomery form)
@@ -106,6 +121,7 @@ func New(name string, p *big.Int) (*Field, error) {
 	copyLimbs((*[Limbs]uint64)(&f.r2), r2)
 	copyLimbs(&f.p2, new(big.Int).Lsh(p, 1))
 	f.fixed = hasFixedLimb
+	f.twoLimb = hasFixedLimb && f.bits <= 128
 	obs.Default().Counter(metricMulPath()).Inc()
 
 	pm1 := new(big.Int).Sub(p, big.NewInt(1))
@@ -319,9 +335,12 @@ func madd2(a, b, t, c uint64) (hi, lo uint64) {
 }
 
 // Mul returns a·b using CIOS Montgomery multiplication. The unrolled
-// fixed-limb path (mulfixed.go) is selected once at construction; builds
-// without it (-tags purego) run the generic loop below.
+// fixed-limb paths (mulfixed.go) are selected once at construction; builds
+// without them (-tags purego) run the generic loop below.
 func (f *Field) Mul(a, b Element) Element {
+	if f.twoLimb && a[2]|a[3]|b[2]|b[3] == 0 {
+		return f.reduceOnce(mulUnrolled2(&f.p, f.inv, a, b))
+	}
 	if f.fixed {
 		return f.reduceOnce(mulUnrolled4(&f.p, f.inv, a, b))
 	}

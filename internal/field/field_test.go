@@ -322,24 +322,93 @@ func TestInnerProductExtremes(t *testing.T) {
 	}
 }
 
-func TestAddScaledAndAddVec(t *testing.T) {
+func TestAddVec(t *testing.T) {
 	rng := testReader{rand.New(rand.NewSource(9))}
 	f := F128()
 	a := f.RandVector(32, rng)
 	b := f.RandVector(32, rng)
-	s := f.Rand(rng)
 	sum := f.AddVec(a, b)
 	for i := range sum {
 		if !f.Equal(sum[i], f.Add(a[i], b[i])) {
 			t.Fatal("AddVec mismatch")
 		}
 	}
-	dst := append([]Element(nil), a...)
-	f.AddScaled(dst, s, b)
-	for i := range dst {
-		if !f.Equal(dst[i], f.Add(a[i], f.Mul(s, b[i]))) {
-			t.Fatal("AddScaled mismatch")
+}
+
+// foldReference is AddLinearCombination term by term: one reduced Mul and
+// Add per product, in the order the fold it replaced used.
+func foldReference(f *Field, dst, coeffs []Element, vecs [][]Element) {
+	for i, v := range vecs {
+		for j := range dst {
+			dst[j] = f.Add(dst[j], f.Mul(coeffs[i], v[j]))
 		}
+	}
+}
+
+// TestAddLinearCombination checks the lazily reduced fold against the
+// term-by-term reference on every field, for random operands and for the
+// worst case of the accumulator's headroom: 1024 vectors whose entries and
+// coefficients are all p-1.
+func TestAddLinearCombination(t *testing.T) {
+	rng := testReader{rand.New(rand.NewSource(9))}
+	for _, f := range allFields() {
+		for _, c := range []struct{ mu, n int }{{0, 5}, {1, 1}, {3, 0}, {7, 33}, {64, 16}, {5, 2*foldBlock + 3}} {
+			dst := f.RandVector(c.n, rng)
+			coeffs := f.RandVector(c.mu, rng)
+			vecs := make([][]Element, c.mu)
+			for i := range vecs {
+				vecs[i] = f.RandVector(c.n, rng)
+			}
+			want := append([]Element(nil), dst...)
+			foldReference(f, want, coeffs, vecs)
+			f.AddLinearCombination(dst, coeffs, vecs)
+			for j := range dst {
+				if dst[j] != want[j] {
+					t.Fatalf("%s: fold(µ=%d, n=%d)[%d] = %v, want %v", f.Name(), c.mu, c.n, j, f.ToBig(dst[j]), f.ToBig(want[j]))
+				}
+			}
+		}
+
+		const mu, n = 1024, 3
+		pm1 := f.Neg(f.One())
+		coeffs := make([]Element, mu)
+		vecs := make([][]Element, mu)
+		for i := range vecs {
+			coeffs[i] = pm1
+			vecs[i] = []Element{pm1, pm1, pm1}
+		}
+		dst := []Element{pm1, f.Zero(), f.One()}
+		want := append([]Element(nil), dst...)
+		foldReference(f, want, coeffs, vecs)
+		f.AddLinearCombination(dst, coeffs, vecs)
+		for j := range dst {
+			if dst[j] != want[j] {
+				t.Fatalf("%s: all-(p-1) fold[%d] = %v, want %v", f.Name(), j, f.ToBig(dst[j]), f.ToBig(want[j]))
+			}
+		}
+		// (p-1)²·µ = µ, added onto p-1, 0 and 1.
+		if f.ToBig(dst[1]).Cmp(big.NewInt(mu)) != 0 {
+			t.Fatalf("%s: all-(p-1) fold = %v, want %d", f.Name(), f.ToBig(dst[1]), mu)
+		}
+	}
+}
+
+func TestAddLinearCombinationPanicsOnMismatch(t *testing.T) {
+	f := FTest()
+	for name, fold := range map[string]func(){
+		"coefficients": func() { f.AddLinearCombination(make([]Element, 2), make([]Element, 1), nil) },
+		"length": func() {
+			f.AddLinearCombination(make([]Element, 2), make([]Element, 1), [][]Element{make([]Element, 3)})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s mismatch did not panic", name)
+				}
+			}()
+			fold()
+		}()
 	}
 }
 
@@ -454,6 +523,28 @@ func BenchmarkInnerProduct(b *testing.B) {
 		f.InnerProduct(x, y)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/term")
+}
+
+// BenchmarkAddLinearCombination folds 504 vectors of 1102 elements into t,
+// the shape of apsp.local's π_z decommit.
+func BenchmarkAddLinearCombination(b *testing.B) {
+	for _, f := range []*Field{F128(), F220()} {
+		b.Run(f.Name(), func(b *testing.B) {
+			const mu, n = 504, 1102
+			rng := testReader{rand.New(rand.NewSource(15))}
+			coeffs := f.RandVector(mu, rng)
+			vecs := make([][]Element, mu)
+			for i := range vecs {
+				vecs[i] = f.RandVector(n, rng)
+			}
+			dst := f.RandVector(n, rng)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.AddLinearCombination(dst, coeffs, vecs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mu*n), "ns/term")
+		})
+	}
 }
 
 // TestRandGoldenStream pins Rand, RandVector and RandNonZero to the byte

@@ -91,3 +91,49 @@ func mulUnrolled4(p *[Limbs]uint64, inv uint64, a, b Element) Element {
 
 	return Element{t0, t1, t2, t3}
 }
+
+// mulUnrolled2 is the Montgomery product on the two-limb lane: p < 2^128 and
+// a, b < 2^128 (upper limbs zero, which Mul checks per call). R is still
+// 2^256, so the 2×2 product takes four one-word REDC steps, the same
+// m = t0·inv sequence as mulUnrolled4, against the two limbs of p. The result
+// (a·b + M·p)/2^256 < (2^256 + 2^256·p)/2^256 = p + 1 fits two limbs and
+// needs the caller's one conditional subtraction.
+func mulUnrolled2(p *[Limbs]uint64, inv uint64, a, b Element) Element {
+	var t [9]uint64 // the product is mulAcc2 onto zero
+	mulAcc2(&t, &a, &b)
+	t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
+	p0, p1 := p[0], p[1]
+	var c uint64
+	for i := 0; i < Limbs; i++ {
+		m := t0 * inv
+		c, _ = madd2(m, p0, t0, 0)
+		c, t0 = madd2(m, p1, t1, c)
+		t1, c = bits.Add64(t2, c, 0)
+		t2, c = bits.Add64(t3, 0, c)
+		t3 = c
+	}
+	return Element{t0, t1}
+}
+
+// mulAcc2 adds the 256-bit product of two two-limb operands into acc. On a
+// two-limb field every term is below (2p)² < 2^258, even for lazy-domain
+// operands that took mulAcc instead, so fewer than 2^62 terms fit acc[0..4]
+// and the upper words stay zero: the carry stops at acc[4].
+func mulAcc2(acc *[9]uint64, a, b *Element) {
+	h00, t0 := bits.Mul64(a[0], b[0])
+	h01, l01 := bits.Mul64(a[0], b[1])
+	h10, l10 := bits.Mul64(a[1], b[0])
+	h11, l11 := bits.Mul64(a[1], b[1])
+	var c uint64
+	t1, c := bits.Add64(h00, l01, 0)
+	t2, c := bits.Add64(h01, l11, c)
+	t3 := h11 + c
+	t1, c = bits.Add64(t1, l10, 0)
+	t2, c = bits.Add64(t2, h10, c)
+	t3 += c
+	acc[0], c = bits.Add64(acc[0], t0, 0)
+	acc[1], c = bits.Add64(acc[1], t1, c)
+	acc[2], c = bits.Add64(acc[2], t2, c)
+	acc[3], c = bits.Add64(acc[3], t3, c)
+	acc[4] += c
+}

@@ -12,3 +12,13 @@ const hasFixedLimb = false
 func mulUnrolled4(p *[Limbs]uint64, inv uint64, a, b Element) Element {
 	panic("field: fixed-limb path called in purego build")
 }
+
+// mulUnrolled2 and mulAcc2 are likewise never reached: New leaves twoLimb
+// false when hasFixedLimb is.
+func mulUnrolled2(p *[Limbs]uint64, inv uint64, a, b Element) Element {
+	panic("field: two-limb path called in purego build")
+}
+
+func mulAcc2(acc *[9]uint64, a, b *Element) {
+	panic("field: two-limb path called in purego build")
+}

@@ -95,26 +95,71 @@ func (f *Field) lessThanP(a Element) bool {
 // products accumulate into a 576-bit accumulator and a single Montgomery
 // reduction happens at the end. This is the f_lazy optimization of §5.1: the
 // prover's query responses are inner products over vectors of length |u|,
-// and skipping the per-term reduction saves roughly 3× (see the field
-// benchmarks).
+// and skipping the per-term reduction is most of the saving. On a two-limb
+// field (p < 2^128) a term whose operands both fit two limbs is a 2×2
+// product (mulAcc2) instead of a 4×4 one, with the same guard as Mul.
 func (f *Field) InnerProduct(a, b []Element) Element {
 	if len(a) != len(b) {
 		panic("field: InnerProduct length mismatch")
 	}
 	var acc [9]uint64
 	for i := range a {
-		mulAcc(&acc, a[i], b[i])
+		x, y := &a[i], &b[i]
+		if f.twoLimb && x[2]|x[3]|y[2]|y[3] == 0 {
+			mulAcc2(&acc, x, y)
+		} else {
+			mulAcc(&acc, *x, *y)
+		}
 	}
 	return f.reduceWide(acc)
 }
 
-// AddScaled returns dst[i] += s·src[i] for all i, in place.
-func (f *Field) AddScaled(dst []Element, s Element, src []Element) {
-	if len(dst) != len(src) {
-		panic("field: AddScaled length mismatch")
+// foldBlock is how many coordinates AddLinearCombination accumulates at
+// once: 512 nine-word accumulators are 36 KiB, and each vector is read in
+// 16 KiB runs.
+const foldBlock = 512
+
+// AddLinearCombination sets dst[j] += Σ_i coeffs[i]·vecs[i][j] for every j,
+// in place. It is InnerProduct's lazy reduction turned on its side: each
+// coordinate sums its len(vecs) products unreduced in one nine-word
+// accumulator and pays a single reduceWide, where a term-by-term fold pays a
+// Montgomery reduction and a conditional subtraction per product. The bound
+// is the same: products of canonical operands are < p² < 2^508, so the
+// 576-bit accumulator has room for 2^67 terms.
+//
+// Coordinates go in blocks of foldBlock, and within a block vector by
+// vector, so every vector streams through in contiguous runs. Walking one
+// coordinate at a time down all the vectors instead touches one cache line
+// per vector, and equally sized vectors sit a multiple of the page size
+// apart, in the same few cache sets.
+func (f *Field) AddLinearCombination(dst, coeffs []Element, vecs [][]Element) {
+	if len(coeffs) != len(vecs) {
+		panic("field: AddLinearCombination coefficient count mismatch")
 	}
-	for i := range dst {
-		dst[i] = f.Add(dst[i], f.Mul(s, src[i]))
+	for _, v := range vecs {
+		if len(v) != len(dst) {
+			panic("field: AddLinearCombination length mismatch")
+		}
+	}
+	acc := make([][9]uint64, min(foldBlock, len(dst)))
+	for j0 := 0; j0 < len(dst); j0 += foldBlock {
+		d := dst[j0:min(j0+foldBlock, len(dst))]
+		acc := acc[:len(d)]
+		clear(acc)
+		for i, v := range vecs {
+			x := &coeffs[i]
+			for k := range d {
+				y := &v[j0+k]
+				if f.twoLimb && x[2]|x[3]|y[2]|y[3] == 0 {
+					mulAcc2(&acc[k], x, y)
+				} else {
+					mulAcc(&acc[k], *x, *y)
+				}
+			}
+		}
+		for k := range d {
+			d[k] = f.Add(d[k], f.reduceWide(acc[k]))
+		}
 	}
 }
 
@@ -148,22 +193,35 @@ func mulAcc(acc *[9]uint64, a, b Element) {
 }
 
 // reduceWide reduces a 9-limb accumulator of Montgomery-form products.
-// If a, b are Montgomery forms aR, bR then acc holds Σ a_i b_i R²; reducing
-// modulo p and applying one Montgomery reduction yields (Σ a_i b_i)·R — the
-// Montgomery form of the true inner product.
+// If a, b are Montgomery forms aR, bR then acc holds Σ a_i b_i R², and the
+// Montgomery form of the true inner product is acc·R⁻¹ mod p. Two
+// word-by-word Montgomery reductions divide by R² — the first leaves less
+// than 2^319 + p, the second less than 2^64 + p — and a Mul by R² mod p
+// multiplies one R back in, landing on (Σ a_i b_i)·R reduced into [0, p).
+// acc must stay below 2^575, which every sum of fewer than 2^67 canonical
+// products does.
 func (f *Field) reduceWide(acc [9]uint64) Element {
-	// big.Int reduction of the 576-bit value: one allocation per inner
-	// product, negligible next to the O(n) multiply work.
-	buf := make([]byte, 9*8)
-	for i := 0; i < 9; i++ {
-		putBE(buf[(9-1-i)*8:], acc[i])
+	u := f.redcWide(acc)
+	v := f.redcWide([9]uint64{u[0], u[1], u[2], u[3], u[4]})
+	return f.Mul(Element{v[0], v[1], v[2], v[3]}, f.r2)
+}
+
+// redcWide runs four Montgomery steps over the nine-word value v, returning
+// v·2^-256 mod p as five words below v/2^256 + p. Each step adds m·p at the
+// lowest nonzero word, so the total added is below 2^256·p < 2^510 and
+// cannot carry out of word 8 while v < 2^575.
+func (f *Field) redcWide(v [9]uint64) [5]uint64 {
+	for i := 0; i < Limbs; i++ {
+		m := v[i] * f.inv
+		c, _ := madd2(m, f.p[0], v[i], 0)
+		for j := 1; j < Limbs; j++ {
+			c, v[i+j] = madd2(m, f.p[j], v[i+j], c)
+		}
+		for j := i + Limbs; j < len(v); j++ {
+			v[j], c = bits.Add64(v[j], c, 0)
+		}
 	}
-	v := new(big.Int).SetBytes(buf)
-	v.Mod(v, f.pBig)
-	var raw Element
-	copyLimbs((*[Limbs]uint64)(&raw), v)
-	// raw = (Σ a_i b_i)R² mod p; one REDC (multiply by 1) gives (Σ a_i b_i)R.
-	return f.Mul(raw, Element{1})
+	return [5]uint64(v[Limbs:])
 }
 
 // Pow2 returns 2^k as a field element.

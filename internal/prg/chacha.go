@@ -99,41 +99,68 @@ func quarterRound(a, b, c, d uint32) (uint32, uint32, uint32, uint32) {
 	return a, b, c, d
 }
 
-func (c *ChaCha) block() {
-	x := c.state
+// block writes the keystream block at the current counter into out and
+// advances the counter. The rounds run on sixteen scalar locals, not on a
+// copy of the state array, so the compiler can keep the working state in
+// registers.
+func (c *ChaCha) block(out *[blockSize]byte) {
+	s := &c.state
+	x0, x1, x2, x3 := s[0], s[1], s[2], s[3]
+	x4, x5, x6, x7 := s[4], s[5], s[6], s[7]
+	x8, x9, x10, x11 := s[8], s[9], s[10], s[11]
+	x12, x13, x14, x15 := s[12], s[13], s[14], s[15]
 	for i := 0; i < rounds; i += 2 {
 		// column rounds
-		x[0], x[4], x[8], x[12] = quarterRound(x[0], x[4], x[8], x[12])
-		x[1], x[5], x[9], x[13] = quarterRound(x[1], x[5], x[9], x[13])
-		x[2], x[6], x[10], x[14] = quarterRound(x[2], x[6], x[10], x[14])
-		x[3], x[7], x[11], x[15] = quarterRound(x[3], x[7], x[11], x[15])
+		x0, x4, x8, x12 = quarterRound(x0, x4, x8, x12)
+		x1, x5, x9, x13 = quarterRound(x1, x5, x9, x13)
+		x2, x6, x10, x14 = quarterRound(x2, x6, x10, x14)
+		x3, x7, x11, x15 = quarterRound(x3, x7, x11, x15)
 		// diagonal rounds
-		x[0], x[5], x[10], x[15] = quarterRound(x[0], x[5], x[10], x[15])
-		x[1], x[6], x[11], x[12] = quarterRound(x[1], x[6], x[11], x[12])
-		x[2], x[7], x[8], x[13] = quarterRound(x[2], x[7], x[8], x[13])
-		x[3], x[4], x[9], x[14] = quarterRound(x[3], x[4], x[9], x[14])
+		x0, x5, x10, x15 = quarterRound(x0, x5, x10, x15)
+		x1, x6, x11, x12 = quarterRound(x1, x6, x11, x12)
+		x2, x7, x8, x13 = quarterRound(x2, x7, x8, x13)
+		x3, x4, x9, x14 = quarterRound(x3, x4, x9, x14)
 	}
-	for i := 0; i < 16; i++ {
-		binary.LittleEndian.PutUint32(c.buf[4*i:], x[i]+c.state[i])
-	}
+	le := binary.LittleEndian
+	le.PutUint32(out[0:], x0+s[0])
+	le.PutUint32(out[4:], x1+s[1])
+	le.PutUint32(out[8:], x2+s[2])
+	le.PutUint32(out[12:], x3+s[3])
+	le.PutUint32(out[16:], x4+s[4])
+	le.PutUint32(out[20:], x5+s[5])
+	le.PutUint32(out[24:], x6+s[6])
+	le.PutUint32(out[28:], x7+s[7])
+	le.PutUint32(out[32:], x8+s[8])
+	le.PutUint32(out[36:], x9+s[9])
+	le.PutUint32(out[40:], x10+s[10])
+	le.PutUint32(out[44:], x11+s[11])
+	le.PutUint32(out[48:], x12+s[12])
+	le.PutUint32(out[52:], x13+s[13])
+	le.PutUint32(out[56:], x14+s[14])
+	le.PutUint32(out[60:], x15+s[15])
 	// 64-bit block counter in words 12..13.
-	c.state[12]++
-	if c.state[12] == 0 {
-		c.state[13]++
+	s[12]++
+	if s[12] == 0 {
+		s[13]++
 	}
-	c.used = 0
 }
 
-// Read fills p with pseudorandom bytes. It never fails.
+// Read fills p with pseudorandom bytes. It never fails. Whole blocks are
+// written straight into p; only a trailing partial block goes through the
+// buffer, whose rest the next Read drains first.
 func (c *ChaCha) Read(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		if c.used == blockSize {
-			c.block()
-		}
-		k := copy(p, c.buf[c.used:])
-		c.used += k
-		p = p[k:]
+	n := copy(p, c.buf[c.used:])
+	c.used += n
+	p = p[n:]
+	for len(p) >= blockSize {
+		c.block((*[blockSize]byte)(p))
+		p = p[blockSize:]
+		n += blockSize
+	}
+	if len(p) > 0 {
+		c.block(&c.buf)
+		c.used = copy(p, c.buf[:])
+		n += c.used
 	}
 	return n, nil
 }

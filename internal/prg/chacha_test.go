@@ -3,6 +3,7 @@ package prg
 import (
 	"bytes"
 	"encoding/hex"
+	"math/rand"
 	"testing"
 )
 
@@ -78,6 +79,39 @@ func TestUnevenReads(t *testing.T) {
 	}
 	if !bytes.Equal(whole, parts) {
 		t.Fatal("chunked reads diverge from a single read")
+	}
+}
+
+// TestMixedChunkReads reads one stream in chunks that land inside a block,
+// on a block edge, across one, and many blocks at once, and checks the bytes
+// against a single large read: Read's direct whole-block path and its
+// buffered tail must stitch into the same keystream.
+func TestMixedChunkReads(t *testing.T) {
+	fixed := []int{1, 7, 63, 64, 65, 4096, 1, 64, 0, 130}
+	rng := rand.New(rand.NewSource(24))
+	mixed := make([]int, 200)
+	for i := range mixed {
+		mixed[i] = rng.Intn(300)
+	}
+	for name, sizes := range map[string][]int{"fixed": fixed, "seeded": mixed} {
+		total := 0
+		for _, n := range sizes {
+			total += n
+		}
+		whole := make([]byte, total)
+		_, _ = NewFromSeed([]byte("chunks"), 3).Read(whole)
+		c := NewFromSeed([]byte("chunks"), 3)
+		var parts []byte
+		for _, n := range sizes {
+			chunk := make([]byte, n)
+			if got, _ := c.Read(chunk); got != n {
+				t.Fatalf("%s: Read(%d) returned %d", name, n, got)
+			}
+			parts = append(parts, chunk...)
+		}
+		if !bytes.Equal(whole, parts) {
+			t.Fatalf("%s: chunked reads diverge from a single read", name)
+		}
 	}
 }
 
