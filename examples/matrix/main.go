@@ -101,12 +101,12 @@ func main() {
 		log.Fatal(err)
 	}
 	io := cw[q.NZ+1:] // bound wires: inputs then outputs
-	res := v.Check(pcp.Answer(f, z, v.ZQueries), pcp.Answer(f, h, v.HQueries), io)
+	res := v.Check(v.Z.Answer(f, z), v.H.Answer(f, h), io)
 	fmt.Printf("honest prover: verified = %v\n", res.OK)
 
 	// A lying prover claims y_0+1; the divisibility test catches it.
 	badIO := append([]field.Element(nil), io...)
 	badIO[3] = f.Add(badIO[3], one)
-	res = v.Check(pcp.Answer(f, z, v.ZQueries), pcp.Answer(f, h, v.HQueries), badIO)
+	res = v.Check(v.Z.Answer(f, z), v.H.Answer(f, h), badIO)
 	fmt.Printf("lying prover:  verified = %v (%s)\n", res.OK, res.Reason)
 }

@@ -93,7 +93,7 @@ func TestBenchmarksEndToEndPCP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := v.Check(pcp.Answer(b.Field, z, v.ZQueries), pcp.Answer(b.Field, h, v.HQueries), io)
+			res := v.Check(v.Z.Answer(b.Field, z), v.H.Answer(b.Field, h), io)
 			if !res.OK {
 				t.Fatalf("honest prover rejected: %s", res.Reason)
 			}
@@ -105,7 +105,7 @@ func TestBenchmarksEndToEndPCP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res = v.Check(pcp.Answer(b.Field, z, v.ZQueries), pcp.Answer(b.Field, h, v.HQueries), badIO)
+			res = v.Check(v.Z.Answer(b.Field, z), v.H.Answer(b.Field, h), badIO)
 			if res.OK {
 				t.Fatal("lying prover accepted")
 			}

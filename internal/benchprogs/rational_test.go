@@ -77,7 +77,7 @@ func TestBisectionRationalEndToEndPCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := v.Check(pcp.Answer(b.Field, z, v.ZQueries), pcp.Answer(b.Field, h, v.HQueries), io)
+	res := v.Check(v.Z.Answer(b.Field, z), v.H.Answer(b.Field, h), io)
 	if !res.OK {
 		t.Fatalf("honest rational prover rejected: %s", res.Reason)
 	}
@@ -88,7 +88,7 @@ func TestBisectionRationalEndToEndPCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = v.Check(pcp.Answer(b.Field, z, v.ZQueries), pcp.Answer(b.Field, h, v.HQueries), badIO)
+	res = v.Check(v.Z.Answer(b.Field, z), v.H.Answer(b.Field, h), badIO)
 	if res.OK {
 		t.Fatal("lying rational prover accepted")
 	}

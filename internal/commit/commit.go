@@ -100,21 +100,45 @@ type Secrets struct {
 	Alphas []field.Element
 }
 
-// BuildDecommit folds the given PCP queries into a decommit message,
-// drawing fresh secret α's, one per query in query order, then computing
-// t = r + Σ α_i·q_i in one lazily reduced pass. Each query must have
+// BuildDecommit folds the given PCP queries into a decommit message: it is
+// ConsistencyPoint with each query its own base vector. Each query must have
 // length len(k.R).
 func (k *Key) BuildDecommit(queries [][]field.Element, rnd io.Reader) (Decommit, Secrets, error) {
-	alphas := make([]field.Element, len(queries))
-	for i, q := range queries {
-		if len(q) != len(k.R) {
-			return Decommit{}, Secrets{}, errors.New("commit: query length mismatch")
+	sums := make([][]int, len(queries))
+	for i := range sums {
+		sums[i] = []int{i}
+	}
+	t, s, err := k.ConsistencyPoint(queries, sums, rnd)
+	if err != nil {
+		return Decommit{}, Secrets{}, err
+	}
+	return Decommit{Queries: queries, T: t}, s, nil
+}
+
+// ConsistencyPoint draws fresh secret α's, one per logical query in query
+// order, and computes t = r + Σ α_i·q_i for queries given in factored form:
+// logical query i is the sum of the base vectors sums[i] indexes. Each α_i
+// is added into the coefficient of every base vector in its sum, and t is
+// one lazily reduced fold over the base, r + Σ_j (Σ_{i∋j} α_i)·base_j —
+// the same vector as folding the materialised queries, with one term per
+// base vector instead of one per query. Each base vector must have length
+// len(k.R).
+func (k *Key) ConsistencyPoint(base [][]field.Element, sums [][]int, rnd io.Reader) ([]field.Element, Secrets, error) {
+	for _, b := range base {
+		if len(b) != len(k.R) {
+			return nil, Secrets{}, errors.New("commit: query length mismatch")
 		}
-		alphas[i] = k.F.Rand(rnd)
+	}
+	alphas := k.F.RandVector(len(sums), rnd)
+	coeffs := make([]field.Element, len(base))
+	for i, terms := range sums {
+		for _, j := range terms {
+			coeffs[j] = k.F.Add(coeffs[j], alphas[i])
+		}
 	}
 	t := append([]field.Element(nil), k.R...)
-	k.F.AddLinearCombination(t, alphas, queries)
-	return Decommit{Queries: queries, T: t}, Secrets{Alphas: alphas}, nil
+	k.F.AddLinearCombination(t, coeffs, base)
+	return t, Secrets{Alphas: alphas}, nil
 }
 
 // Response is the prover's answers: one field element per query plus the

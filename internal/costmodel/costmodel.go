@@ -63,7 +63,15 @@ func (q Quantities) UZaatar() float64 {
 func (q Quantities) rho() float64    { return float64(q.Params.Rho) }
 func (q Quantities) rhoLin() float64 { return float64(q.Params.RhoLin) }
 func (q Quantities) ell() float64    { return float64(q.Params.GingerHighOrderQueries()) }
-func (q Quantities) ellP() float64   { return float64(q.Params.ZaatarQueriesPerRepetition()) }
+
+// ellP is ℓ′ = 6ρ_lin+4, the queries per repetition Figure 3 charges at one
+// f_lazy each in the prover's answers and one f each in the verifier's fold
+// of t. The charge is kept on purpose as the paper's accounting. The
+// implementation pays one inner product and one fold term per base vector,
+// 4ρ_lin+4 per repetition (internal/pcp's QueryList); every other logical
+// query is a sum of those. So the model overstates both terms by a factor
+// of (6ρ_lin+4)/(4ρ_lin+4).
+func (q Quantities) ellP() float64 { return float64(q.Params.ZaatarQueriesPerRepetition()) }
 
 // log2 guards against log(0).
 func log2(x float64) float64 {

@@ -71,6 +71,8 @@ type Field struct {
 	r   Element       // R mod p: the Montgomery form of 1
 	r2  Element       // R² mod p: used to convert into Montgomery form
 	p2  [Limbs]uint64 // 2p, the lazy-domain modulus (p < 2^254, so it fits)
+	// r384 is 2^384 mod p, the two-limb lane's conversion constant (toMont2).
+	r384 Element
 
 	// fixed selects the unrolled fixed-limb Montgomery multiply. It is
 	// decided exactly once, at construction, so builds without the
@@ -82,6 +84,8 @@ type Field struct {
 	// call still checks that both operands' upper limbs are zero, so a
 	// lazy-domain operand in [2^128, 2p) takes the four-limb kernel.
 	twoLimb bool
+
+	rand randLayout // how Rand and RandVector parse an attempt's bytes
 
 	twoAdicity  uint    // s where p-1 = odd·2^s
 	rootOfUnity Element // a primitive 2^s-th root of unity (Montgomery form)
@@ -120,8 +124,11 @@ func New(name string, p *big.Int) (*Field, error) {
 	r2.Mod(r2, p)
 	copyLimbs((*[Limbs]uint64)(&f.r2), r2)
 	copyLimbs(&f.p2, new(big.Int).Lsh(p, 1))
+	r384 := new(big.Int).Lsh(big.NewInt(1), 384)
+	copyLimbs((*[Limbs]uint64)(&f.r384), r384.Mod(r384, p))
 	f.fixed = hasFixedLimb
 	f.twoLimb = hasFixedLimb && f.bits <= 128
+	f.rand = newRandLayout(f.bits)
 	obs.Default().Counter(metricMulPath()).Inc()
 
 	pm1 := new(big.Int).Sub(p, big.NewInt(1))

@@ -3,6 +3,7 @@ package field
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -595,6 +596,60 @@ func TestRandGoldenStream(t *testing.T) {
 			t.Errorf("%s: stream stands at %#x, want %#x", g.field, got, g.next)
 		}
 	}
+}
+
+// randReference is one Rand by its byte-level definition, through big.Int:
+// ⌈bits/8⌉ bytes as a big-endian integer, the bits above the modulus' bit
+// length cleared, accepted when below p.
+func randReference(f *Field, r io.Reader) Element {
+	buf := make([]byte, (f.Bits()+7)/8)
+	mask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(f.Bits())), big.NewInt(1))
+	for {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			panic(err)
+		}
+		v := new(big.Int).SetBytes(buf)
+		if v.And(v, mask).Cmp(f.Modulus()) < 0 {
+			return f.FromBig(v)
+		}
+	}
+}
+
+// FuzzRandVector checks, on every field, that RandVector(n) draws the
+// elements of n successive Rand calls and of the big.Int reference, and
+// leaves the stream where they do. The stream is advanced by skip bytes
+// first, so attempts straddle ChaCha blocks at every offset, and n crosses
+// RandVector's chunk boundaries.
+func FuzzRandVector(fz *testing.F) {
+	for _, c := range []struct {
+		n    uint16
+		skip uint8
+	}{{0, 0}, {1, 3}, {255, 0}, {256, 17}, {257, 63}, {1000, 5}} {
+		fz.Add([]byte("field.RandVector fuzz"), c.n, c.skip)
+	}
+	fz.Fuzz(func(t *testing.T, seed []byte, n uint16, skip uint8) {
+		n %= 1100
+		for _, f := range allFields() {
+			streams := [3]*prg.ChaCha{}
+			for i := range streams {
+				streams[i] = prg.NewFromSeed(seed, 0)
+				streams[i].Read(make([]byte, skip))
+			}
+			v := f.RandVector(int(n), streams[0])
+			for i := range v {
+				if got := f.Rand(streams[1]); got != v[i] {
+					t.Fatalf("%s: RandVector(%d)[%d] = %v, Rand gives %v", f.Name(), n, i, f.ToBig(v[i]), f.ToBig(got))
+				}
+				if want := randReference(f, streams[2]); want != v[i] {
+					t.Fatalf("%s: RandVector(%d)[%d] = %v, reference gives %v", f.Name(), n, i, f.ToBig(v[i]), f.ToBig(want))
+				}
+			}
+			a, b, c := streams[0].Uint64(), streams[1].Uint64(), streams[2].Uint64()
+			if a != b || a != c {
+				t.Fatalf("%s: after %d elements the streams stand at %#x (RandVector), %#x (Rand), %#x (reference)", f.Name(), n, a, b, c)
+			}
+		}
+	})
 }
 
 func BenchmarkRandVector(b *testing.B) {

@@ -280,3 +280,23 @@ func TestTwoLimbKernelTopOfRange(t *testing.T) {
 		}
 	}
 }
+
+// TestToMont2Edges checks the two-limb Montgomery conversion of RandVector
+// against the generic product with R² on the residues where its final
+// subtraction and its third word matter: 0, 1, 2, p/2 and p−1, p−2.
+func TestToMont2Edges(t *testing.T) {
+	if !hasFixedLimb {
+		t.Skip("no two-limb lane under -tags purego")
+	}
+	for _, f := range []*Field{F128(), FTest(), FTiny()} {
+		p := f.Modulus()
+		for _, v := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), new(big.Int).Rsh(p, 1),
+			new(big.Int).Sub(p, big.NewInt(1)), new(big.Int).Sub(p, big.NewInt(2))} {
+			var x Element
+			copyLimbs((*[Limbs]uint64)(&x), v)
+			if got, want := toMont2(&f.p, f.inv, &x, &f.r384), f.mulGeneric(x, f.r2); got != want {
+				t.Fatalf("%s: toMont2(%v) = %x, want %x", f.Name(), v, got, want)
+			}
+		}
+	}
+}

@@ -115,6 +115,41 @@ func mulUnrolled2(p *[Limbs]uint64, inv uint64, a, b Element) Element {
 	return Element{t0, t1}
 }
 
+// toMont2 is the Montgomery conversion x·R mod p on the two-limb lane, for a
+// canonical residue x (upper limbs zero) and c = 2^384 mod p: the 2×2
+// product x·c and two one-word REDC steps give x·2^384·2^-128 = x·R, half
+// the REDC steps of mulUnrolled2(x, R² mod p). The intermediate is below
+// (p² + 2^128·p)/2^128 < 2p, which may need a third word, so the one
+// conditional subtraction happens here and the result is canonical.
+func toMont2(p *[Limbs]uint64, inv uint64, x, c *Element) Element {
+	h00, t0 := bits.Mul64(x[0], c[0])
+	h01, l01 := bits.Mul64(x[0], c[1])
+	h10, l10 := bits.Mul64(x[1], c[0])
+	h11, l11 := bits.Mul64(x[1], c[1])
+	var cy uint64
+	t1, cy := bits.Add64(h00, l01, 0)
+	t2, cy := bits.Add64(h01, l11, cy)
+	t3 := h11 + cy
+	t1, cy = bits.Add64(t1, l10, 0)
+	t2, cy = bits.Add64(t2, h10, cy)
+	t3 += cy
+	p0, p1 := p[0], p[1]
+	for i := 0; i < 2; i++ {
+		m := t0 * inv
+		cy, _ = madd2(m, p0, t0, 0)
+		cy, t0 = madd2(m, p1, t1, cy)
+		t1, cy = bits.Add64(t2, cy, 0)
+		t2, t3 = bits.Add64(t3, 0, cy)
+	}
+	r0, b := bits.Sub64(t0, p0, 0)
+	r1, b := bits.Sub64(t1, p1, b)
+	_, b = bits.Sub64(t2, 0, b)
+	if b != 0 {
+		return Element{t0, t1}
+	}
+	return Element{r0, r1}
+}
+
 // mulAcc2 adds the 256-bit product of two two-limb operands into acc. On a
 // two-limb field every term is below (2p)² < 2^258, even for lazy-domain
 // operands that took mulAcc instead, so fewer than 2^62 terms fit acc[0..4]

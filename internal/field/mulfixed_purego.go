@@ -22,3 +22,7 @@ func mulUnrolled2(p *[Limbs]uint64, inv uint64, a, b Element) Element {
 func mulAcc2(acc *[9]uint64, a, b *Element) {
 	panic("field: two-limb path called in purego build")
 }
+
+func toMont2(p *[Limbs]uint64, inv uint64, x, c *Element) Element {
+	panic("field: two-limb path called in purego build")
+}

@@ -12,13 +12,9 @@ import (
 // ⌈bits/8⌉ bytes of r, read as one big-endian integer with the excess top
 // bits cleared.
 func (f *Field) Rand(r io.Reader) Element {
-	buf := make([]byte, (f.bits+7)/8)
-	for {
-		readRandom(r, buf)
-		if e, ok := f.fromRandomBytes(buf); ok {
-			return e
-		}
-	}
+	var e [1]Element
+	f.randInto(e[:], r)
+	return e[0]
 }
 
 // randChunk is how many attempts RandVector reads from its source at once.
@@ -29,47 +25,83 @@ const randChunk = 256
 // order, but reads them in chunks through one reused buffer.
 func (f *Field) RandVector(n int, r io.Reader) []Element {
 	v := make([]Element, n)
-	nbytes := (f.bits + 7) / 8
-	buf := make([]byte, min(n, randChunk)*nbytes)
-	for i := 0; i < n; {
+	f.randInto(v, r)
+	return v
+}
+
+// randLayout is how one rejection-sampling attempt's bytes map onto limbs,
+// fixed by the modulus' bit length at New.
+type randLayout struct {
+	nbytes int    // bytes per attempt, ⌈bits/8⌉
+	limbs  int    // limbs an attempt fills, ⌈nbytes/8⌉
+	top    uint64 // top limb mask: the low bits − 64(limbs−1) bits set
+}
+
+func newRandLayout(bits int) randLayout {
+	nbytes := (bits + 7) / 8
+	limbs := (nbytes + 7) / 8
+	return randLayout{nbytes: nbytes, limbs: limbs, top: ^uint64(0) >> uint(64*limbs-bits)}
+}
+
+// randInto fills v with uniformly random elements, reading attempts from r
+// in chunks of at most randChunk. Each attempt is the big-endian integer of
+// its nbytes bytes reduced mod 2^bits — the same integer as clearing the
+// excess top bits of its first byte — parsed with whole-word loads: limb k
+// is the word ending 8k bytes before the attempt's end, and the top limb's
+// word reaches back into the bytes before the attempt (the previous attempt,
+// or an 8-byte pad ahead of the first), which the mask clears. Accepted
+// attempts are stored raw and converted to Montgomery form once per chunk.
+func (f *Field) randInto(v []Element, r io.Reader) {
+	const pad = 8
+	lay := f.rand
+	buf := make([]byte, pad+min(len(v), randChunk)*lay.nbytes)
+	for i := 0; i < len(v); {
 		// Every element still missing costs at least one attempt, so a chunk
 		// of that many attempts never reads past where Rand would stop.
-		chunk := buf[:min(n-i, randChunk)*nbytes]
-		readRandom(r, chunk)
-		for ; len(chunk) > 0; chunk = chunk[nbytes:] {
-			if e, ok := f.fromRandomBytes(chunk[:nbytes]); ok {
-				v[i] = e
+		end := pad + min(len(v)-i, randChunk)*lay.nbytes
+		readRandom(r, buf[pad:end])
+		start := i
+		for at := pad + lay.nbytes; at <= end; at += lay.nbytes {
+			var raw Element
+			w := at
+			for k := 0; k < lay.limbs-1; k++ {
+				raw[k] = binary.BigEndian.Uint64(buf[w-8 : w])
+				w -= 8
+			}
+			raw[lay.limbs-1] = binary.BigEndian.Uint64(buf[w-8:w]) & lay.top
+			if f.lessThanP(raw) {
+				v[i] = raw
 				i++
 			}
 		}
+		f.toMontgomery(v[start:i])
 	}
-	return v
+}
+
+// toMontgomery converts canonical residues to Montgomery form in place, with
+// the field's kernel chosen once per call rather than per element: on the
+// two-limb lane toMont2, elsewhere a product with R² mod p.
+func (f *Field) toMontgomery(v []Element) {
+	switch {
+	case f.twoLimb:
+		for k := range v {
+			v[k] = toMont2(&f.p, f.inv, &v[k], &f.r384)
+		}
+	case f.fixed:
+		for k := range v {
+			v[k] = f.reduceOnce(mulUnrolled4(&f.p, f.inv, v[k], f.r2))
+		}
+	default:
+		for k := range v {
+			v[k] = f.mulGeneric(v[k], f.r2)
+		}
+	}
 }
 
 func readRandom(r io.Reader, buf []byte) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		panic("field: randomness source failed: " + err.Error())
 	}
-}
-
-// fromRandomBytes is one rejection-sampling attempt: b, of ⌈bits/8⌉ bytes,
-// is masked to the modulus' bit length in place and accepted if below p.
-func (f *Field) fromRandomBytes(b []byte) (Element, bool) {
-	b[0] &= byte(0xff >> (uint(len(b)*8-f.bits) & 7))
-	var raw Element
-	limb := 0
-	for ; len(b) >= 8; limb++ {
-		raw[limb] = binary.BigEndian.Uint64(b[len(b)-8:])
-		b = b[:len(b)-8]
-	}
-	for _, c := range b { // the leading partial word
-		raw[limb] = raw[limb]<<8 | uint64(c)
-	}
-	if !f.lessThanP(raw) {
-		return Element{}, false
-	}
-	// raw is a canonical residue; convert to Montgomery form.
-	return f.Mul(raw, f.r2), true
 }
 
 // RandNonZero returns a uniformly random non-zero field element.

@@ -47,9 +47,13 @@ type Proof struct {
 // verifier's seed so both ends can regenerate it ([53] Apdx A.3). A Queries
 // value is immutable and safe for concurrent Answer/Decide calls.
 type Queries interface {
-	// Vectors returns the per-oracle query vectors that the linear
-	// commitment protocol consumes verbatim. Interactive backends return
-	// (nil, nil): there is nothing to commit to and no phase-1/2 crypto.
+	// Lists returns the per-oracle queries in factored form, which the
+	// linear commitment protocol folds into its consistency points.
+	// Interactive backends return empty lists: there is nothing to commit to
+	// and no phase-1/2 crypto.
+	Lists() (q1, q2 QueryList)
+	// Vectors materialises Lists, every logical query as a vector in wire
+	// order — the reference form. Interactive backends return (nil, nil).
 	Vectors() (q1, q2 [][]field.Element)
 	// Answer computes one instance's responses from its proof — the
 	// honest prover's work in the respond phase.

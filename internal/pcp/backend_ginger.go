@@ -40,7 +40,7 @@ func (gingerBackend) Queries(pre Precomputed, params Params, rnd io.Reader) (Que
 	if err != nil {
 		return nil, err
 	}
-	return gingerQueries{g}, nil
+	return linearQueries{f: g.F, q1: g.Z1, q2: g.Z2, decide: g.Check}, nil
 }
 
 func (gingerBackend) Solve(pre Precomputed, prog *compiler.Program, inputs []*big.Int) ([]*big.Int, []field.Element, error) {
@@ -59,21 +59,4 @@ func (gingerBackend) BuildProof(pre Precomputed, witness []field.Element) (*Proo
 func (gingerBackend) OracleLens(pre Precomputed) (int, int) {
 	nz := pre.(*gingerPre).gs.NumUnbound()
 	return nz, nz * nz
-}
-
-type gingerQueries struct {
-	g *GingerPCP
-}
-
-func (q gingerQueries) Vectors() ([][]field.Element, [][]field.Element) {
-	return q.g.Z1Queries, q.g.Z2Queries
-}
-
-func (q gingerQueries) Answer(proof *Proof) ([]field.Element, []field.Element, error) {
-	f := q.g.F
-	return Answer(f, proof.U1, q.g.Z1Queries), Answer(f, proof.U2, q.g.Z2Queries), nil
-}
-
-func (q gingerQueries) Decide(r1, r2 []field.Element, io []field.Element) CheckResult {
-	return q.g.Check(r1, r2, io)
 }

@@ -37,7 +37,7 @@ func (zaatarBackend) Queries(pre Precomputed, params Params, rnd io.Reader) (Que
 	if err != nil {
 		return nil, err
 	}
-	return zaatarQueries{z}, nil
+	return linearQueries{f: z.Q.F, q1: z.Z, q2: z.H, decide: z.Check}, nil
 }
 
 func (zaatarBackend) Solve(pre Precomputed, prog *compiler.Program, inputs []*big.Int) ([]*big.Int, []field.Element, error) {
@@ -55,21 +55,4 @@ func (zaatarBackend) BuildProof(pre Precomputed, witness []field.Element) (*Proo
 func (zaatarBackend) OracleLens(pre Precomputed) (int, int) {
 	q := pre.(*zaatarPre).q
 	return q.NZ, q.NC + 1
-}
-
-type zaatarQueries struct {
-	z *ZaatarPCP
-}
-
-func (q zaatarQueries) Vectors() ([][]field.Element, [][]field.Element) {
-	return q.z.ZQueries, q.z.HQueries
-}
-
-func (q zaatarQueries) Answer(proof *Proof) ([]field.Element, []field.Element, error) {
-	f := q.z.Q.F
-	return Answer(f, proof.U1, q.z.ZQueries), Answer(f, proof.U2, q.z.HQueries), nil
-}
-
-func (q zaatarQueries) Decide(r1, r2 []field.Element, io []field.Element) CheckResult {
-	return q.z.Check(r1, r2, io)
 }

@@ -20,6 +20,10 @@ import (
 //	            self-corrected circuit query γ₁+q5⁰;
 //	π₂ queries: ρ_lin triples over F^{|Z|²}, then qq_a⊗qq_b+q8⁰ and γ₂+q8⁰.
 //
+// As in ZaatarPCP, the triples' third queries and the self-corrected ones
+// are sums of base vectors (see QueryList), so no π₂ query beyond q8, q9,
+// qq_a⊗qq_b and γ₂ costs another |Z|²-element vector.
+//
 // Batching requires the γ queries to be instance-independent, so the
 // constraint system must never multiply a bound (input/output) wire into a
 // degree-2 term; the compiler guarantees this by isolating IO wires behind
@@ -32,8 +36,10 @@ type GingerPCP struct {
 	Params Params
 	NZ     int
 
-	Z1Queries [][]field.Element // queries to π₁, length NZ each
-	Z2Queries [][]field.Element // queries to π₂, length NZ² each
+	// Z1 and Z2 are the query lists to π₁ (vectors of length NZ) and π₂
+	// (length NZ²): per repetition 3ρ_lin+3 and 3ρ_lin+2 logical queries
+	// over 2ρ_lin+3 and 2ρ_lin+2 base vectors.
+	Z1, Z2 QueryList
 
 	reps []*gingerRep
 }
@@ -67,29 +73,30 @@ func NewGinger(f *field.Field, gs *constraint.GingerSystem, params Params, rnd i
 	nio := len(gs.In) + len(gs.Out)
 
 	for r := 0; r < params.Rho; r++ {
-		var firstZ1, firstZ2 []field.Element
+		var firstZ1, firstZ2 int
 		for l := 0; l < params.RhoLin; l++ {
 			q5 := f.RandVector(nz, rnd)
 			q6 := f.RandVector(nz, rnd)
-			g.Z1Queries = append(g.Z1Queries, q5, q6, f.AddVec(q5, q6))
+			i5 := g.Z1.triple(q5, q6)
 			q8 := f.RandVector(nz*nz, rnd)
 			q9 := f.RandVector(nz*nz, rnd)
-			g.Z2Queries = append(g.Z2Queries, q8, q9, f.AddVec(q8, q9))
+			i8 := g.Z2.triple(q8, q9)
 			if l == 0 {
-				firstZ1, firstZ2 = q5, q8
+				firstZ1, firstZ2 = i5, i8
 			}
 		}
 		// Quadratic-correction queries.
 		qqa := f.RandVector(nz, rnd)
 		qqb := f.RandVector(nz, rnd)
-		g.Z1Queries = append(g.Z1Queries, qqa, qqb)
+		g.Z1.query(g.Z1.draw(qqa))
+		g.Z1.query(g.Z1.draw(qqb))
 		outer := make([]field.Element, nz*nz)
 		for i := 0; i < nz; i++ {
 			for k := 0; k < nz; k++ {
-				outer[i*nz+k] = f.Add(f.Mul(qqa[i], qqb[k]), firstZ2[i*nz+k])
+				outer[i*nz+k] = f.Mul(qqa[i], qqb[k])
 			}
 		}
-		g.Z2Queries = append(g.Z2Queries, outer)
+		g.Z2.query(g.Z2.draw(outer), firstZ2)
 
 		// Circuit queries: γ₁, γ₂ from per-constraint randomness v_j
 		// (the ρ·(c·|C| + f·K)/β cost of Figure 3).
@@ -118,15 +125,15 @@ func NewGinger(f *field.Field, gs *constraint.GingerSystem, params Params, rnd i
 				}
 			}
 		}
-		g.Z1Queries = append(g.Z1Queries, f.AddVec(gamma1, firstZ1))
-		g.Z2Queries = append(g.Z2Queries, f.AddVec(gamma2, firstZ2))
+		g.Z1.query(g.Z1.draw(gamma1), firstZ1)
+		g.Z2.query(g.Z2.draw(gamma2), firstZ2)
 		g.reps = append(g.reps, rep)
 	}
 	return g, nil
 }
 
-// z1PerRep and z2PerRep give per-repetition query counts for the two
-// oracles.
+// z1PerRep and z2PerRep give per-repetition logical query counts for the
+// two oracles.
 func (p Params) z1PerRep() int { return 3*p.RhoLin + 3 }
 func (p Params) z2PerRep() int { return 3*p.RhoLin + 2 }
 
@@ -154,7 +161,7 @@ func BuildGingerProof(f *field.Field, gs *constraint.GingerSystem, w []field.Ele
 // one instance. io holds the instance's bound values in wire order.
 func (g *GingerPCP) Check(z1Resp, z2Resp []field.Element, io []field.Element) CheckResult {
 	f := g.F
-	if len(z1Resp) != len(g.Z1Queries) || len(z2Resp) != len(g.Z2Queries) {
+	if len(z1Resp) != g.Z1.Len() || len(z2Resp) != g.Z2.Len() {
 		return CheckResult{Reason: "response count mismatch"}
 	}
 	if len(io) != len(g.Sys.In)+len(g.Sys.Out) {

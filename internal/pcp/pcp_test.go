@@ -98,7 +98,7 @@ func TestZaatarHonestProver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := v.Check(Answer(f, z, v.ZQueries), Answer(f, h, v.HQueries), w[q.NZ+1:])
+		res := v.Check(v.Z.Answer(f, z), v.H.Answer(f, h), w[q.NZ+1:])
 		if !res.OK {
 			t.Fatalf("%s: honest prover rejected: %s", f.Name(), res.Reason)
 		}
@@ -114,11 +114,20 @@ func TestZaatarQueryCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(v.ZQueries), p.Rho*(3*p.RhoLin+3); got != want {
+	// Logical queries: what the prover answers and the wire carries.
+	if got, want := v.Z.Len(), p.Rho*(3*p.RhoLin+3); got != want {
 		t.Errorf("z queries = %d, want %d", got, want)
 	}
-	if got, want := len(v.HQueries), p.Rho*(3*p.RhoLin+1); got != want {
+	if got, want := v.H.Len(), p.Rho*(3*p.RhoLin+1); got != want {
 		t.Errorf("h queries = %d, want %d", got, want)
+	}
+	// Base vectors: what is drawn, stored, multiplied and folded — q7, q10
+	// and the self-corrected queries are sums of these.
+	if got, want := len(v.Z.Base), p.Rho*(2*p.RhoLin+3); got != want {
+		t.Errorf("z base vectors = %d, want %d", got, want)
+	}
+	if got, want := len(v.H.Base), p.Rho*(2*p.RhoLin+1); got != want {
+		t.Errorf("h base vectors = %d, want %d", got, want)
 	}
 	// Total per repetition must be ℓ′.
 	if got := 3*p.RhoLin + 3 + 3*p.RhoLin + 1; got != p.ZaatarQueriesPerRepetition() {
@@ -135,7 +144,7 @@ func TestZaatarCatchesWrongOutput(t *testing.T) {
 	z, h, _ := BuildProof(q, w)
 	io := append([]field.Element(nil), w[q.NZ+1:]...)
 	io[len(io)-1] = f.Add(io[len(io)-1], f.One())
-	res := v.Check(Answer(f, z, v.ZQueries), Answer(f, h, v.HQueries), io)
+	res := v.Check(v.Z.Answer(f, z), v.H.Answer(f, h), io)
 	if res.OK {
 		t.Fatal("wrong output accepted")
 	}
@@ -156,7 +165,7 @@ func TestZaatarCatchesCorruptWitness(t *testing.T) {
 	// reuses the h of a *different* (valid) witness.
 	wGood := witness(3)
 	_, h, _ := BuildProof(q, wGood)
-	res := v.Check(Answer(f, z, v.ZQueries), Answer(f, h, v.HQueries), w[q.NZ+1:])
+	res := v.Check(v.Z.Answer(f, z), v.H.Answer(f, h), w[q.NZ+1:])
 	if res.OK {
 		t.Fatal("corrupt witness accepted")
 	}
@@ -176,7 +185,7 @@ func TestZaatarCatchesPerturbedH(t *testing.T) {
 	for k := range h {
 		bad := append([]field.Element(nil), h...)
 		bad[k] = f.Add(bad[k], f.One())
-		res := v.Check(Answer(f, z, v.ZQueries), Answer(f, bad, v.HQueries), w[q.NZ+1:])
+		res := v.Check(v.Z.Answer(f, z), v.H.Answer(f, bad), w[q.NZ+1:])
 		if res.OK {
 			t.Fatalf("h with entry %d perturbed accepted", k)
 		}
@@ -193,9 +202,9 @@ func TestZaatarCatchesTamperedLinearity(t *testing.T) {
 	v, _ := NewZaatar(q, TestParams(), prg.NewFromSeed([]byte("nonlinear"), 0))
 	w := witness(2)
 	z, h, _ := BuildProof(q, w)
-	zr := Answer(f, z, v.ZQueries)
+	zr := v.Z.Answer(f, z)
 	zr[2] = f.Add(zr[2], f.One()) // corrupt a q7 response
-	res := v.Check(zr, Answer(f, h, v.HQueries), w[q.NZ+1:])
+	res := v.Check(zr, v.H.Answer(f, h), w[q.NZ+1:])
 	if res.OK {
 		t.Fatal("non-linear responses accepted")
 	}
@@ -211,7 +220,7 @@ func TestZaatarResponseCountMismatch(t *testing.T) {
 	v, _ := NewZaatar(q, TestParams(), prg.NewFromSeed([]byte("counts2"), 0))
 	w := witness(2)
 	z, h, _ := BuildProof(q, w)
-	if v.Check(Answer(f, z, v.ZQueries)[:1], Answer(f, h, v.HQueries), w[q.NZ+1:]).OK {
+	if v.Check(v.Z.Answer(f, z)[:1], v.H.Answer(f, h), w[q.NZ+1:]).OK {
 		t.Fatal("short responses accepted")
 	}
 }
@@ -233,7 +242,7 @@ func TestGingerHonestProver(t *testing.T) {
 	}
 	nio := len(gs.In) + len(gs.Out)
 	io := w[len(w)-nio:]
-	res := v.Check(Answer(f, z, v.Z1Queries), Answer(f, zz, v.Z2Queries), io)
+	res := v.Check(v.Z1.Answer(f, z), v.Z2.Answer(f, zz), io)
 	if !res.OK {
 		t.Fatalf("honest ginger prover rejected: %s", res.Reason)
 	}
@@ -248,7 +257,7 @@ func TestGingerCatchesWrongOutput(t *testing.T) {
 	nio := len(gs.In) + len(gs.Out)
 	io := append([]field.Element(nil), w[len(w)-nio:]...)
 	io[len(io)-1] = f.Add(io[len(io)-1], f.One())
-	res := v.Check(Answer(f, z, v.Z1Queries), Answer(f, zz, v.Z2Queries), io)
+	res := v.Check(v.Z1.Answer(f, z), v.Z2.Answer(f, zz), io)
 	if res.OK {
 		t.Fatal("wrong ginger output accepted")
 	}
@@ -265,7 +274,7 @@ func TestGingerCatchesNonOuterProduct(t *testing.T) {
 	z, zz, _ := BuildGingerProof(f, gs, w)
 	zz[0] = f.Add(zz[0], f.One()) // π₂ no longer encodes z⊗z
 	nio := len(gs.In) + len(gs.Out)
-	res := v.Check(Answer(f, z, v.Z1Queries), Answer(f, zz, v.Z2Queries), w[len(w)-nio:])
+	res := v.Check(v.Z1.Answer(f, z), v.Z2.Answer(f, zz), w[len(w)-nio:])
 	if res.OK {
 		t.Fatal("tampered outer product accepted")
 	}

@@ -118,7 +118,8 @@ type sumcheckQueries struct {
 	salt [saltLen]byte
 }
 
-// Vectors is nil: nothing is committed on this lane.
+// Lists and Vectors are empty: nothing is committed on this lane.
+func (q *sumcheckQueries) Lists() (QueryList, QueryList)                   { return QueryList{}, QueryList{} }
 func (q *sumcheckQueries) Vectors() ([][]field.Element, [][]field.Element) { return nil, nil }
 
 // SumcheckProofLen is the exact element count of one instance's proof

@@ -9,8 +9,8 @@ import (
 )
 
 // ZaatarPCP holds one batch's worth of verifier state for the QAP-based
-// linear PCP of Figure 10: the query vectors (shared by every instance in
-// the batch) and the per-repetition τ state needed to finish each check.
+// linear PCP of Figure 10: the queries (shared by every instance in the
+// batch) and the per-repetition τ state needed to finish each check.
 //
 // Query layout, per repetition r:
 //
@@ -19,21 +19,23 @@ import (
 //	             q3=q_c+q5⁰ (self-corrected with the repetition's first
 //	             linearity query q5⁰, exactly as in Figure 10);
 //	π_h queries: ρ_lin triples (q8, q9, q10=q8+q9), then q4=q_d+q8⁰.
+//
+// Only q5, q6, q8, q9 and the τ-derived q_a..q_d are vectors; every other
+// query is a sum of them (see QueryList).
 type ZaatarPCP struct {
 	Q      *qap.QAP
 	Params Params
 
-	// ZQueries and HQueries are the full query lists for the two oracles,
-	// in the layout above; the argument layer feeds them to the commitment
-	// protocol verbatim.
-	ZQueries [][]field.Element
-	HQueries [][]field.Element
+	// Z and H are the query lists for the two oracles, in the layout above:
+	// per repetition 3ρ_lin+3 and 3ρ_lin+1 logical queries over 2ρ_lin+3
+	// and 2ρ_lin+1 base vectors.
+	Z, H QueryList
 
 	reps []*qap.Queries // per-repetition τ-derived state
 }
 
-// zPerRep and hPerRep give the number of queries per repetition for each
-// oracle; their sum is ℓ′ = 6ρ_lin + 4.
+// zPerRep and hPerRep give the number of logical queries per repetition for
+// each oracle; their sum is ℓ′ = 6ρ_lin + 4.
 func (p Params) zPerRep() int { return 3*p.RhoLin + 3 }
 func (p Params) hPerRep() int { return 3*p.RhoLin + 1 }
 
@@ -52,18 +54,16 @@ func NewZaatar(q *qap.QAP, params Params, rnd io.Reader) (*ZaatarPCP, error) {
 
 	for r := 0; r < params.Rho; r++ {
 		// Linearity queries.
-		var firstZ, firstH []field.Element
+		var firstZ, firstH int
 		for l := 0; l < params.RhoLin; l++ {
 			q5 := f.RandVector(nz, rnd)
 			q6 := f.RandVector(nz, rnd)
-			q7 := f.AddVec(q5, q6)
-			z.ZQueries = append(z.ZQueries, q5, q6, q7)
+			i5 := z.Z.triple(q5, q6)
 			q8 := f.RandVector(nh, rnd)
 			q9 := f.RandVector(nh, rnd)
-			q10 := f.AddVec(q8, q9)
-			z.HQueries = append(z.HQueries, q8, q9, q10)
+			i8 := z.H.triple(q8, q9)
 			if l == 0 {
-				firstZ, firstH = q5, q8
+				firstZ, firstH = i5, i8
 			}
 		}
 		// Divisibility-correction queries from a fresh τ (redrawn on the
@@ -80,11 +80,10 @@ func NewZaatar(q *qap.QAP, params Params, rnd io.Reader) (*ZaatarPCP, error) {
 			}
 		}
 		z.reps = append(z.reps, qr)
-		z.ZQueries = append(z.ZQueries,
-			f.AddVec(qr.QA, firstZ),
-			f.AddVec(qr.QB, firstZ),
-			f.AddVec(qr.QC, firstZ))
-		z.HQueries = append(z.HQueries, f.AddVec(qr.QD, firstH))
+		z.Z.query(z.Z.draw(qr.QA), firstZ)
+		z.Z.query(z.Z.draw(qr.QB), firstZ)
+		z.Z.query(z.Z.draw(qr.QC), firstZ)
+		z.H.query(z.H.draw(qr.QD), firstH)
 	}
 	return z, nil
 }
@@ -103,17 +102,6 @@ func BuildProof(q *qap.QAP, w []field.Element) (z, h []field.Element, err error)
 	return z, h, nil
 }
 
-// Answer evaluates a linear proof function ⟨·, u⟩ on every query; this is
-// what an honest prover does with its proof vector (the argument layer
-// additionally runs the answers through the commitment protocol).
-func Answer(f *field.Field, u []field.Element, queries [][]field.Element) []field.Element {
-	out := make([]field.Element, len(queries))
-	for i, q := range queries {
-		out[i] = f.InnerProduct(q, u)
-	}
-	return out
-}
-
 // CheckResult reports the outcome of the PCP checks for one instance.
 type CheckResult struct {
 	OK     bool
@@ -121,11 +109,11 @@ type CheckResult struct {
 }
 
 // Check runs all of Figure 10's tests against the responses for one
-// instance. zResp and hResp must line up with ZQueries and HQueries; io
-// holds the instance's input and output values in wire order.
+// instance. zResp and hResp must line up with the logical queries of Z and
+// H; io holds the instance's input and output values in wire order.
 func (z *ZaatarPCP) Check(zResp, hResp []field.Element, io []field.Element) CheckResult {
 	f := z.Q.F
-	if len(zResp) != len(z.ZQueries) || len(hResp) != len(z.HQueries) {
+	if len(zResp) != z.Z.Len() || len(hResp) != z.H.Len() {
 		return CheckResult{Reason: "response count mismatch"}
 	}
 	zp, hp := z.Params.zPerRep(), z.Params.hPerRep()

@@ -189,6 +189,100 @@ func TestTamperedResponseRejectedByConsistency(t *testing.T) {
 	}
 }
 
+// verifyTampered runs one honest instance through commit, decommit and
+// respond, passes the response through tamper, and returns the verifier's
+// verdict.
+func verifyTampered(t *testing.T, protocol Protocol, noCommit bool, tamper func(f *field.Field, r *Response)) (bool, string) {
+	t.Helper()
+	ctx := context.Background()
+	prog, cfg := testSetup(t, protocol, noCommit)
+	v, err := NewVerifier(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProver(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.HandleCommitRequest(v.Setup()); err != nil {
+		t.Fatal(err)
+	}
+	in := inputsFor(3, -1, 4, 1)
+	cm, st, err := p.Commit(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := v.Decommit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.HandleDecommit(dec); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := p.Respond(ctx, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tamper(prog.Field, resp)
+	return v.VerifyInstance(ctx, in, cm, resp)
+}
+
+// TestDerivedAnswerTamperRejected: the honest prover answers the derived
+// queries — the linearity tests' third queries and the self-corrected ones —
+// by adding answers it already has, but the verifier never trusts that. An
+// answer off linearity is caught by the consistency test against the
+// commitment, or, with commitments off, by the PCP test that reads it. A
+// response with one answer per base vector instead of per logical query is
+// a count mismatch.
+func TestDerivedAnswerTamperRejected(t *testing.T) {
+	pp := pcp.TestParams()
+	lin := 3 * pp.RhoLin         // first query after the linearity triples
+	zRep, hRep := lin+3, lin+1   // Zaatar's logical queries per repetition
+	g1Rep, g2Rep := lin+3, lin+2 // Ginger's
+	oracle1 := func(i int) func(*field.Field, *Response) {
+		return func(f *field.Field, r *Response) { r.R1[i] = f.Add(r.R1[i], f.One()) }
+	}
+	oracle2 := func(i int) func(*field.Field, *Response) {
+		return func(f *field.Field, r *Response) { r.R2[i] = f.Add(r.R2[i], f.One()) }
+	}
+	for _, c := range []struct {
+		name       string
+		protocol   Protocol
+		tamper     func(*field.Field, *Response)
+		consistent string // reason with commitments on
+		pcpTest    string // reason with commitments off
+	}{
+		{"zaatar a7 != a5+a6", Zaatar, oracle1(2), "oracle 1", "π_z linearity test failed (rep 0, iter 0)"},
+		{"zaatar a10 != a8+a9", Zaatar, oracle2(3 + 2), "oracle 2", "π_h linearity test failed (rep 0, iter 1)"},
+		{"zaatar q1 answer != <q_a,u> + a5⁰", Zaatar, oracle1(zRep + lin), "oracle 1", "divisibility correction test failed (rep 1)"},
+		{"zaatar q4 answer != <q_d,h> + a8⁰", Zaatar, oracle2(hRep + lin), "oracle 2", "divisibility correction test failed (rep 1)"},
+		{"ginger a7 != a5+a6", Ginger, oracle1(g1Rep + 2), "oracle 1", "π₁ linearity test failed (rep 1, iter 0)"},
+		{"ginger qq_a⊗qq_b + q8⁰ answer", Ginger, oracle2(lin), "oracle 2", "quadratic correction test failed (rep 0)"},
+		{"ginger γ₂ + q8⁰ answer", Ginger, oracle2(g2Rep + lin + 1), "oracle 2", "circuit test failed (rep 1)"},
+	} {
+		for _, noCommit := range []bool{false, true} {
+			want := "commitment consistency test failed for " + c.consistent
+			if noCommit {
+				want = c.pcpTest
+			}
+			if ok, reason := verifyTampered(t, c.protocol, noCommit, c.tamper); ok || reason != want {
+				t.Errorf("%s (noCommit=%v): verdict %v %q, want rejection %q", c.name, noCommit, ok, reason, want)
+			}
+		}
+	}
+
+	// One answer per base vector: 2ρ_lin+3 and 2ρ_lin+1 per repetition.
+	for _, noCommit := range []bool{false, true} {
+		ok, reason := verifyTampered(t, Zaatar, noCommit, func(_ *field.Field, r *Response) {
+			r.R1 = r.R1[:pp.Rho*(2*pp.RhoLin+3)]
+			r.R2 = r.R2[:pp.Rho*(2*pp.RhoLin+1)]
+		})
+		if ok || reason != "response count mismatch" {
+			t.Errorf("base-count response (noCommit=%v): verdict %v %q, want a count mismatch", noCommit, ok, reason)
+		}
+	}
+}
+
 func TestPhaseViolations(t *testing.T) {
 	prog, cfg := testSetup(t, Zaatar, true)
 	prover, _ := NewProver(prog, cfg)

@@ -10,7 +10,6 @@ import (
 	"zaatar/internal/commit"
 	"zaatar/internal/compiler"
 	"zaatar/internal/elgamal"
-	"zaatar/internal/field"
 	"zaatar/internal/obs/trace"
 	"zaatar/internal/pcp"
 )
@@ -21,17 +20,14 @@ type Verifier struct {
 	Prog *compiler.Program
 	Cfg  Config
 
-	bk                 pcp.Backend
-	pre                pcp.Precomputed
-	queries            pcp.Queries
-	seed               []byte
-	queries1, queries2 [][]field.Element // flattened query lists; nil for transcript lanes
+	bk      pcp.Backend
+	pre     pcp.Precomputed
+	queries pcp.Queries
+	seed    []byte
 
 	sk       *elgamal.SecretKey
 	key1     *commit.Key
 	key2     *commit.Key
-	dec1     commit.Decommit
-	dec2     commit.Decommit
 	sec1     commit.Secrets
 	sec2     commit.Secrets
 	setupDur time.Duration
@@ -66,7 +62,6 @@ func NewVerifierPre(ctx context.Context, prog *compiler.Program, cfg Config, pre
 	if v.queries, err = queriesFromSeed(v.bk, v.pre, cfg.params(), v.seed); err != nil {
 		return nil, err
 	}
-	v.queries1, v.queries2 = v.queries.Vectors()
 	qTr.End()
 
 	if v.bk.NeedsCommitment() && !cfg.NoCommitment {
@@ -133,7 +128,6 @@ func (v *Verifier) Reseed(ctx context.Context, seed []byte) error {
 	if v.queries, err = queriesFromSeed(v.bk, v.pre, v.Cfg.params(), s); err != nil {
 		return err
 	}
-	v.queries1, v.queries2 = v.queries.Vectors()
 	v.decommitBuilt = false
 	if v.bk.NeedsCommitment() && !v.Cfg.NoCommitment {
 		if err := v.genKeys(ctx); err != nil {
@@ -201,15 +195,14 @@ func (v *Verifier) Decommit() (*DecommitRequest, error) {
 		// The consistency test is only binding if the α's are unpredictable
 		// to the prover when it answers, so they are drawn from crypto/rand —
 		// never derived from the seed this very request reveals.
+		q1, q2 := v.queries.Lists()
 		var err error
-		if v.dec1, v.sec1, err = v.key1.BuildDecommit(v.queries1, rand.Reader); err != nil {
+		if req.T1, v.sec1, err = v.key1.ConsistencyPoint(q1.Base, q1.Sums, rand.Reader); err != nil {
 			return nil, err
 		}
-		if v.dec2, v.sec2, err = v.key2.BuildDecommit(v.queries2, rand.Reader); err != nil {
+		if req.T2, v.sec2, err = v.key2.ConsistencyPoint(q2.Base, q2.Sums, rand.Reader); err != nil {
 			return nil, err
 		}
-		req.T1 = v.dec1.T
-		req.T2 = v.dec2.T
 	}
 	v.decommitBuilt = true
 	return req, nil
@@ -228,8 +221,11 @@ func (v *Verifier) VerifyInstance(ctx context.Context, inputs []*big.Int, cm *Co
 	if !v.decommitBuilt {
 		return false, errPhase.Error()
 	}
-	if v.queries1 != nil && (len(resp.R1) != len(v.queries1) || len(resp.R2) != len(v.queries2)) {
-		return false, "response count mismatch"
+	if v.bk.NeedsCommitment() {
+		q1, q2 := v.queries.Lists()
+		if len(resp.R1) != q1.Len() || len(resp.R2) != q2.Len() {
+			return false, "response count mismatch"
+		}
 	}
 	// Consistency tests bind the revealed answers to the committed linear
 	// functions.
