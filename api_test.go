@@ -38,9 +38,6 @@ func TestServeAndDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if got := client.WireVersion(); got != transport.MaxProtocolVersion {
-		t.Fatalf("wire version %d, want %d", got, transport.MaxProtocolVersion)
-	}
 	if client.Program().NumInputs() != 1 {
 		t.Fatalf("program shape: %d inputs", client.Program().NumInputs())
 	}
@@ -145,9 +142,15 @@ func TestServeWithStoreWarmRestart(t *testing.T) {
 }
 
 // TestDialBadAddress covers the error paths reachable without a server.
+// Dial takes exactly one prover: an address list is refused with an error
+// pointing at DialFarm, before anything is dialed.
 func TestDialBadAddress(t *testing.T) {
-	if _, err := Dial(context.Background(), " , ", "input x : int32; output y : int32; y = x;"); err == nil {
-		t.Fatal("empty address list accepted")
+	if _, err := Dial(context.Background(), " ", "input x : int32; output y : int32; y = x;"); err == nil {
+		t.Fatal("empty address accepted")
+	}
+	_, err := Dial(context.Background(), "127.0.0.1:1,127.0.0.1:2", "input x : int32; output y : int32; y = x;")
+	if err == nil || !strings.Contains(err.Error(), "DialFarm") {
+		t.Fatalf("address list: err = %v, want a refusal naming DialFarm", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -261,7 +261,7 @@ func BenchmarkFig6Workers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.ProverWall().Seconds()*1e3, "batch-wall-ms")
+				b.ReportMetric(res.Metrics.ProverWall.Seconds()*1e3, "batch-wall-ms")
 			}
 		})
 	}
@@ -596,11 +596,10 @@ func BenchmarkProtocols(b *testing.B) {
 	prog := compiled(b, bench)
 	rng := rand.New(rand.NewSource(8))
 	batch := [][]*big.Int{bench.GenInputs(rng)}
-	for _, proto := range []vc.Protocol{vc.Zaatar, vc.Ginger} {
-		proto := proto
-		b.Run(proto.String(), func(b *testing.B) {
+	for _, backend := range []string{pcp.BackendZaatar, pcp.BackendGinger} {
+		b.Run(backend, func(b *testing.B) {
 			cfg := quickCfg(1, false)
-			cfg.Protocol = proto
+			cfg.Backend = backend
 			for i := 0; i < b.N; i++ {
 				if _, err := vc.RunBatch(context.Background(), prog, cfg, batch); err != nil {
 					b.Fatal(err)

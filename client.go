@@ -11,7 +11,6 @@ import (
 	"zaatar/internal/compiler"
 	"zaatar/internal/field"
 	"zaatar/internal/transport"
-	"zaatar/internal/vc"
 )
 
 // SessionResult is the verifier-side outcome of one batch run against a
@@ -30,22 +29,20 @@ type ProtocolVersionError = transport.ProtocolVersionError
 type sessionRunner interface {
 	RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.SessionResult, error)
 	Program() *compiler.Program
-	WireVersion() int
 	Backend() string
 	SetupDuration() time.Duration
 	Close() error
 }
 
 // Client is the verifier side of a kept-alive session with one or more
-// prover servers. Dial negotiates the wire version and performs the
-// one-time session setup (compilation plus the first batch's key
-// generation); each RunBatch then proves and verifies one batch. Under
-// wire protocol v2 all batches share the connection, the negotiated
-// program, and the server's cached compilation, so batches after the
-// first skip compilation and negotiation entirely; the commitment key is
-// redrawn per batch (reusing it across decommits would leak its secret
-// vector). A Client is safe for sequential use; RunBatch calls are
-// serialized. DialFarm returns the same Client over a sharding
+// prover servers. Dial performs the one-time session setup (the hello,
+// compilation, and the first batch's key generation); each RunBatch then
+// proves and verifies one batch. All batches share the connection, the
+// negotiated program, and the server's cached compilation, so batches
+// after the first skip compilation and negotiation entirely; the
+// commitment key is redrawn per batch (reusing it across decommits would
+// leak its secret vector). A Client is safe for sequential use; RunBatch
+// calls are serialized. DialFarm returns the same Client over a sharding
 // coordinator instead of a plain session.
 type Client struct {
 	sess sessionRunner
@@ -57,18 +54,12 @@ func dialSession(ctx context.Context, addrs []string, src string, o options) (*t
 	// Build the backend offer, most preferred first. BackendAuto needs the
 	// compiled program for the cost model, so it compiles here and hands
 	// the program to the session (which would otherwise compile the same
-	// source again). The legacy Ginger bool is kept consistent with the
-	// offer's head so pre-negotiation servers — which see only the bool —
-	// land on the same backend the client expects.
+	// source again).
 	var prog *Program
 	var offer []string
 	switch o.cfg.Backend {
 	case "":
-		if o.cfg.Protocol == vc.Ginger {
-			offer = []string{BackendGinger}
-		} else {
-			offer = []string{BackendZaatar}
-		}
+		offer = []string{BackendZaatar}
 	case BackendAuto:
 		var err error
 		prog, err = compiler.Compile(o.field, src)
@@ -86,7 +77,6 @@ func dialSession(ctx context.Context, addrs []string, src string, o options) (*t
 	hello := transport.Hello{
 		Source:       src,
 		Field220:     o.field == field.F220(),
-		Ginger:       offer[0] == BackendGinger,
 		Backends:     offer,
 		RhoLin:       o.cfg.Params.RhoLin,
 		Rho:          o.cfg.Params.Rho,
@@ -114,13 +104,6 @@ func dialSession(ctx context.Context, addrs []string, src string, o options) (*t
 		}
 		conns = append(conns, conn)
 	}
-	// Knowing the addresses lets the session retry a prover on a fresh
-	// connection, which unlocks the v3 hash-first hello: the source rides
-	// only when a server actually needs it, and a pre-v3 server that drops
-	// the hash-first hello gets a full-source redial at its own dialect.
-	copts.Redial = func(ctx context.Context, i int) (net.Conn, error) {
-		return dialer.DialContext(ctx, "tcp", addrs[i])
-	}
 	sess, err := transport.NewSession(ctx, conns, hello, copts)
 	if err != nil {
 		for _, c := range conns {
@@ -131,25 +114,21 @@ func dialSession(ctx context.Context, addrs []string, src string, o options) (*t
 	return sess, nil
 }
 
-// Dial connects to a prover server (or several: addr may be a
-// comma-separated list, in which case every batch is split across the
-// provers — the paper's distributed prover, §5.1) and opens a session for
-// src. The protocol parameters come from opts; WithField220 must match how
-// the embedded source expects to be compiled, and server and client compile
-// the same source independently. To shard batches across workers with
-// failure recovery instead, see DialFarm.
+// Dial connects to one prover server and opens a session for src. The
+// protocol parameters come from opts; WithField220 must match how the
+// embedded source expects to be compiled, and server and client compile the
+// same source independently. To spread batches over several provers — the
+// paper's distributed prover, §5.1 — use DialFarm; Dial refuses an address
+// list.
 func Dial(ctx context.Context, addr, src string, opts ...RunOption) (*Client, error) {
-	o := buildRunOptions(opts)
-	var addrs []string
-	for _, a := range strings.Split(addr, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
+	addr = strings.TrimSpace(addr)
+	switch {
+	case addr == "":
+		return nil, fmt.Errorf("zaatar: no prover address")
+	case strings.Contains(addr, ","):
+		return nil, fmt.Errorf("zaatar: Dial takes one prover address, got %q; use DialFarm to shard batches across several", addr)
 	}
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("zaatar: no prover address in %q", addr)
-	}
-	sess, err := dialSession(ctx, addrs, src, o)
+	sess, err := dialSession(ctx, []string{addr}, src, buildRunOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -157,8 +136,8 @@ func Dial(ctx context.Context, addr, src string, opts ...RunOption) (*Client, er
 }
 
 // RunBatch proves and verifies one batch of instances against the session's
-// provers. Every batch carries its own commit request and query seed; on a
-// v2 session the connection and the negotiated program carry over.
+// provers. Every batch carries its own commit request and query seed; the
+// connection and the negotiated program carry over.
 func (c *Client) RunBatch(ctx context.Context, batch [][]*big.Int) (*SessionResult, error) {
 	return c.sess.RunBatch(ctx, batch)
 }
@@ -166,12 +145,6 @@ func (c *Client) RunBatch(ctx context.Context, batch [][]*big.Int) (*SessionResu
 // Program returns the client-side compilation of the session's source (for
 // io shape inspection).
 func (c *Client) Program() *Program { return c.sess.Program() }
-
-// WireVersion reports the negotiated wire protocol version (the minimum
-// across prover connections): 3 for hash-first sessions, 2 for keep-alive
-// peers that predate the artifact exchange, 1 when any peer only speaks
-// the legacy one-batch dialect.
-func (c *Client) WireVersion() int { return c.sess.WireVersion() }
 
 // Backend reports the proof backend the session negotiated (every prover
 // leg agrees on it — a distributed batch runs one encoding).
@@ -182,6 +155,6 @@ func (c *Client) Backend() string { return c.sess.Backend() }
 // amortized cost that batching spreads over a batch's instances.
 func (c *Client) SetupDuration() time.Duration { return c.sess.SetupDuration() }
 
-// Close ends the session (v2 peers get a clean goodbye frame) and closes
-// every connection. Close is idempotent.
+// Close ends the session (every prover gets a clean goodbye frame) and
+// closes every connection. Close is idempotent.
 func (c *Client) Close() error { return c.sess.Close() }

@@ -6,13 +6,16 @@
 //
 //	zaatar-client -connect localhost:7001 -src prog.zr -inputs "10; 20"
 //
-// Several provers can share one batch (the paper's distributed prover):
+// Several provers can share one batch (the paper's distributed prover): a
+// -connect list of more than one address dials a prover farm (DialFarm),
+// which shards each batch across the workers and requeues a dead worker's
+// shards onto the survivors:
 //
 //	zaatar-client -connect host1:7001,host2:7001 -src prog.zr -inputs "10; 20; 30; 40"
 //
-// With -batches N the same connection carries the batch N times (wire
-// protocol v2 keep-alive), printing the per-batch wall time — the first
-// batch pays the session setup, the rest amortize it away.
+// With -batches N the same session carries the batch N times (keep-alive),
+// printing the per-batch wall time — the first batch pays the session
+// setup, the rest amortize it away.
 package main
 
 import (
@@ -34,14 +37,13 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("connect", "localhost:7001", "prover address(es), comma-separated for a distributed batch")
+		addr     = flag.String("connect", "localhost:7001", "prover address; a comma-separated list shards each batch across a prover farm")
 		srcPath  = flag.String("src", "", "path to the mini-SFDL source file")
 		inputs   = flag.String("inputs", "", "instance inputs: comma-separated ints; ';' separates instances")
 		rhoLin   = flag.Int("rholin", 20, "linearity test iterations")
 		rho      = flag.Int("rho", 8, "PCP repetitions")
 		f220     = flag.Bool("f220", false, "use the 220-bit field")
-		ginger   = flag.Bool("ginger", false, "use the Ginger baseline encoding")
-		backend  = flag.String("backend", "", "proof backend to offer: auto|zaatar|ginger|sumcheck (overrides -ginger)")
+		backend  = flag.String("backend", "", "proof backend to offer: auto|zaatar|ginger|sumcheck (empty = zaatar)")
 		noCrypto = flag.Bool("nocrypto", false, "skip the ElGamal commitment")
 		timeout  = flag.Duration("timeout", 2*time.Minute, "per-message read/write deadline (0 disables)")
 		workers  = flag.Int("workers", 1, "verifier parallelism over per-instance checks")
@@ -51,11 +53,9 @@ func main() {
 		metrics  = flag.String("metrics", "", "address for the HTTP metrics endpoint for the session's lifetime: /metrics and /metrics/prometheus (empty disables)")
 		logFmt   = flag.String("log-format", "", "emit structured session logs to stderr: text or json (empty disables)")
 
-		farmOn      = flag.Bool("farm", false, "treat the -connect list as a prover farm: shard each batch across the workers with requeue on worker death (DialFarm)")
 		shardSize   = flag.Int("shard-size", 0, "farm: instances per shard (0 = auto-size to about two shards per worker)")
 		shardRetry  = flag.Int("shard-retries", 0, "farm: max requeues per shard after a worker death (0 = default 2, negative disables)")
 		farmRouting = flag.String("farm-routing", "affinity", "farm: worker ordering for shard placement: affinity|static")
-		farmWide    = flag.Int("farm-wide", 0, "farm: split each instance's commitment across up to k workers when the batch is narrower than the farm (<2 disables)")
 	)
 	flag.Parse()
 	if *srcPath == "" || *inputs == "" {
@@ -113,17 +113,20 @@ func main() {
 	if *f220 {
 		opts = append(opts, zaatar.WithField220())
 	}
-	if *ginger {
-		opts = append(opts, zaatar.WithGingerProtocol())
-	}
 	if *backend != "" {
 		opts = append(opts, zaatar.WithBackend(*backend))
 	}
 	if *noCrypto {
 		opts = append(opts, zaatar.WithoutCommitment())
 	}
+	var provers []string
+	for _, a := range strings.Split(*addr, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			provers = append(provers, a)
+		}
+	}
 	var client *zaatar.Client
-	if *farmOn {
+	if len(provers) > 1 {
 		routing := zaatar.FarmAffinity
 		switch *farmRouting {
 		case "affinity":
@@ -135,22 +138,15 @@ func main() {
 		opts = append(opts,
 			zaatar.WithFarmRouting(routing),
 			zaatar.WithShardRetries(*shardRetry),
-			zaatar.WithFarmShardSize(*shardSize),
-			zaatar.WithFarmWideCommit(*farmWide))
-		var workers []string
-		for _, a := range strings.Split(*addr, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				workers = append(workers, a)
-			}
-		}
-		client, err = zaatar.DialFarm(ctx, workers, string(src), opts...)
+			zaatar.WithFarmShardSize(*shardSize))
+		client, err = zaatar.DialFarm(ctx, provers, string(src), opts...)
 	} else {
-		client, err = zaatar.Dial(ctx, *addr, string(src), opts...)
+		client, err = zaatar.Dial(ctx, strings.Join(provers, ","), string(src), opts...)
 	}
 	check(err)
 	defer client.Close()
-	fmt.Fprintf(os.Stderr, "zaatar-client: wire protocol v%d, backend %s, session setup %v\n",
-		client.WireVersion(), client.Backend(), client.SetupDuration().Round(time.Microsecond))
+	fmt.Fprintf(os.Stderr, "zaatar-client: backend %s, session setup %v\n",
+		client.Backend(), client.SetupDuration().Round(time.Microsecond))
 
 	allOK := true
 	var res *zaatar.SessionResult

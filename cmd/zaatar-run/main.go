@@ -43,8 +43,7 @@ func run() int {
 		f220     = flag.Bool("f220", false, "use the 220-bit field")
 		noCrypto = flag.Bool("nocrypto", false, "skip the ElGamal commitment (PCP only)")
 		workers  = flag.Int("workers", 1, "prover worker pool size")
-		ginger   = flag.Bool("ginger", false, "use the Ginger baseline encoding (small computations only)")
-		backend  = flag.String("backend", "", "proof backend: auto|zaatar|ginger|sumcheck (overrides -ginger; auto lets the cost model pick)")
+		backend  = flag.String("backend", "", "proof backend: auto|zaatar|ginger|sumcheck (empty = zaatar; auto lets the cost model pick; ginger suits small computations only)")
 		stats    = flag.Bool("stats", false, "print encoding statistics and timing decomposition")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -87,9 +86,6 @@ func run() int {
 	if *noCrypto {
 		opts = append(opts, zaatar.WithoutCommitment())
 	}
-	if *ginger {
-		opts = append(opts, zaatar.WithGingerProtocol())
-	}
 	if *backend != "" {
 		opts = append(opts, zaatar.WithBackend(*backend))
 	}
@@ -101,9 +97,6 @@ func run() int {
 	// Resolve the name the run will actually use, for the stats line and
 	// the trace summary's cost-model pick.
 	backendName := zaatar.BackendZaatar
-	if *ginger {
-		backendName = zaatar.BackendGinger
-	}
 	if *backend != "" {
 		backendName = *backend
 		if backendName == zaatar.BackendAuto {

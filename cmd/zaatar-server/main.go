@@ -4,9 +4,9 @@
 // verified-computation argument. Compiled programs are cached across
 // sessions (-cache) and, with -store, persisted to disk as content-addressed
 // bundles that survive restarts; concurrent sessions share the kernel pool
-// under a bounded admission semaphore (-maxsessions), wire protocol v2 lets
-// one connection carry many batches, and v3 lets a returning client name its
-// program by hash instead of re-uploading the source.
+// under a bounded admission semaphore (-maxsessions), and the one wire
+// dialect (v3) lets one connection carry many batches and a returning client
+// name its program by hash instead of re-uploading the source.
 //
 // The server installs a per-message I/O deadline on every connection
 // (-timeout), drains in-flight sessions on SIGINT/SIGTERM before exiting,
@@ -16,9 +16,10 @@
 // gauges), /healthz liveness, /readyz readiness (-slo-p99 flips it to 503
 // while the rolling p99 batch latency is over budget), and -pprof
 // additionally mounts net/http/pprof under /debug/pprof/ on the same
-// address. With -log-format text|json the server emits one structured
-// session record per negotiation/batch/close to stderr, carrying the
-// session id, backend, program hash, and trace correlation ids.
+// address. The server logs to stderr in -log-format (text by default, or
+// json): one structured record per session negotiation/batch/close or
+// failure, carrying the session id, backend, program hash, and trace
+// correlation ids, plus refused connections and artifact-store errors.
 //
 // Usage:
 //
@@ -62,10 +63,10 @@ func main() {
 		idleTimeout = flag.Duration("idletimeout", 0, "reap keep-alive connections idle this long between batches (0 = 2m, <0 disables)")
 		metrics     = flag.String("metrics", "", "address for the HTTP metrics endpoint (empty disables)")
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -metrics address")
-		logFormat   = flag.String("log-format", "", "emit structured session logs to stderr: text or json (empty disables)")
+		logFormat   = flag.String("log-format", "text", "structured logs to stderr (sessions, refused connections, store errors): text or json (empty disables)")
 		sloP99      = flag.Duration("slo-p99", 0, "readiness SLO: /readyz reports 503 while the rolling p99 batch latency exceeds this (0 disables)")
 		drain       = flag.Duration("drain", 30*time.Second, "how long to wait for in-flight sessions on shutdown")
-		workerMode  = flag.Bool("worker", false, "run as a prover-farm worker: identical service, plus the farm.worker.up gauge for farm monitoring (see zaatar-client -farm)")
+		workerMode  = flag.Bool("worker", false, "run as a prover-farm worker: identical service, plus the farm.worker.up gauge for farm monitoring (see zaatar-client -connect)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file (covers the whole server lifetime)")
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file on shutdown")
 	)
@@ -160,7 +161,6 @@ func main() {
 		zaatar.WithServerIOTimeout(*timeout),
 		zaatar.WithIdleTimeout(*idleTimeout),
 		zaatar.WithServerMetrics(reg),
-		zaatar.WithServerLogf(log.Printf),
 	}
 	if *logFormat != "" {
 		srvOpts = append(srvOpts, zaatar.WithServerLogger(obs.NewLogger(os.Stderr, *logFormat)))

@@ -59,18 +59,21 @@ func Example_batch() {
 	// 150 true
 }
 
-// RecommendProtocol picks the proof encoding; compiled programs always
+// RecommendBackend picks the proof backend — what WithBackend(BackendAuto)
+// resolves to. A comparison does not stratify into the sum-check lane's
+// layered circuit, and among the commitment lanes compiled programs always
 // favor the QAP-based one.
-func ExampleRecommendProtocol() {
+func ExampleRecommendBackend() {
 	prog, err := zaatar.Compile(`
 		input a, b : int32;
-		output p : int64;
-		p = a * b;
+		output m : int32;
+		m = a;
+		if (b > a) { m = b; }
 	`)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(zaatar.RecommendProtocol(prog))
+	fmt.Println(zaatar.RecommendBackend(prog))
 	// Output: zaatar
 }
 

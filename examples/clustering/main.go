@@ -51,8 +51,8 @@ func main() {
 
 	// Amortization at work: the verifier's setup happened once for the
 	// whole batch.
-	perInstanceSetup := res.VerifierSetup() / 6
+	perInstanceSetup := res.Metrics.Setup / 6
 	fmt.Printf("\nverifier setup %v total → %v per instance at β=6; per-instance checking %v\n",
-		res.VerifierSetup(), perInstanceSetup, res.VerifierPerInstance()/6)
-	fmt.Printf("prover batch wall time %v across 4 workers\n", res.ProverWall())
+		res.Metrics.Setup, perInstanceSetup, res.Metrics.VerifyTotal/6)
+	fmt.Printf("prover batch wall time %v across 4 workers\n", res.Metrics.ProverWall)
 }

@@ -49,7 +49,7 @@ func main() {
 		fmt.Printf("Ψ(%v): y = %v, verified = %v\n", batch[i][0], res.Outputs[i][0], res.Accepted[i])
 	}
 	fmt.Printf("\nverifier: query+key setup %v (amortized over the batch), checking %v\n",
-		res.VerifierSetup(), res.VerifierPerInstance())
+		res.Metrics.Setup, res.Metrics.VerifyTotal)
 	for i, pt := range res.ProverTimes {
 		fmt.Printf("prover %d: solve %v | build proof %v | crypto %v | answer %v\n",
 			i, pt.Solve, pt.ConstructU, pt.Crypto, pt.Answer)

@@ -43,7 +43,7 @@ func main() {
 		if !res.AllAccepted() {
 			log.Fatalf("batch rejected: %v", res.Reasons)
 		}
-		fmt.Printf("β=8 with %d workers: prover batch wall time %v\n", workers, res.ProverWall())
+		fmt.Printf("β=8 with %d workers: prover batch wall time %v\n", workers, res.Metrics.ProverWall)
 	}
 
 	// Spot-check one verified distance matrix against the direct algorithm.

@@ -55,17 +55,6 @@ func WithFarmShardSize(n int) RunOption {
 	return runOption(func(o *options) { o.shardSize = n })
 }
 
-// WithFarmWideCommit lets a farm split a single instance's commitment
-// multiexp across up to k cooperating workers when a batch has fewer
-// instances than the farm has workers (each worker commits against a
-// masked share of Enc(r); the partial commitments multiply back into the
-// single-prover commitment). Off by default: every cooperating worker
-// still solves the constraints and builds H(t) itself, so wide commits pay
-// off only when the commitment crypto dominates. Values below 2 disable it.
-func WithFarmWideCommit(k int) RunOption {
-	return runOption(func(o *options) { o.wideCommit = k })
-}
-
 // rankAddrs orders worker addresses by rendezvous hash of the program
 // digest: each worker scores sha256(srcDigest ‖ addr), and higher scores
 // front the ranking. Every farm for the same program computes the same
@@ -104,11 +93,9 @@ func rankAddrs(addrs []string, src string) []string {
 // requeued onto the survivors (bounded by WithShardRetries); only an
 // unrecoverable failure surfaces, as a *FarmError naming the worker. The
 // returned Client behaves exactly like a Dial'ed one — same RunBatch, same
-// result shape, verdicts index-aligned with the batch.
-//
-// All workers must speak wire v2 or later (shards ride the keep-alive
-// session machinery). Scheduling telemetry lands in the farm.* metric
-// series of the registry given by WithMetrics (or the default registry).
+// result shape, verdicts index-aligned with the batch. Scheduling telemetry
+// lands in the farm.* metric series of the registry given by WithMetrics
+// (or the default registry).
 func DialFarm(ctx context.Context, addrs []string, src string, opts ...RunOption) (*Client, error) {
 	o := buildRunOptions(opts)
 	var clean []string
@@ -130,7 +117,6 @@ func DialFarm(ctx context.Context, addrs []string, src string, opts ...RunOption
 	f, err := farm.New(sess, farm.Options{
 		ShardRetries: o.shardRetries,
 		ShardSize:    o.shardSize,
-		WideCommit:   o.wideCommit,
 		Workers:      o.cfg.Workers,
 		Seed:         o.cfg.Seed,
 		Obs:          o.cfg.Obs,

@@ -82,9 +82,6 @@ func TestDialFarmShardsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.WireVersion() < 2 {
-		t.Fatalf("farm negotiated wire v%d", client.WireVersion())
-	}
 	if client.Backend() != zaatar.BackendZaatar {
 		t.Fatalf("backend %q", client.Backend())
 	}

@@ -11,6 +11,7 @@ import (
 	"zaatar/internal/elgamal"
 	"zaatar/internal/field"
 	"zaatar/internal/obs"
+	"zaatar/internal/pcp"
 	"zaatar/internal/transport"
 )
 
@@ -81,6 +82,7 @@ func RunCache(o Options, beta int) (*CacheResult, error) {
 	hello := transport.Hello{
 		Source:       bench.Source,
 		Field220:     bench.Field == field.F220(),
+		Backends:     []string{pcp.BackendZaatar},
 		RhoLin:       o.Params.RhoLin,
 		Rho:          o.Params.Rho,
 		NoCommitment: !o.Crypto,

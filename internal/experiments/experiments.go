@@ -165,10 +165,11 @@ func measureLocal(b *benchprogs.Benchmark, prog *compiler.Program, seed int64) f
 	return time.Since(start).Seconds() / float64(reps)
 }
 
-// vcConfig builds the protocol config for measured runs.
-func (o Options) vcConfig(protocol vc.Protocol) vc.Config {
+// vcConfig builds the protocol config for measured runs under the named
+// backend.
+func (o Options) vcConfig(backend string) vc.Config {
 	return vc.Config{
-		Protocol:     protocol,
+		Backend:      backend,
 		Params:       o.Params,
 		NoCommitment: !o.Crypto,
 		Workers:      o.Workers,

@@ -12,6 +12,7 @@ import (
 	"zaatar/internal/farm"
 	"zaatar/internal/field"
 	"zaatar/internal/obs"
+	"zaatar/internal/pcp"
 	"zaatar/internal/transport"
 )
 
@@ -58,6 +59,7 @@ func RunFarm(o Options, beta int) (*FarmResult, error) {
 	hello := transport.Hello{
 		Source:       bench.Source,
 		Field220:     bench.Field == field.F220(),
+		Backends:     []string{pcp.BackendZaatar},
 		RhoLin:       o.Params.RhoLin,
 		Rho:          o.Params.Rho,
 		NoCommitment: !o.Crypto,

@@ -202,7 +202,7 @@ func RunFig6(o Options, beta int, workerCounts []int) ([]Fig6Row, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", b.Name, err)
 			}
-			wall := res.ProverWall().Seconds()
+			wall := res.Metrics.ProverWall.Seconds()
 			if workers == workerCounts[0] {
 				base = wall
 			}
@@ -275,8 +275,8 @@ func RunFig7(o Options) ([]Fig7Row, error) {
 			BreakevenZaatar: bz,
 			BreakevenGinger: bg,
 			OrdersOfMag:     math.Log10(bg / bz),
-			MeasuredVSetup:  res.VerifierSetup().Seconds(),
-			MeasuredVPerInst: res.VerifierPerInstance().Seconds() /
+			MeasuredVSetup:  res.Metrics.Setup.Seconds(),
+			MeasuredVPerInst: res.Metrics.VerifyTotal.Seconds() /
 				float64(len(res.ProverTimes)),
 		})
 	}
@@ -380,8 +380,7 @@ func gingerProverTime(prog *compiler.Program, b *benchprogs.Benchmark, o Options
 	queryVecs := p.Rho * (3*p.RhoLin + 2)
 	memBytes := float64(nz) * float64(nz) * float64(queryVecs+2) * 32
 	if nz <= pcp.MaxGingerProofVars && memBytes < 3e8 {
-		cfg := o.vcConfig(vc.Ginger)
-		res, err := vc.RunBatch(context.Background(), prog, cfg, genBatch(b, rng, 1))
+		res, err := vc.RunBatch(context.Background(), prog, o.vcConfig(pcp.BackendGinger), genBatch(b, rng, 1))
 		if err != nil {
 			return 0, false, err
 		}
@@ -507,9 +506,9 @@ func RunModel(o Options) ([]ModelRow, error) {
 			ProverModel:       pm,
 			ProverModelPaper:  costmodel.ProverZaatarPaper(p, q),
 			ProverRatio:       e2e / pm,
-			VerifierSetupMeas: res.VerifierSetup().Seconds(),
+			VerifierSetupMeas: res.Metrics.Setup.Seconds(),
 			VerifierSetupModl: vm,
-			VerifierRatio:     res.VerifierSetup().Seconds() / vm,
+			VerifierRatio:     res.Metrics.Setup.Seconds() / vm,
 		})
 	}
 	return rows, nil

@@ -19,14 +19,6 @@
 // requeued (bounded by Options.ShardRetries) and the leg is retired; a
 // worker that reports a prover-side error is healthy, so that error is
 // fatal rather than retried.
-//
-// When a batch is narrower than the fleet and WideCommit asks for it, the
-// farm instead splits each instance's commitment multiexp across k workers
-// with vc.SplitCommitRequest: each worker commits against a masked share of
-// Enc(r) and the partial commitments fold back into the single-prover
-// commitment (vc.CombineCommitments). Only the commitment crypto splits;
-// each cooperating worker still solves the constraints and builds H(t)
-// itself.
 package farm
 
 import (
@@ -49,7 +41,7 @@ const (
 	// MetricShards counts shards dispatched, labeled by worker address.
 	MetricShards = "farm.shards"
 	// MetricShardRequeued counts shards requeued after a worker died
-	// mid-shard (wide mode counts retried instances here too).
+	// mid-shard.
 	MetricShardRequeued = "farm.shard.requeued"
 	// MetricShardStolen counts shards run by a non-preferred worker.
 	MetricShardStolen = "farm.shard.stolen"
@@ -57,9 +49,6 @@ const (
 	MetricWorkerFailures = "farm.worker.failures"
 	// MetricWorkersLive gauges how many legs are still serving.
 	MetricWorkersLive = "farm.workers.live"
-	// MetricWideSplits counts instances whose commitment was split across
-	// cooperating workers (wide mode).
-	MetricWideSplits = "farm.wide.splits"
 	// MetricWorkerUp is the gauge a worker process sets to 1 while serving
 	// (zaatar.ServeWorker registers it).
 	MetricWorkerUp = "farm.worker.up"
@@ -80,13 +69,6 @@ type Options struct {
 	// worker expects about two (small enough to steal, large enough to
 	// amortize the per-shard key generation).
 	ShardSize int
-	// WideCommit, when ≥ 2, splits each instance's commitment multiexp
-	// across up to that many workers whenever a batch has fewer instances
-	// than the fleet has live workers (and commitments are on). Off by
-	// default: wide mode trades k× solve/H(t) recomputation for 1/k of the
-	// commitment crypto per worker, a good trade only when the multiexp
-	// dominates.
-	WideCommit int
 	// Workers is the verification parallelism within one shard.
 	Workers int
 	// Seed fixes shard query seeds (each shard appends a counter); empty
@@ -128,15 +110,11 @@ type pooledVerifier struct {
 	used bool
 }
 
-// New wraps an open session in a coordinator. The session must have
-// negotiated wire v2 or later on every leg: each shard is an extra wire
-// batch on its leg, which v1 servers refuse.
+// New wraps an open session in a coordinator; each shard is one wire batch
+// on its leg.
 func New(sess *transport.Session, opts Options) (*Farm, error) {
 	if sess.NumLegs() < 1 {
 		return nil, errors.New("farm: session has no workers")
-	}
-	if sess.WireVersion() < transport.ProtocolV2 {
-		return nil, fmt.Errorf("farm: workers negotiated wire v%d; the farm needs keep-alive sessions (v2+)", sess.WireVersion())
 	}
 	f := &Farm{
 		sess:  sess,
@@ -164,10 +142,9 @@ func New(sess *transport.Session, opts Options) (*Farm, error) {
 	return f, nil
 }
 
-// Program, WireVersion, Backend, SetupDuration and Close delegate to the
-// underlying session, so a Farm serves wherever a Session does.
+// Program, Backend, SetupDuration and Close delegate to the underlying
+// session, so a Farm serves wherever a Session does.
 func (f *Farm) Program() *compiler.Program   { return f.sess.Program() }
-func (f *Farm) WireVersion() int             { return f.sess.WireVersion() }
 func (f *Farm) Backend() string              { return f.sess.Backend() }
 func (f *Farm) SetupDuration() time.Duration { return f.sess.SetupDuration() }
 func (f *Farm) Close() error                 { return f.sess.Close() }
@@ -328,30 +305,11 @@ func (f *Farm) RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.Ses
 		Reasons:  make([]string, len(batch)),
 		Outputs:  make([][]*big.Int, len(batch)),
 	}
-	var err error
-	if f.wideEligible(len(batch)) {
-		err = f.runWide(ctx, batch, out)
-	} else {
-		err = f.runSharded(ctx, batch, out, 0, len(batch))
-	}
-	if err != nil {
+	if err := f.runSharded(ctx, batch, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
-
-// wideEligible: wide mode needs an explicit opt-in, at least two live
-// workers, commitments on, and a batch narrower than the fleet (otherwise
-// plain sharding keeps every worker busy without recomputing solves).
-func (f *Farm) wideEligible(n int) bool {
-	if f.opts.WideCommit < 2 {
-		return false
-	}
-	live := f.LiveWorkers()
-	return live >= 2 && n < live && len(f.sess.Verifier().Setup().EncR1) > 0
-}
-
-// ---- sharded mode -------------------------------------------------------
 
 // task is one shard: instances [lo,hi) of the batch, preferring worker
 // pref, requeued retries times so far.
@@ -451,25 +409,26 @@ func (q *shardQueue) failure() error {
 	return q.err
 }
 
-// runSharded schedules instances [lo,hi) of batch across the live workers
-// and writes verdicts into the matching positions of out.
-func (f *Farm) runSharded(ctx context.Context, batch [][]*big.Int, out *transport.SessionResult, lo, hi int) error {
+// runSharded schedules batch across the live workers and writes verdicts
+// into the matching positions of out.
+func (f *Farm) runSharded(ctx context.Context, batch [][]*big.Int, out *transport.SessionResult) error {
 	live := f.liveLegs()
 	if len(live) == 0 {
 		return errors.New("farm: no live workers")
 	}
+	n := len(batch)
 	size := f.opts.ShardSize
 	if size <= 0 {
-		size = (hi - lo + 2*len(live) - 1) / (2 * len(live))
+		size = (n + 2*len(live) - 1) / (2 * len(live))
 		if size < 1 {
 			size = 1
 		}
 	}
 	q := newShardQueue()
-	for s, i := lo, 0; s < hi; i++ {
+	for s, i := 0, 0; s < n; i++ {
 		e := s + size
-		if e > hi {
-			e = hi
+		if e > n {
+			e = n
 		}
 		q.tasks = append(q.tasks, &task{lo: s, hi: e, pref: live[i%len(live)]})
 		s = e
@@ -550,13 +509,9 @@ func (f *Farm) runShard(ctx context.Context, leg int, v *vc.Verifier, t *task, b
 	if err != nil {
 		return err
 	}
-	resps, err := f.sess.ShardRespond(ctx, leg, dreq)
+	resps, err := f.sess.ShardRespond(ctx, leg, dreq, len(shard))
 	if err != nil {
 		return err
-	}
-	if len(resps) != len(shard) {
-		return &transport.FarmError{Addr: f.sess.LegAddr(leg), Leg: leg,
-			Err: errors.New("farm: response count mismatch")}
 	}
 	workers := f.opts.Workers
 	if workers < 1 {
@@ -569,194 +524,4 @@ func (f *Farm) runShard(ctx context.Context, leg int, v *vc.Verifier, t *task, b
 		out.Outputs[t.lo+i] = cms[i].Output
 		return nil
 	})
-}
-
-// ---- wide mode ----------------------------------------------------------
-
-// errNarrow asks runWide to fall back to sharded mode for the remaining
-// instances (fewer than two live workers left).
-var errNarrow = errors.New("farm: too few workers for wide commit")
-
-// runWide proves the batch one instance at a time, splitting each
-// instance's commitment across cooperating workers.
-func (f *Farm) runWide(ctx context.Context, batch [][]*big.Int, out *transport.SessionResult) error {
-	for idx := range batch {
-		err := f.runWideInstance(ctx, idx, batch[idx], out)
-		if errors.Is(err, errNarrow) {
-			return f.runSharded(ctx, batch, out, idx, len(batch))
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runWideInstance drives one instance through a split commit: mask Enc(r)
-// into k shares, commit on k legs concurrently, fold the partials, reveal
-// one decommit to every leg, verify against any surviving leg's response.
-// A worker death mid-cycle drains the surviving legs (their wire batch must
-// finish) and retries with fresh randomness, bounded like shard requeues.
-func (f *Farm) runWideInstance(ctx context.Context, idx int, inputs []*big.Int, out *transport.SessionResult) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		legs := f.liveLegs()
-		if len(legs) < 2 {
-			return errNarrow
-		}
-		if attempt > f.retries() {
-			return fmt.Errorf("farm: wide commit for instance %d failed after %d attempts: %w", idx, attempt, lastErr)
-		}
-		if attempt > 0 {
-			f.reg.Counter(MetricShardRequeued).Inc()
-		}
-		k := f.opts.WideCommit
-		if k > len(legs) {
-			k = len(legs)
-		}
-		group := legs[:k]
-		pv, err := f.acquire(ctx)
-		if err != nil {
-			return err
-		}
-		v := pv.v
-		parts := vc.SplitCommitRequest(v.Setup(), k)
-		f.reg.Counter(MetricWideSplits).Inc()
-		sp := f.reg.StartSpan(MetricSpanShard)
-
-		cms := make([]*vc.Commitment, k)
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for j := 0; j < k; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				f.reg.CounterVec(MetricShards, LabelWorker).With(f.sess.LegAddr(group[j])).Inc()
-				got, err := f.sess.ShardCommit(ctx, group[j], parts[j], [][]*big.Int{inputs})
-				if err != nil {
-					errs[j] = err
-					return
-				}
-				cms[j] = got[0]
-			}(j)
-		}
-		wg.Wait()
-
-		// The decommit is needed either way: to finish the cycle on success,
-		// and to drain the surviving legs' wire batches on failure. The seed
-		// it reveals is burnt regardless — a retry reseeds.
-		dreq, derr := v.Decommit()
-		if derr != nil {
-			f.release(pv)
-			sp.End()
-			return derr
-		}
-		if err := f.classifyWide(ctx, errs, group); err != nil {
-			f.release(pv)
-			sp.End()
-			return err
-		}
-		if failed := anyErr(errs); failed != nil {
-			// Drain healthy mid-cycle legs, then retry the whole instance.
-			for j := 0; j < k; j++ {
-				if errs[j] != nil {
-					continue
-				}
-				if _, err := f.sess.ShardRespond(ctx, group[j], dreq); err != nil {
-					if _, death := isWorkerDeath(ctx, err); !death {
-						f.release(pv)
-						sp.End()
-						return err
-					}
-					var fe *transport.FarmError
-					errors.As(err, &fe)
-					f.workerDied(group[j], fe.Err)
-				}
-			}
-			f.release(pv)
-			sp.End()
-			lastErr = failed
-			f.log.Info("farm wide instance retried", "instance", idx, "attempt", attempt+1, "err", failed)
-			continue
-		}
-
-		combined, err := v.CombineCommitments(cms)
-		if err != nil {
-			f.release(pv)
-			sp.End()
-			return err
-		}
-		// Every leg must see the decommit to close its wire batch; any one
-		// leg's response verifies the combined commitment (the PCP answers
-		// are a deterministic function of the proof vector and the seed).
-		var resp *vc.Response
-		rerrs := make([]error, k)
-		var rwg sync.WaitGroup
-		resps := make([]*vc.Response, k)
-		for j := 0; j < k; j++ {
-			rwg.Add(1)
-			go func(j int) {
-				defer rwg.Done()
-				got, err := f.sess.ShardRespond(ctx, group[j], dreq)
-				if err != nil {
-					rerrs[j] = err
-					return
-				}
-				if len(got) != 1 {
-					rerrs[j] = &transport.FarmError{Addr: f.sess.LegAddr(group[j]), Leg: group[j],
-						Err: errors.New("farm: response count mismatch")}
-					return
-				}
-				resps[j] = got[0]
-			}(j)
-		}
-		rwg.Wait()
-		sp.End()
-		if err := f.classifyWide(ctx, rerrs, group); err != nil {
-			f.release(pv)
-			return err
-		}
-		for j := 0; j < k; j++ {
-			if rerrs[j] == nil {
-				resp = resps[j]
-				break
-			}
-		}
-		if resp == nil {
-			f.release(pv)
-			lastErr = anyErr(rerrs)
-			continue
-		}
-		ok, reason := v.VerifyInstance(ctx, inputs, combined, resp)
-		out.Accepted[idx] = ok
-		out.Reasons[idx] = reason
-		out.Outputs[idx] = combined.Output
-		f.release(pv)
-		return nil
-	}
-}
-
-// classifyWide splits a wide cycle's per-leg errors into worker deaths
-// (retire the leg, recoverable) and fatal errors (returned).
-func (f *Farm) classifyWide(ctx context.Context, errs []error, group []int) error {
-	for j, err := range errs {
-		if err == nil {
-			continue
-		}
-		fe, death := isWorkerDeath(ctx, err)
-		if !death {
-			return err
-		}
-		f.workerDied(group[j], fe.Err)
-	}
-	return nil
-}
-
-func anyErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

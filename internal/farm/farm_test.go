@@ -10,10 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"zaatar/internal/elgamal"
-	"zaatar/internal/field"
 	"zaatar/internal/obs"
-	"zaatar/internal/prg"
+	"zaatar/internal/pcp"
 	"zaatar/internal/transport"
 )
 
@@ -25,27 +23,21 @@ y = x - 3;
 sq = x * x;
 `
 
-// dieAfterAck wraps the server side of a pipe so the worker completes the
-// handshake (the hello ack is its first write) and then dies on the first
-// frame the coordinator sends it: that read closes the connection and
-// fails. From the coordinator's side the worker accepted the session and
-// vanished while being handed its first shard — the deterministic "killed
-// mid-batch" stand-in. died, when non-nil, is closed at that moment.
-type dieAfterAck struct {
+// dieAfterOpen wraps the server side of a pipe so the worker completes the
+// handshake (hello, source upload, ack) and then dies on its first read
+// after the session opened: that read closes the connection and fails.
+// From the coordinator's side the worker accepted the session and vanished
+// while being handed its first shard — the deterministic "killed mid-batch"
+// stand-in. died, when non-nil, is closed at that moment.
+type dieAfterOpen struct {
 	net.Conn
-	acked atomic.Bool
-	died  chan struct{}
-	once  sync.Once
+	opened *atomic.Bool
+	died   chan struct{}
+	once   sync.Once
 }
 
-func (c *dieAfterAck) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.acked.Store(true)
-	return n, err
-}
-
-func (c *dieAfterAck) Read(p []byte) (int, error) {
-	if !c.acked.Load() {
+func (c *dieAfterOpen) Read(p []byte) (int, error) {
+	if !c.opened.Load() {
 		return c.Conn.Read(p)
 	}
 	_, _ = c.Conn.Read(p) // the coordinator has started a shard here
@@ -56,58 +48,61 @@ func (c *dieAfterAck) Read(p []byte) (int, error) {
 	return 0, errors.New("worker killed")
 }
 
-// gateAfterAck wraps the server side of a pipe so the worker completes the
-// handshake and then reads nothing more until open is closed: the
-// coordinator cannot finish a shard on this worker before then.
-type gateAfterAck struct {
+// gateAfterOpen wraps the server side of a pipe so the worker completes the
+// handshake and then, once the session opened, reads nothing more until
+// open is closed: the coordinator cannot finish a shard on this worker
+// before then.
+type gateAfterOpen struct {
 	net.Conn
-	acked atomic.Bool
-	open  <-chan struct{}
+	opened *atomic.Bool
+	open   <-chan struct{}
 }
 
-func (c *gateAfterAck) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.acked.Store(true)
-	return n, err
-}
-
-func (c *gateAfterAck) Read(p []byte) (int, error) {
-	if c.acked.Load() {
+func (c *gateAfterOpen) Read(p []byte) (int, error) {
+	if c.opened.Load() {
 		<-c.open
 	}
 	return c.Conn.Read(p)
 }
 
 // newTestFarm dials n loopback workers (in-process transport services over
-// net.Pipe) and wraps them in a Farm. wrap, when non-nil, may replace
-// worker i's server-side connection (fault injection).
-func newTestFarm(t *testing.T, n int, hello transport.Hello, copts transport.ClientOptions, fopts Options, wrap func(i int, conn net.Conn) net.Conn) *Farm {
+// net.Pipe), opens farmHello's session on them and wraps it in a Farm.
+// wrap, when non-nil, may replace worker i's server-side connection (fault
+// injection); opened is set once the session is open.
+func newTestFarm(t *testing.T, n int, copts transport.ClientOptions, fopts Options, wrap func(i int, conn net.Conn, opened *atomic.Bool) net.Conn) *Farm {
 	t.Helper()
 	conns := make([]net.Conn, n)
 	addrs := make([]string, n)
+	opened := new(atomic.Bool)
 	for i := 0; i < n; i++ {
 		client, server := net.Pipe()
 		if wrap != nil {
-			server = wrap(i, server)
+			server = wrap(i, server, opened)
 		}
 		go func(server net.Conn) {
-			_ = transport.ServeConn(context.Background(), server, transport.ServerOptions{Workers: 1})
+			svc := transport.NewService(transport.ServiceOptions{Workers: 1, Obs: obs.NewRegistry()})
+			_ = svc.ServeConn(context.Background(), server)
 		}(server)
 		conns[i] = client
 		addrs[i] = fmt.Sprintf("worker-%d", i)
 	}
 	copts.Addrs = addrs
-	sess, err := transport.NewSession(context.Background(), conns, hello, copts)
+	sess, err := transport.NewSession(context.Background(), conns, farmHello, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sess.Close() })
+	opened.Store(true)
 	f, err := New(sess, fopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f
 }
+
+// farmHello is the session every test farm opens: farmSrc on Zaatar with
+// commitments off.
+var farmHello = transport.Hello{Source: farmSrc, RhoLin: 2, Rho: 2, NoCommitment: true, Backends: []string{pcp.BackendZaatar}}
 
 func intBatch(n int) [][]*big.Int {
 	batch := make([][]*big.Int, n)
@@ -138,8 +133,7 @@ func checkOutputs(t *testing.T, batch [][]*big.Int, res *transport.SessionResult
 // would produce.
 func TestFarmShardedMatchesSingleProver(t *testing.T) {
 	reg := obs.NewRegistry()
-	hello := transport.Hello{Source: farmSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-	f := newTestFarm(t, 2, hello,
+	f := newTestFarm(t, 2,
 		transport.ClientOptions{Seed: []byte("farm"), Obs: reg},
 		Options{Seed: []byte("farm"), Obs: reg}, nil)
 	batch := intBatch(8)
@@ -170,16 +164,15 @@ func TestFarmShardedMatchesSingleProver(t *testing.T) {
 // before leg 1's goroutine pops one, and the dead connection is never used.
 func TestFarmWorkerDeathRequeues(t *testing.T) {
 	reg := obs.NewRegistry()
-	hello := transport.Hello{Source: farmSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
 	died := make(chan struct{})
-	f := newTestFarm(t, 2, hello,
+	f := newTestFarm(t, 2,
 		transport.ClientOptions{Seed: []byte("kill"), Obs: reg},
 		Options{Seed: []byte("kill"), Obs: reg},
-		func(i int, conn net.Conn) net.Conn {
+		func(i int, conn net.Conn, opened *atomic.Bool) net.Conn {
 			if i == 1 {
-				return &dieAfterAck{Conn: conn, died: died}
+				return &dieAfterOpen{Conn: conn, opened: opened, died: died}
 			}
-			return &gateAfterAck{Conn: conn, open: died}
+			return &gateAfterOpen{Conn: conn, opened: opened, open: died}
 		})
 	batch := intBatch(6)
 	res, err := f.RunBatch(context.Background(), batch)
@@ -201,11 +194,12 @@ func TestFarmWorkerDeathRequeues(t *testing.T) {
 // TestFarmAllWorkersDead: when every worker dies the batch fails with a
 // *transport.FarmError naming a worker, never a bare I/O error.
 func TestFarmAllWorkersDead(t *testing.T) {
-	hello := transport.Hello{Source: farmSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-	f := newTestFarm(t, 2, hello,
+	f := newTestFarm(t, 2,
 		transport.ClientOptions{Seed: []byte("dead")},
 		Options{Seed: []byte("dead"), Obs: obs.NewRegistry()},
-		func(i int, conn net.Conn) net.Conn { return &dieAfterAck{Conn: conn} })
+		func(i int, conn net.Conn, opened *atomic.Bool) net.Conn {
+			return &dieAfterOpen{Conn: conn, opened: opened}
+		})
 	_, err := f.RunBatch(context.Background(), intBatch(4))
 	if err == nil {
 		t.Fatal("batch succeeded with every worker dead")
@@ -224,8 +218,7 @@ func TestFarmAllWorkersDead(t *testing.T) {
 // shared result (the CI race job runs this package).
 func TestFarmConcurrentShards(t *testing.T) {
 	reg := obs.NewRegistry()
-	hello := transport.Hello{Source: farmSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-	f := newTestFarm(t, 3, hello,
+	f := newTestFarm(t, 3,
 		transport.ClientOptions{Seed: []byte("race"), Obs: reg},
 		Options{Seed: []byte("race"), ShardSize: 1, Obs: reg}, nil)
 	batch := intBatch(9)
@@ -238,28 +231,5 @@ func TestFarmConcurrentShards(t *testing.T) {
 		reg.CounterVec(MetricShards, LabelWorker).With("worker-1").Value() +
 		reg.CounterVec(MetricShards, LabelWorker).With("worker-2").Value(); got != 9 {
 		t.Fatalf("farm.shards = %d, want 9", got)
-	}
-}
-
-// TestFarmWideCommit splits single-instance commitments across two workers
-// and checks the combined commitment verifies.
-func TestFarmWideCommit(t *testing.T) {
-	g, err := elgamal.GenerateGroup(field.F128().Modulus(), 320, prg.NewFromSeed([]byte("fg"), 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	hello := transport.Hello{Source: farmSrc, RhoLin: 1, Rho: 1}
-	f := newTestFarm(t, 2, hello,
-		transport.ClientOptions{Seed: []byte("wide"), Group: g, Obs: reg},
-		Options{Seed: []byte("wide"), WideCommit: 2, Obs: reg}, nil)
-	batch := [][]*big.Int{{big.NewInt(9)}}
-	res, err := f.RunBatch(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOutputs(t, batch, res)
-	if got := reg.Counter(MetricWideSplits).Value(); got < 1 {
-		t.Fatalf("farm.wide.splits = %d, want ≥ 1", got)
 	}
 }

@@ -27,7 +27,7 @@ type cacheKey struct {
 func keyOf(h Hello, backend string) cacheKey {
 	key := cacheKey{field: h.fieldOf().Name(), backend: backend}
 	if h.hashFirst() {
-		// v3 hash-first hello: the client sent only the digest. validate
+		// Hash-first hello: the client sent only the digest. validate
 		// guarantees that when both fields are present they agree, so keying
 		// on the hash is keying on the source.
 		copy(key.source[:], h.SourceHash)
@@ -56,7 +56,7 @@ type cacheEntry struct {
 }
 
 // programCache is an LRU of compiled programs keyed by source hash + field
-// + protocol, shared by every session of a Service. The cached values are
+// + backend, shared by every session of a Service. The cached values are
 // immutable (compiler.Program after compilation, vc.Precomputation by
 // construction), so sessions use them concurrently without copying; this is
 // what lets a repeat session skip compilation and QAP preprocessing

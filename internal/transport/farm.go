@@ -34,14 +34,10 @@ func (e *FarmError) Unwrap() error { return e.Err }
 // sessions; single-prover sessions keep their errors undressed (there is
 // only one worker the failure could belong to).
 func (s *Session) legError(i int, err error) error {
-	if err == nil || !s.multi {
+	if !s.multi {
 		return err
 	}
-	var fe *FarmError
-	if errors.As(err, &fe) {
-		return err
-	}
-	return &FarmError{Addr: s.legs[i].addr, Leg: i, Err: err}
+	return s.shardError(i, err)
 }
 
 // shardError always wraps: the per-leg shard operations exist for farm
@@ -64,9 +60,6 @@ func (s *Session) NumLegs() int { return len(s.legs) }
 // otherwise the connection's remote address).
 func (s *Session) LegAddr(i int) string { return s.legs[i].addr }
 
-// LegVersion reports the wire version negotiated with leg i's worker.
-func (s *Session) LegVersion(i int) int { return s.legs[i].version }
-
 // Verifier exposes the session's verifier so a coordinator can drive the
 // commit/decommit phases itself (see ShardCommit/ShardRespond) or Fork
 // per-shard verifiers off its precomputation. The verifier is not safe for
@@ -86,48 +79,67 @@ func (s *Session) CloseLeg(i int) error {
 // batches, each with its own key and seed) together with the shard's
 // instances, and collects the per-instance commitments. The caller must
 // follow with ShardRespond on the same leg before starting this leg's next
-// shard; distinct legs may run shards concurrently. Requires the leg to
-// speak wire v2 (keep-alive): each shard is an ordinary wire batch.
+// shard; distinct legs may run shards concurrently.
 func (s *Session) ShardCommit(ctx context.Context, i int, req *vc.CommitRequest, instances [][]*big.Int) ([]*vc.Commitment, error) {
+	cms, err := s.commitLeg(ctx, i, req, instances)
+	return cms, s.shardError(i, err)
+}
+
+// ShardRespond completes leg i's in-flight shard of n instances: it reveals
+// the decommit (seed + consistency points) and collects the per-instance
+// responses, stitching the worker's trace spans into the session's
+// timeline. Must follow a successful ShardCommit on the same leg.
+func (s *Session) ShardRespond(ctx context.Context, i int, dreq *vc.DecommitRequest, n int) ([]*vc.Response, error) {
+	resps, err := s.respondLeg(ctx, i, dreq, n)
+	return resps, s.shardError(i, err)
+}
+
+// commitLeg is the commit exchange of one batch on leg i, shared by
+// RunBatch and ShardCommit: the commit request and instances out, one
+// commitment per instance back.
+func (s *Session) commitLeg(ctx context.Context, i int, req *vc.CommitRequest, instances [][]*big.Int) ([]*vc.Commitment, error) {
 	leg := s.legs[i]
 	leg.mu.Lock()
 	defer leg.mu.Unlock()
 	defer watch(ctx, leg.conn)()
 	if err := leg.cc.send(BatchMsg{Req: req, Instances: instances}); err != nil {
-		return nil, s.shardError(i, ctxErr(ctx, err))
+		return nil, ctxErr(ctx, err)
 	}
 	var cms CommitmentsMsg
 	if err := leg.cc.recv(&cms); err != nil {
-		return nil, s.shardError(i, ctxErr(ctx, err))
+		return nil, ctxErr(ctx, err)
 	}
 	if cms.Err != "" {
-		return nil, s.shardError(i, &RemoteError{Phase: "commit", Msg: cms.Err})
+		return nil, &RemoteError{Phase: "commit", Msg: cms.Err}
 	}
 	if len(cms.Items) != len(instances) {
-		return nil, s.shardError(i, errors.New("transport: commitment count mismatch"))
+		return nil, errors.New("transport: commitment count mismatch")
 	}
 	return cms.Items, nil
 }
 
-// ShardRespond completes leg i's in-flight shard: it reveals the decommit
-// (seed + consistency points) and collects the per-instance responses,
-// stitching the worker's trace spans into the session's timeline. Must
-// follow a successful ShardCommit on the same leg.
-func (s *Session) ShardRespond(ctx context.Context, i int, dreq *vc.DecommitRequest) ([]*vc.Response, error) {
+// respondLeg is the respond exchange of one batch of n instances on leg i,
+// shared by RunBatch and ShardRespond: the decommit out, one response per
+// instance back, the prover's trace spans imported.
+func (s *Session) respondLeg(ctx context.Context, i int, dreq *vc.DecommitRequest, n int) ([]*vc.Response, error) {
 	leg := s.legs[i]
 	leg.mu.Lock()
 	defer leg.mu.Unlock()
 	defer watch(ctx, leg.conn)()
 	if err := leg.cc.send(DecommitMsg{Req: dreq}); err != nil {
-		return nil, s.shardError(i, ctxErr(ctx, err))
+		return nil, ctxErr(ctx, err)
 	}
 	var resp ResponsesMsg
 	if err := leg.cc.recv(&resp); err != nil {
-		return nil, s.shardError(i, ctxErr(ctx, err))
+		return nil, ctxErr(ctx, err)
 	}
 	if resp.Err != "" {
-		return nil, s.shardError(i, &RemoteError{Phase: "respond", Msg: resp.Err})
+		return nil, &RemoteError{Phase: "respond", Msg: resp.Err}
 	}
+	if len(resp.Items) != n {
+		return nil, errors.New("transport: response count mismatch")
+	}
+	// Records from any other trace are dropped by Import.
 	s.tc.Import(resp.Trace)
 	return resp.Items, nil
 }

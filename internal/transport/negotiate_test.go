@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"math/big"
 	"net"
@@ -107,31 +108,42 @@ func TestNegotiateDegrade(t *testing.T) {
 	}
 }
 
-// TestNegotiateLegacyGingerHello: a legacy peer's hello (Ginger bool, no
-// Backends list) still round-trips; the server treats it as an offer of
-// exactly [ginger].
+// TestNegotiateLegacyGingerHello: a peer from before backend negotiation
+// named its backend with a Ginger bool and offered no Backends list. Such a
+// hello is malformed: the client refuses to send one, and a server
+// receiving it raw refuses it before any compile.
 func TestNegotiateLegacyGingerHello(t *testing.T) {
+	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	if _, err := NewSession(context.Background(), []net.Conn{nil}, hello, ClientOptions{}); !errors.Is(err, ErrMalformedHello) {
+		t.Fatalf("client: err = %v, want ErrMalformedHello", err)
+	}
+
 	svc, reg := testService(ServiceOptions{Workers: 2})
-	conn, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true, Ginger: true}
-	sess, err := NewSession(context.Background(), []net.Conn{conn}, hello, ClientOptions{Seed: []byte("leg")})
-	if err != nil {
+	client, errCh := servicePipe(svc)
+	defer client.Close()
+	enc, dec := gob.NewEncoder(client), gob.NewDecoder(client)
+	legacy := struct {
+		Source       string
+		Ginger       bool
+		RhoLin, Rho  int
+		NoCommitment bool
+		Version      int
+	}{sessionSrc, true, 1, 1, true, MaxProtocolVersion}
+	if err := enc.Encode(legacy); err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.Backend(); got != pcp.BackendGinger {
-		t.Fatalf("negotiated %q, want ginger", got)
-	}
-	res, err := sess.RunBatch(context.Background(), negotiationBatch())
-	if err != nil {
+	var ack HelloAck
+	if err := dec.Decode(&ack); err != nil {
 		t.Fatal(err)
 	}
-	checkNegotiationOutputs(t, res)
-	sess.Close()
-	if err := <-errCh; err != nil {
-		t.Fatalf("server: %v", err)
+	if ack.Err == "" || ack.Backend != "" {
+		t.Fatalf("ack %+v, want a refusal", ack)
 	}
-	if got := reg.Counter(MetricBackendSessions + pcp.BackendGinger).Value(); got != 1 {
-		t.Fatalf("pcp.backend.sessions.ginger = %d, want 1", got)
+	if err := <-errCh; !errors.Is(err, ErrMalformedHello) {
+		t.Fatalf("server err = %v, want ErrMalformedHello", err)
+	}
+	if got := reg.Counter(MetricCacheMisses).Value(); got != 0 {
+		t.Fatalf("refused hello reached the program cache (%d misses)", got)
 	}
 }
 
@@ -188,7 +200,7 @@ func TestNegotiateDistributedMismatch(t *testing.T) {
 // TestHelloBackendsValidation: oversized or malformed offers are rejected
 // before any work happens.
 func TestHelloBackendsValidation(t *testing.T) {
-	base := Hello{Source: sessionSrc}
+	base := Hello{Source: sessionSrc, Version: MaxProtocolVersion}
 	tooMany := base
 	tooMany.Backends = make([]string, maxBackends+1)
 	for i := range tooMany.Backends {
@@ -207,6 +219,10 @@ func TestHelloBackendsValidation(t *testing.T) {
 	if err := long.validate(0); !errors.Is(err, ErrMalformedHello) {
 		t.Fatalf("long name: %v", err)
 	}
+	none := base
+	if err := none.validate(0); !errors.Is(err, ErrMalformedHello) {
+		t.Fatalf("no offer: %v", err)
+	}
 	ok := base
 	ok.Backends = []string{pcp.BackendSumcheck, pcp.BackendZaatar}
 	if err := ok.validate(0); err != nil {
@@ -215,8 +231,8 @@ func TestHelloBackendsValidation(t *testing.T) {
 }
 
 // TestCacheKeyedByBackend: the same source negotiated under two backends
-// builds two cache entries (regression for the key being derived from the
-// hello's Ginger bool in one place and the config in another).
+// builds two cache entries (regression for the key and the config deriving
+// the backend in two places).
 func TestCacheKeyedByBackend(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2, Obs: obs.NewRegistry()})
 	for _, offer := range [][]string{

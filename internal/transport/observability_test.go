@@ -51,7 +51,7 @@ func TestStructuredLogsJoinTrace(t *testing.T) {
 	tc := trace.New(rec, "verifier")
 	ctx := trace.NewContext(context.Background(), tc)
 
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 	sess, err := NewSession(ctx, []net.Conn{client}, hello, ClientOptions{
 		Seed:   []byte("corr"),
 		Obs:    reg,
@@ -143,8 +143,8 @@ func TestStructuredLogsJoinTrace(t *testing.T) {
 func TestLabeledTransportMetrics(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2})
 	client, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-	res, err := RunSession(context.Background(), client, hello, ClientOptions{Seed: []byte("lm"), Obs: reg}, instances(10))
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
+	res, err := oneBatch(context.Background(), client, hello, ClientOptions{Seed: []byte("lm"), Obs: reg}, instances(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestLabeledTransportMetrics(t *testing.T) {
 	}
 
 	phash := ProgramHash(sessionSrc)
-	backend := "zaatar" // legacy bool hello negotiates the zaatar backend
+	backend := "zaatar"
 
 	var prom bytes.Buffer
 	if err := reg.WritePrometheus(&prom); err != nil {
@@ -187,7 +187,7 @@ func TestLabeledTransportMetrics(t *testing.T) {
 
 	// Error-rate accounting: a failed session ticks the SLO error gauge.
 	bad, errCh2 := servicePipe(svc)
-	if _, err := RunSession(context.Background(), bad, Hello{Source: "nonsense {"}, ClientOptions{Obs: reg}, instances(1)); err == nil {
+	if _, err := oneBatch(context.Background(), bad, Hello{Source: "nonsense {", Backends: zaatarOnly}, ClientOptions{Obs: reg}, instances(1)); err == nil {
 		t.Fatal("malformed source unexpectedly accepted")
 	}
 	bad.Close() // the client fails before the hello; unblock the server's read

@@ -31,7 +31,7 @@ type ServiceOptions struct {
 	// Defaults to runtime.NumCPU().
 	Workers int
 	// MaxSessions bounds how many sessions may compute concurrently; the
-	// rest wait in admission (recorded in transport.admission.wait). A v2
+	// rest wait in admission (recorded in transport.admission.wait). A
 	// keep-alive connection holds its slot only while a batch is in flight,
 	// not while idle between batches. Defaults to 16.
 	MaxSessions int
@@ -51,7 +51,7 @@ type ServiceOptions struct {
 	// IdleTimeout bounds how long a kept-alive connection may sit idle
 	// between batches before the server reaps it (a clean end, counted in
 	// transport.idle.closed — not a session error). It applies even when
-	// IOTimeout is zero, so idle v2 connections cannot accumulate forever.
+	// IOTimeout is zero, so idle connections cannot accumulate forever.
 	// Defaults to 2 minutes; negative disables the bound.
 	IdleTimeout time.Duration
 	// CacheSize is the number of compiled programs kept in the LRU shared
@@ -61,18 +61,12 @@ type ServiceOptions struct {
 	// cache: programs fall back to a bundle load before compiling, and
 	// freshly compiled programs are written back asynchronously. This is
 	// what makes restarts warm — a new process with the same store serves
-	// known programs without a single compile or preprocess — and lets v3
+	// known programs without a single compile or preprocess — and lets
 	// hash-first clients open sessions without uploading the source.
 	Store *store.Store
 	// MaxSourceBytes bounds the program source a client may send (in the
-	// hello or a v3 source upload). Zero means DefaultMaxSourceBytes.
+	// hello or a source upload). Zero means DefaultMaxSourceBytes.
 	MaxSourceBytes int
-	// MaxWireVersion caps the wire dialect this service speaks (0 means
-	// MaxProtocolVersion). A pinned service behaves exactly like an older
-	// build: hellos offering more are rejected with the cap in the error
-	// ack, which is what triggers the client's downgrade redial. Tests use
-	// this to exercise v3↔v1/v2 interop within one binary.
-	MaxWireVersion int
 	// Backends restricts the proof backends this service negotiates, in no
 	// particular order (the client's preference order decides ties). Nil
 	// means every backend registered in internal/pcp. Tests use this to
@@ -81,13 +75,11 @@ type ServiceOptions struct {
 	// Obs receives the service's counters and spans; nil uses
 	// obs.Default().
 	Obs *obs.Registry
-	// Logf, when non-nil, receives one line per failed session from Serve's
-	// accept loop.
-	Logf func(format string, args ...any)
-	// Logger receives structured per-session records (session start/end,
-	// batches served, failures), each carrying session/backend/program_hash
-	// attributes plus trace correlation when the client sent a trace. Nil
-	// disables structured logging.
+	// Logger receives structured records: per session (start/end, batches
+	// served, failures), each carrying session/backend/program_hash
+	// attributes plus trace correlation when the client sent a trace, and
+	// per service (connections refused at MaxConns, artifact-store errors).
+	// Nil disables logging.
 	Logger *slog.Logger
 	// SLOWindow is the rolling window over which the service tracks its
 	// error rate and latency quantiles, exposed as transport.slo.* gauges.
@@ -98,23 +90,20 @@ type ServiceOptions struct {
 // Service is a long-lived multi-tenant prover: it owns a cross-session LRU
 // of compiled programs (so repeat sessions for the same Ψ skip compilation
 // and QAP preprocessing) and a bounded admission semaphore (so concurrent
-// sessions share the kernel pool fairly). It speaks wire protocol v2 —
-// multiple batches per connection, reusing the negotiated program while
-// each batch brings its own commit request — and falls back to v1
-// transparently for legacy peers.
+// sessions share the kernel pool fairly). It speaks wire protocol v3 —
+// hash-first hellos, then multiple batches per connection, reusing the
+// negotiated program while each batch brings its own commit request.
 type Service struct {
 	workers     int
 	maxSessions int
 	maxBatch    int
 	maxConns    int
 	maxSource   int
-	maxVersion  int
 	ioTimeout   time.Duration
 	idleTimeout time.Duration
 	backends    []string
 	store       *store.Store
 	storeWG     sync.WaitGroup
-	logf        func(format string, args ...any)
 	log         *slog.Logger
 
 	reg     *obs.Registry
@@ -182,10 +171,6 @@ func NewService(opts ServiceOptions) *Service {
 	if maxSource <= 0 {
 		maxSource = DefaultMaxSourceBytes
 	}
-	maxVersion := opts.MaxWireVersion
-	if maxVersion <= 0 || maxVersion > MaxProtocolVersion {
-		maxVersion = MaxProtocolVersion
-	}
 	window := opts.SLOWindow
 	if window <= 0 {
 		window = obs.DefaultSLOWindow
@@ -198,12 +183,10 @@ func NewService(opts ServiceOptions) *Service {
 		maxBatch:     maxBatch,
 		maxConns:     maxConns,
 		maxSource:    maxSource,
-		maxVersion:   maxVersion,
 		ioTimeout:    opts.IOTimeout,
 		idleTimeout:  idle,
 		backends:     backends,
 		store:        opts.Store,
-		logf:         opts.Logf,
 		log:          obs.OrNop(opts.Logger),
 		reg:          reg,
 		slo:          slo,
@@ -221,8 +204,8 @@ func NewService(opts ServiceOptions) *Service {
 // Serve accepts connections on ln and serves each in its own goroutine
 // until ctx is cancelled or the listener is closed, then waits for the
 // in-flight sessions to drain. Connections beyond MaxConns — open ones,
-// computing or idle — are refused at accept. Per-session failures are
-// reported through ServiceOptions.Logf, not returned.
+// computing or idle — are refused at accept. Refusals and per-session
+// failures are logged to ServiceOptions.Logger, not returned.
 func (s *Service) Serve(ctx context.Context, ln net.Listener) error {
 	defer context.AfterFunc(ctx, func() { _ = ln.Close() })()
 	defer s.storeWG.Wait() // drain artifact write-backs before returning
@@ -239,9 +222,7 @@ func (s *Service) Serve(ctx context.Context, ln net.Listener) error {
 		if s.maxConns > 0 && s.conns.Add(1) > int64(s.maxConns) {
 			s.conns.Add(-1)
 			s.reg.Counter(MetricConnsRejected).Inc()
-			if s.logf != nil {
-				s.logf("conn %v: refused: %d connections already open (MaxConns)", conn.RemoteAddr(), s.maxConns)
-			}
+			s.log.Warn("connection refused", "remote", fmt.Sprint(conn.RemoteAddr()), "max_conns", s.maxConns)
 			_ = conn.Close()
 			continue
 		}
@@ -253,9 +234,7 @@ func (s *Service) Serve(ctx context.Context, ln net.Listener) error {
 				s.conns.Add(-1)
 				s.reg.Counter(MetricConnsOpen).Add(-1)
 			}()
-			if err := s.ServeConn(ctx, conn); err != nil && s.logf != nil {
-				s.logf("session %v: %v", conn.RemoteAddr(), err)
-			}
+			_ = s.ServeConn(ctx, conn) // ServeConn logs its own failure
 		}()
 	}
 }
@@ -305,12 +284,12 @@ func storeKeyOf(key cacheKey) store.Key {
 // cc, filling hello.Source before compiling. The prover.compile trace span
 // exists only on the compile path; a disk hit has a prover.store.load span
 // instead, which is how a warm restart is observed.
-func (s *Service) program(ctx context.Context, cc *timedCodec, hello *Hello, key cacheKey, backend string, version int) (*cacheEntry, error) {
+func (s *Service) program(ctx context.Context, cc *timedCodec, hello *Hello, key cacheKey, backend string) (*cacheEntry, error) {
 	s.mu.Lock()
 	entry, build := s.cache.lookup(key)
 	s.mu.Unlock()
 	if build {
-		s.buildEntry(ctx, cc, hello, key, backend, version, entry)
+		s.buildEntry(ctx, cc, hello, key, backend, entry)
 		if entry.err != nil {
 			s.mu.Lock()
 			s.cache.drop(key, entry)
@@ -326,7 +305,7 @@ func (s *Service) program(ctx context.Context, cc *timedCodec, hello *Hello, key
 // buildEntry runs the miss path for one cache entry: disk store, then
 // compile (requesting the source from a hash-first client when needed),
 // then an asynchronous write-back of the fresh artifact.
-func (s *Service) buildEntry(ctx context.Context, cc *timedCodec, hello *Hello, key cacheKey, backend string, version int, entry *cacheEntry) {
+func (s *Service) buildEntry(ctx context.Context, cc *timedCodec, hello *Hello, key cacheKey, backend string, entry *cacheEntry) {
 	if s.store != nil {
 		loadTr := trace.Start(ctx, "prover.store.load")
 		b, err := s.store.Load(storeKeyOf(key))
@@ -340,13 +319,13 @@ func (s *Service) buildEntry(ctx context.Context, cc *timedCodec, hello *Hello, 
 		// Anything short of a clean not-found is a damaged or incompatible
 		// bundle: log it, fall through to a compile (whose write-back
 		// atomically replaces the bad file), never fail the session over it.
-		if !errors.Is(err, store.ErrNotFound) && s.logf != nil {
-			s.logf("store: %v (recompiling)", err)
+		if !errors.Is(err, store.ErrNotFound) {
+			s.log.WarnContext(ctx, "store load failed, recompiling", "err", err.Error())
 		}
 		s.reg.Counter(MetricStoreMisses).Inc()
 	}
 	if hello.Source == "" {
-		src, err := s.requestSource(cc, key, version)
+		src, err := s.requestSource(cc, key)
 		if err != nil {
 			entry.finish(nil, nil, err)
 			return
@@ -359,11 +338,11 @@ func (s *Service) buildEntry(ctx context.Context, cc *timedCodec, hello *Hello, 
 	}
 }
 
-// requestSource runs the v3 SourceNeeded exchange: an interim ack asking
-// the client to upload, then the SourceMsg, verified against the size limit
-// and the hash the hello claimed.
-func (s *Service) requestSource(cc *timedCodec, key cacheKey, version int) (string, error) {
-	if err := cc.send(HelloAck{SourceNeeded: true, Version: version}); err != nil {
+// requestSource runs the SourceNeeded exchange: an interim ack asking the
+// client to upload, then the SourceMsg, verified against the size limit and
+// the hash the hello claimed.
+func (s *Service) requestSource(cc *timedCodec, key cacheKey) (string, error) {
+	if err := cc.send(HelloAck{SourceNeeded: true, Version: MaxProtocolVersion}); err != nil {
 		return "", err
 	}
 	var src SourceMsg
@@ -389,9 +368,7 @@ func (s *Service) writeBack(key cacheKey, entry *cacheEntry) {
 		defer s.storeWG.Done()
 		if _, err := s.store.Save(storeKeyOf(key), entry.prog, entry.pre); err != nil {
 			s.reg.Counter(MetricStoreWriteErrors).Inc()
-			if s.logf != nil {
-				s.logf("store: write-back %s: %v", storeKeyOf(key), err)
-			}
+			s.log.Error("store write-back failed", "key", storeKeyOf(key).String(), "err", err.Error())
 		}
 	}()
 }
@@ -404,7 +381,7 @@ func (s *Service) FlushStore() {
 
 // cleanHangup reports a peer hangup at a message boundary — gob sees a bare
 // io.EOF only between frames — which after at least one completed batch is
-// the clean end of a v2 keep-alive session. A peer dying mid-frame surfaces
+// the clean end of a keep-alive session. A peer dying mid-frame surfaces
 // as io.ErrUnexpectedEOF (or a reset) and stays a session error: that peer
 // believed it was mid-protocol.
 func cleanHangup(err error) bool {
@@ -417,10 +394,9 @@ func idleExpired(err error) bool {
 	return errors.Is(err, os.ErrDeadlineExceeded) || (errors.As(err, &ne) && ne.Timeout())
 }
 
-// ServeConn handles one verifier connection: negotiate the wire version,
-// resolve the program through the cache, then serve batches until the
-// session ends (one batch under v1; until a Close frame or hangup under
-// v2). The admission slot is held only while a batch — or the initial
+// ServeConn handles one verifier connection: check the hello, resolve the
+// program through the cache, then serve batches until a Close frame or a
+// hangup. The admission slot is held only while a batch — or the initial
 // compile — is in flight; an idle keep-alive connection does not count
 // against MaxSessions.
 func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
@@ -444,36 +420,31 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 	}()
 	cc := newTimedCodec(conn, s.ioTimeout)
 
+	// refuse answers the hello with an error ack.
+	refuse := func(err error) error {
+		_ = cc.send(HelloAck{Err: err.Error(), Version: MaxProtocolVersion})
+		return err
+	}
 	var hello Hello
 	if err := cc.recv(&hello); err != nil {
 		return fmt.Errorf("transport: reading hello: %w", err)
 	}
 	if err := hello.validate(s.maxSource); err != nil {
-		_ = cc.send(HelloAck{Err: err.Error(), Version: MaxProtocolVersion})
-		return err
-	}
-	version := hello.version() // ≤ MaxProtocolVersion after validate
-	if version > s.maxVersion {
-		// A service pinned below the client's offer behaves like an older
-		// build: reject, reporting the cap so the client can downgrade.
-		err := &ProtocolVersionError{Version: version, Max: s.maxVersion}
-		_ = cc.send(HelloAck{Err: err.Error(), Version: s.maxVersion})
-		return err
+		return refuse(err)
 	}
 	hashFirst := hello.hashFirst()
 
 	// Resolve the session's proof backend once; the cache key, the
 	// prover's configuration, and the ack all use this single value.
-	backend, err := negotiateBackend(hello.offered(), s.backends)
+	backend, err := negotiateBackend(hello.Backends, s.backends)
 	if err != nil {
-		_ = cc.send(HelloAck{Err: err.Error(), Version: version})
-		return err
+		return refuse(err)
 	}
 
 	// Join the verifier's trace, if it sent one, recording into a
 	// per-session ring; completed spans ship back with every ResponsesMsg.
-	// With a zero Trace (older client, or tracing off) tc is nil and every
-	// span below is a free no-op.
+	// With a zero Trace (tracing off) tc is nil and every span below is a
+	// free no-op.
 	var tc *trace.Ctx
 	if hello.Trace != 0 {
 		tc = trace.Join(trace.NewRecorder(trace.DefaultCapacity), hello.Trace, hello.TraceParent, "prover")
@@ -497,16 +468,14 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 	}()
 
 	key := keyOf(hello, backend)
-	entry, err := s.program(ctx, cc, &hello, key, backend, version)
+	entry, err := s.program(ctx, cc, &hello, key, backend)
 	if err != nil {
-		_ = cc.send(HelloAck{Err: err.Error(), Version: version})
-		return err
+		return refuse(err)
 	}
 	prog := entry.prog
 	prover, err := vc.NewProverPre(prog, hello.config(workers, nil, backend), entry.pre)
 	if err != nil {
-		_ = cc.send(HelloAck{Err: err.Error(), Version: version})
-		return err
+		return refuse(err)
 	}
 	if hashFirst && hello.Source == "" {
 		// The session opened without the source ever crossing the wire:
@@ -520,8 +489,8 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 	phash := key.labelHash()
 	s.sessionsVec.With(backend).Inc()
 	logger = logger.With(LabelBackend, backend, LabelProgramHash, phash)
-	logger.InfoContext(ctx, "session negotiated", "version", version, "workers", workers)
-	ack := HelloAck{NumInputs: prog.NumInputs(), NumOutputs: prog.NumOutputs(), Version: version, Backend: backend}
+	logger.InfoContext(ctx, "session negotiated", "workers", workers)
+	ack := HelloAck{NumInputs: prog.NumInputs(), NumOutputs: prog.NumOutputs(), Version: MaxProtocolVersion, Backend: backend}
 	if err := cc.send(ack); err != nil {
 		return err
 	}
@@ -594,9 +563,6 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 		s.batchesVec.With(backend, phash).Inc()
 		s.instancesVec.With(backend, phash).Add(int64(n))
 		logger.InfoContext(ctx, "batch served", "batch", batches, "instances", n, "dur_ms", dur.Milliseconds())
-		if version < ProtocolV2 {
-			return nil
-		}
 		s.releaseSlot()
 		admitted = false
 	}
@@ -615,16 +581,17 @@ func (s *Service) serveBatch(ctx context.Context, cc *timedCodec, prover *vc.Pro
 		_ = cc.send(CommitmentsMsg{Err: err.Error()})
 		return 0, err
 	}
-	if batch.Req != nil {
-		// The request was gob-decoded from the peer: reject malformed group
-		// parameters or ciphertexts here, as a protocol error the client
-		// sees, rather than panicking inside the commitment kernels.
-		if err := prover.HandleCommitRequest(batch.Req); err != nil {
-			_ = cc.send(CommitmentsMsg{Err: err.Error()})
-			return 0, err
-		}
-	} else if batchIdx == 0 {
-		err := fmt.Errorf("%w: first batch carries no commit request", ErrMalformedHello)
+	if batch.Req == nil {
+		// The key is per-batch: a batch without its own request would reuse
+		// the previous batch's r, which its decommit already exposed.
+		err := fmt.Errorf("transport: batch %d carries no commit request", batchIdx)
+		_ = cc.send(CommitmentsMsg{Err: err.Error()})
+		return 0, err
+	}
+	// The request was gob-decoded from the peer: reject malformed group
+	// parameters or ciphertexts here, as a protocol error the client sees,
+	// rather than panicking inside the commitment kernels.
+	if err := prover.HandleCommitRequest(batch.Req); err != nil {
 		_ = cc.send(CommitmentsMsg{Err: err.Error()})
 		return 0, err
 	}

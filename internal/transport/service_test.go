@@ -63,13 +63,10 @@ func instances(xs ...int64) [][]*big.Int {
 func TestKeepAliveMultiBatch(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2})
 	client, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("ka")})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := sess.WireVersion(); got != MaxProtocolVersion {
-		t.Fatalf("negotiated v%d, want v%d", got, MaxProtocolVersion)
 	}
 	for b, xs := range [][]int64{{10, -4}, {6}, {1, 2, 3}} {
 		res, err := sess.RunBatch(context.Background(), instances(xs...))
@@ -95,38 +92,42 @@ func TestKeepAliveMultiBatch(t *testing.T) {
 	}
 }
 
-// recordingProver is a hand-rolled v2 prover loop that hands each wire
-// message to the callbacks (either may be nil) before handling it — tests
-// use it to observe protocol-level invariants the real Service does not
-// surface.
+// acceptHello is a bare prover's side of the hello exchange: it caches
+// nothing, so it always asks for the source, then compiles it and acks the
+// hello's first offered backend.
+func acceptHello(dec *gob.Decoder, enc *gob.Encoder) (Hello, *compiler.Program, error) {
+	var h Hello
+	if err := dec.Decode(&h); err != nil {
+		return h, nil, err
+	}
+	if err := enc.Encode(HelloAck{SourceNeeded: true, Version: MaxProtocolVersion}); err != nil {
+		return h, nil, err
+	}
+	var src SourceMsg
+	if err := dec.Decode(&src); err != nil {
+		return h, nil, err
+	}
+	h.Source = src.Source
+	prog, err := compiler.Compile(h.fieldOf(), h.Source)
+	if err != nil {
+		return h, nil, err
+	}
+	ack := HelloAck{NumInputs: prog.NumInputs(), NumOutputs: prog.NumOutputs(), Version: MaxProtocolVersion, Backend: h.Backends[0]}
+	return h, prog, enc.Encode(ack)
+}
+
+// recordingProver is a hand-rolled prover loop that hands each wire message
+// to the callbacks (either may be nil) before handling it — tests use it to
+// observe protocol-level invariants the real Service does not surface.
 func recordingProver(server net.Conn, onBatch func(BatchMsg), onDecommit func(DecommitMsg)) error {
 	defer server.Close()
 	dec, enc := gob.NewDecoder(server), gob.NewEncoder(server)
-	var h Hello
-	if err := dec.Decode(&h); err != nil {
-		return err
-	}
-	if h.Source == "" {
-		// v3 hash-first hello: this bare prover caches nothing, so always
-		// ask for the source.
-		if err := enc.Encode(HelloAck{SourceNeeded: true, Version: ProtocolV2}); err != nil {
-			return err
-		}
-		var src SourceMsg
-		if err := dec.Decode(&src); err != nil {
-			return err
-		}
-		h.Source = src.Source
-	}
-	prog, err := compiler.Compile(h.fieldOf(), h.Source)
+	h, prog, err := acceptHello(dec, enc)
 	if err != nil {
 		return err
 	}
-	prover, err := vc.NewProver(prog, h.config(1, nil, h.offered()[0]))
+	prover, err := vc.NewProver(prog, h.config(1, nil, h.Backends[0]))
 	if err != nil {
-		return err
-	}
-	if err := enc.Encode(HelloAck{NumInputs: prog.NumInputs(), NumOutputs: prog.NumOutputs(), Version: ProtocolV2}); err != nil {
 		return err
 	}
 	for {
@@ -140,10 +141,8 @@ func recordingProver(server net.Conn, onBatch func(BatchMsg), onDecommit func(De
 		if onBatch != nil {
 			onBatch(b)
 		}
-		if b.Req != nil {
-			if err := prover.HandleCommitRequest(b.Req); err != nil {
-				return err
-			}
+		if err := prover.HandleCommitRequest(b.Req); err != nil {
+			return err
 		}
 		n := len(b.Instances)
 		states := make([]*vc.InstanceState, n)
@@ -188,12 +187,12 @@ func TestServiceRejectsMaliciousCommitRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1}
 	prog, err := compiler.Compile(hello.fieldOf(), hello.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := hello.config(1, []byte("mal-seed"), hello.offered()[0])
+	cfg := hello.config(1, []byte("mal-seed"), pcp.BackendZaatar)
 	cfg.Group = g
 	ver, err := vc.NewVerifier(prog, cfg)
 	if err != nil {
@@ -205,7 +204,7 @@ func TestServiceRejectsMaliciousCommitRequest(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2})
 	client, errCh := servicePipe(svc)
 	cc := newTimedCodec(client, 5*time.Second)
-	if err := cc.send(hello); err != nil {
+	if err := cc.send(wireHello(hello)); err != nil {
 		t.Fatal(err)
 	}
 	var ack HelloAck
@@ -273,7 +272,7 @@ func TestKeepAliveRekeysPerBatch(t *testing.T) {
 			mu.Unlock()
 		}, nil)
 	}()
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1}
 	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("kc"), Group: g})
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +318,7 @@ func TestKeepAliveFreshSeeds(t *testing.T) {
 			mu.Unlock()
 		})
 	}()
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("fs")})
 	if err != nil {
 		t.Fatal(err)
@@ -342,25 +341,25 @@ func TestKeepAliveFreshSeeds(t *testing.T) {
 }
 
 // TestDistributedLateLegActivation keeps a second prover leg idle through
-// the first batch (one instance, one chunk) and activates it on the second:
-// its first BatchMsg arrives at session-batch 1, which must still carry the
-// commit request the server requires on a connection's first batch.
+// the first shard and activates it on the second, under a reseeded
+// verifier: its first BatchMsg arrives after the other leg's, and must
+// carry its own commit request like every batch.
 func TestDistributedLateLegActivation(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2})
 	c1, errCh1 := servicePipe(svc)
 	c2, errCh2 := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	sess, err := NewSession(context.Background(), []net.Conn{c1, c2}, hello, ClientOptions{Seed: []byte("ll")})
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
+	ctx := context.Background()
+	sess, err := NewSession(ctx, []net.Conn{c1, c2}, hello, ClientOptions{Seed: []byte("ll")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b, xs := range [][]int64{{5}, {1, 2, 3}} {
-		res, err := sess.RunBatch(context.Background(), instances(xs...))
-		if err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
-		checkBatch(t, res, xs)
+	v := sess.Verifier()
+	checkBatch(t, proveShard(t, sess, v, 0, instances(5)), []int64{5})
+	if err := v.Reseed(ctx, []byte("ll-2")); err != nil {
+		t.Fatal(err)
 	}
+	checkBatch(t, proveShard(t, sess, v, 1, instances(1, 2, 3)), []int64{1, 2, 3})
 	sess.Close()
 	if err := <-errCh1; err != nil {
 		t.Fatalf("leg 1 server: %v", err)
@@ -373,13 +372,76 @@ func TestDistributedLateLegActivation(t *testing.T) {
 	}
 }
 
+// TestBatchWithoutCommitRequestRefused: every batch must carry its own
+// commit request. A batch after the first without one — what a client
+// reusing the previous batch's key would send — is refused in the commit
+// phase instead of being served under the exposed key.
+func TestBatchWithoutCommitRequestRefused(t *testing.T) {
+	svc, reg := testService(ServiceOptions{Workers: 1})
+	client, errCh := servicePipe(svc)
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
+	prog, err := compiler.Compile(hello.fieldOf(), hello.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := vc.NewVerifier(prog, hello.config(1, []byte("nr"), pcp.BackendZaatar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := newTimedCodec(client, 5*time.Second)
+	if err := cc.send(wireHello(hello)); err != nil {
+		t.Fatal(err)
+	}
+	var ack HelloAck
+	if err := cc.recv(&ack); err != nil || ack.Err != "" {
+		t.Fatalf("hello failed: %v %q", err, ack.Err)
+	}
+	// Batch 0, honest and complete.
+	if err := cc.send(BatchMsg{Req: v.Setup(), Instances: instances(4)}); err != nil {
+		t.Fatal(err)
+	}
+	var cms CommitmentsMsg
+	if err := cc.recv(&cms); err != nil || cms.Err != "" {
+		t.Fatalf("batch 0 commit: %v %q", err, cms.Err)
+	}
+	dreq, err := v.Decommit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.send(DecommitMsg{Req: dreq}); err != nil {
+		t.Fatal(err)
+	}
+	var resp ResponsesMsg
+	if err := cc.recv(&resp); err != nil || resp.Err != "" {
+		t.Fatalf("batch 0 respond: %v %q", err, resp.Err)
+	}
+	// Batch 1 with no commit request.
+	if err := cc.send(BatchMsg{Instances: instances(5)}); err != nil {
+		t.Fatal(err)
+	}
+	cms = CommitmentsMsg{}
+	if err := cc.recv(&cms); err != nil {
+		t.Fatalf("server dropped the connection instead of refusing: %v", err)
+	}
+	if cms.Err == "" || len(cms.Items) != 0 {
+		t.Fatalf("batch without a commit request served: %q, %d commitments", cms.Err, len(cms.Items))
+	}
+	client.Close()
+	if err := <-errCh; err == nil {
+		t.Fatal("server reported success for a batch without a commit request")
+	}
+	if got := reg.Counter(MetricServedBatches).Value(); got != 1 {
+		t.Fatalf("batches = %d, want 1", got)
+	}
+}
+
 // TestIdleTimeoutReapsConnection parks a keep-alive connection after one
 // batch: the server must reap it at IdleTimeout as a clean end (nil error,
 // transport.idle.closed), not a session failure.
 func TestIdleTimeoutReapsConnection(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 1, IdleTimeout: 200 * time.Millisecond})
 	client, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("id")})
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +486,7 @@ func TestMaxConnsRefusesExcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	sess, err := NewSession(context.Background(), []net.Conn{conn1}, hello, ClientOptions{Seed: []byte("mc")})
 	if err != nil {
 		t.Fatal(err)
@@ -464,7 +526,7 @@ func TestMaxConnsRefusesExcess(t *testing.T) {
 func TestMidFrameHangupIsError(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 1})
 	client, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("mf")})
 	if err != nil {
 		t.Fatal(err)
@@ -486,169 +548,160 @@ func TestMidFrameHangupIsError(t *testing.T) {
 	}
 }
 
-// TestV1PeerSingleBatch pins the client to wire v1: the session still
-// works, but a second batch on the same connection is refused client-side
-// and the server ends after one batch.
+// TestV1PeerSingleBatch: a v1 peer, which opened a connection for a single
+// batch, is refused at the hello with the version this build speaks, and
+// the server serves it no batch.
 func TestV1PeerSingleBatch(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 1})
 	client, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true, Version: ProtocolV1}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("v1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if got := sess.WireVersion(); got != ProtocolV1 {
-		t.Fatalf("negotiated v%d, want v%d", got, ProtocolV1)
-	}
-	res, err := sess.RunBatch(context.Background(), instances(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBatch(t, res, []int64{10})
-	if _, err := sess.RunBatch(context.Background(), instances(11)); !errors.Is(err, ErrSingleBatch) {
-		t.Fatalf("second v1 batch: err = %v, want ErrSingleBatch", err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	if got := reg.Counter(MetricServedBatches).Value(); got != 1 {
-		t.Fatalf("batches = %d, want 1", got)
-	}
-}
-
-// legacyBatchMsg mirrors BatchMsg before the Close field existed.
-type legacyBatchMsg struct {
-	Req       *vc.CommitRequest
-	Instances [][]*big.Int
-}
-
-// TestLegacyGobClient drives the v2 service with a verbatim pre-versioning
-// client: hello without Version, batch without Close, responses without
-// Trace. Gob's unknown-field semantics carry both directions, and the
-// server treats the session as v1 (one batch, clean end).
-func TestLegacyGobClient(t *testing.T) {
-	svc, _ := testService(ServiceOptions{Workers: 1})
-	client, errCh := servicePipe(svc)
-	defer client.Close()
-	enc, dec := gob.NewEncoder(client), gob.NewDecoder(client)
-
-	if err := enc.Encode(legacyHello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}); err != nil {
-		t.Fatal(err)
-	}
-	var ack HelloAck
-	if err := dec.Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Err != "" {
-		t.Fatalf("ack: %s", ack.Err)
-	}
-	if ack.Version != ProtocolV1 {
-		t.Fatalf("server negotiated v%d with a pre-versioning client, want v%d", ack.Version, ProtocolV1)
-	}
-
-	prog, err := compiler.Compile(field.F128(), sessionSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := vc.Config{Params: pcp.Params{RhoLin: 2, Rho: 2}, NoCommitment: true, Seed: []byte("legacy")}
-	verifier, err := vc.NewVerifier(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []*big.Int{big.NewInt(9)}
-	if err := enc.Encode(legacyBatchMsg{Req: verifier.Setup(), Instances: [][]*big.Int{in}}); err != nil {
-		t.Fatal(err)
-	}
-	var cms CommitmentsMsg
-	if err := dec.Decode(&cms); err != nil {
-		t.Fatal(err)
-	}
-	if cms.Err != "" || len(cms.Items) != 1 {
-		t.Fatalf("commitments: %q, %d items", cms.Err, len(cms.Items))
-	}
-	dreq, err := verifier.Decommit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(DecommitMsg{Req: dreq}); err != nil {
-		t.Fatal(err)
-	}
-	var resp legacyResponsesMsg
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" || len(resp.Items) != 1 {
-		t.Fatalf("responses: %q, %d items", resp.Err, len(resp.Items))
-	}
-	ok, reason := verifier.VerifyInstance(context.Background(), in, cms.Items[0], resp.Items[0])
-	if !ok {
-		t.Fatalf("rejected: %s", reason)
-	}
-	client.Close()
-	if err := <-errCh; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-}
-
-// TestV2ClientLegacyServer is the mirror: the new Session against a
-// pre-versioning prover. The missing ack.Version negotiates the session
-// down to v1; the batch runs, and keep-alive is refused.
-func TestV2ClientLegacyServer(t *testing.T) {
-	client, server := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() { errCh <- serveLegacy(server) }()
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("lv")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if got := sess.WireVersion(); got != ProtocolV1 {
-		t.Fatalf("negotiated v%d against a legacy server, want v%d", got, ProtocolV1)
-	}
-	res, err := sess.RunBatch(context.Background(), instances(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBatch(t, res, []int64{8})
-	if err := <-errCh; err != nil {
-		t.Fatalf("legacy server: %v", err)
-	}
-	if _, err := sess.RunBatch(context.Background(), instances(9)); !errors.Is(err, ErrSingleBatch) {
-		t.Fatalf("err = %v, want ErrSingleBatch", err)
-	}
-}
-
-// TestProtocolVersionErrorTyped covers the typed validate error on both
-// ends: locally via errors.As, and over the wire where the server reports
-// it in the ack and survives.
-func TestProtocolVersionErrorTyped(t *testing.T) {
-	h := Hello{Source: sessionSrc, Version: 99}
-	var vErr *ProtocolVersionError
-	if err := h.validate(0); !errors.As(err, &vErr) {
-		t.Fatalf("validate: %v, want *ProtocolVersionError", err)
-	} else if vErr.Version != 99 || vErr.Max != MaxProtocolVersion {
-		t.Fatalf("version error: %+v", vErr)
-	}
-
-	svc, _ := testService(ServiceOptions{Workers: 1})
-	client, errCh := servicePipe(svc)
 	defer client.Close()
 	cc := newTimedCodec(client, 5*time.Second)
-	if err := cc.send(h); err != nil {
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true, Version: 1}
+	if err := cc.send(hello); err != nil {
 		t.Fatal(err)
 	}
 	var ack HelloAck
 	if err := cc.recv(&ack); err != nil {
 		t.Fatal(err)
 	}
+	if ack.Err == "" || ack.Version != MaxProtocolVersion {
+		t.Fatalf("ack %+v, want an error ack stamped v%d", ack, MaxProtocolVersion)
+	}
+	var vErr *ProtocolVersionError
+	if err := <-errCh; !errors.As(err, &vErr) || vErr.Version != 1 || vErr.Max != MaxProtocolVersion {
+		t.Fatalf("server err = %v, want *ProtocolVersionError{1, %d}", err, MaxProtocolVersion)
+	}
+	if got := reg.Counter(MetricServedBatches).Value(); got != 0 {
+		t.Fatalf("batches = %d, want 0", got)
+	}
+}
+
+// legacyHello mirrors Hello before versioning and backend negotiation: the
+// backend was a Ginger bool.
+type legacyHello struct {
+	Source       string
+	Field220     bool
+	Ginger       bool
+	RhoLin, Rho  int
+	NoCommitment bool
+}
+
+// TestLegacyGobClient drives the service with a verbatim pre-versioning
+// client: its gob hello has no Version, Backends or trace fields. Gob
+// decodes it with a zero Version, and the server refuses it with the
+// version it speaks in an error ack the old client can still decode.
+func TestLegacyGobClient(t *testing.T) {
+	svc, reg := testService(ServiceOptions{Workers: 1})
+	client, errCh := servicePipe(svc)
+	defer client.Close()
+	enc, dec := gob.NewEncoder(client), gob.NewDecoder(client)
+	if err := enc.Encode(legacyHello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}); err != nil {
+		t.Fatal(err)
+	}
+	var ack struct{ Err string } // the ack as the legacy client decoded it
+	if err := dec.Decode(&ack); err != nil {
+		t.Fatal(err)
+	}
 	if ack.Err == "" {
-		t.Fatal("server accepted an unknown wire version")
+		t.Fatal("server accepted a pre-versioning hello")
+	}
+	var vErr *ProtocolVersionError
+	if err := <-errCh; !errors.As(err, &vErr) || vErr.Version != 0 || vErr.Max != MaxProtocolVersion {
+		t.Fatalf("server err = %v, want *ProtocolVersionError{0, %d}", err, MaxProtocolVersion)
+	}
+	if got := reg.Counter(MetricCacheMisses).Value(); got != 0 {
+		t.Fatalf("refused hello reached the program cache (%d misses)", got)
+	}
+}
+
+// ackingServer reads one hello and answers it with ack, whatever it says —
+// a stand-in for a prover from another build.
+func ackingServer(conn net.Conn, ack HelloAck) error {
+	defer conn.Close()
+	dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+	var h Hello
+	if err := dec.Decode(&h); err != nil {
+		return err
+	}
+	return enc.Encode(ack)
+}
+
+// TestV2ClientLegacyServer: the client refuses an ack stamped with any
+// version but its own — v2 keep-alive and pre-versioning servers included —
+// and an otherwise successful ack that picks no backend.
+func TestV2ClientLegacyServer(t *testing.T) {
+	shape := HelloAck{NumInputs: 1, NumOutputs: 2}
+	for _, c := range []struct {
+		name    string
+		version int
+		backend string
+	}{
+		{"pre-versioning", 0, ""},
+		{"v2", 2, pcp.BackendZaatar},
+		{"v4", 4, pcp.BackendZaatar},
+		{"no backend", MaxProtocolVersion, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			ack := shape
+			ack.Version, ack.Backend = c.version, c.backend
+			go func() { _ = ackingServer(server, ack) }()
+			hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
+			_, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{})
+			var vErr *ProtocolVersionError
+			if c.version != MaxProtocolVersion {
+				if !errors.As(err, &vErr) || vErr.Version != c.version || vErr.Max != MaxProtocolVersion {
+					t.Fatalf("err = %v, want *ProtocolVersionError{%d, %d}", err, c.version, MaxProtocolVersion)
+				}
+			} else if !errors.Is(err, ErrNoCommonBackend) {
+				t.Fatalf("err = %v, want ErrNoCommonBackend", err)
+			}
+		})
+	}
+}
+
+// TestProtocolVersionErrorTyped covers the typed version refusal on both
+// ends: locally via errors.As for every version but the one spoken, and
+// over the wire for a newer peer, where the server reports it in an error
+// ack stamped with its own version and survives.
+func TestProtocolVersionErrorTyped(t *testing.T) {
+	var vErr *ProtocolVersionError
+	for _, v := range []int{0, 1, 2, 4} {
+		h := Hello{Source: sessionSrc, Backends: zaatarOnly, Version: v}
+		if err := h.validate(0); !errors.As(err, &vErr) {
+			t.Fatalf("validate v%d: %v, want *ProtocolVersionError", v, err)
+		} else if vErr.Version != v || vErr.Max != MaxProtocolVersion {
+			t.Fatalf("version error: %+v", vErr)
+		}
+	}
+
+	svc, _ := testService(ServiceOptions{Workers: 1})
+	client, errCh := servicePipe(svc)
+	defer client.Close()
+	cc := newTimedCodec(client, 5*time.Second)
+	if err := cc.send(Hello{Source: sessionSrc, Backends: zaatarOnly, Version: 4}); err != nil {
+		t.Fatal(err)
+	}
+	var ack HelloAck
+	if err := cc.recv(&ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Err == "" || ack.Version != MaxProtocolVersion {
+		t.Fatalf("ack %+v, want an error ack stamped v%d", ack, MaxProtocolVersion)
 	}
 	serr := <-errCh
-	if !errors.As(serr, &vErr) {
-		t.Fatalf("server error: %v, want *ProtocolVersionError", serr)
+	if !errors.As(serr, &vErr) || vErr.Version != 4 || vErr.Max != MaxProtocolVersion {
+		t.Fatalf("server error: %v, want *ProtocolVersionError{4, %d}", serr, MaxProtocolVersion)
+	}
+	// The same service still opens a v3 session.
+	client2, errCh2 := servicePipe(svc)
+	if _, err := oneBatch(context.Background(), client2, Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true},
+		ClientOptions{}, instances(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh2; err != nil {
+		t.Fatalf("v3 session after a refusal: %v", err)
 	}
 }
 
@@ -658,13 +711,13 @@ func TestProtocolVersionErrorTyped(t *testing.T) {
 // its trace.
 func TestCacheHitSkipsCompile(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 1})
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	var traces [][]trace.Record
 	for i := 0; i < 2; i++ {
 		tc := trace.New(trace.NewRecorder(4096), "verifier")
 		ctx := trace.NewContext(context.Background(), tc)
 		client, errCh := servicePipe(svc)
-		res, err := RunSession(ctx, client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(4))
+		res, err := oneBatch(ctx, client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(4))
 		client.Close()
 		if serr := <-errCh; serr != nil {
 			t.Fatalf("session %d server: %v", i, serr)
@@ -704,9 +757,9 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			prog := i % 4
-			hello := Hello{Source: cacheTestSrc(prog), RhoLin: 1, Rho: 1, NoCommitment: true}
+			hello := Hello{Source: cacheTestSrc(prog), Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 			client, errCh := servicePipe(svc)
-			res, err := RunSession(context.Background(), client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i)))
+			res, err := oneBatch(context.Background(), client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i)))
 			client.Close()
 			if serr := <-errCh; serr != nil {
 				errs <- fmt.Errorf("session %d server: %w", i, serr)
@@ -743,7 +796,7 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 // singleflight cache compiles once, and the active gauge returns to zero.
 func TestAdmissionConcurrentSessions(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 4, MaxSessions: 3})
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -751,7 +804,7 @@ func TestAdmissionConcurrentSessions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
-			res, err := RunSession(context.Background(), client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i), int64(i)+1))
+			res, err := oneBatch(context.Background(), client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i), int64(i)+1))
 			client.Close()
 			if serr := <-errCh; serr != nil {
 				errs <- fmt.Errorf("session %d server: %w", i, serr)
@@ -798,8 +851,8 @@ func TestServeDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	res, err := RunSession(context.Background(), conn, hello, ClientOptions{Seed: []byte("sv")}, instances(12))
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
+	res, err := oneBatch(context.Background(), conn, hello, ClientOptions{Seed: []byte("sv")}, instances(12))
 	conn.Close()
 	if err != nil || !res.AllAccepted() {
 		t.Fatalf("session over Serve: %v %v", err, res)
@@ -820,7 +873,7 @@ func TestServeDrain(t *testing.T) {
 func TestCloseFrameBeforeAnyBatch(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 1})
 	client, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)

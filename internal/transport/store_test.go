@@ -9,20 +9,11 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"zaatar/internal/pcp"
 	"zaatar/internal/store"
 )
-
-// redialTo gives a client the downgrade/retry path against svc: every call
-// opens a fresh pipe served by a new ServeConn goroutine.
-func redialTo(svc *Service) func(context.Context, int) (net.Conn, error) {
-	return func(context.Context, int) (net.Conn, error) {
-		client, server := net.Pipe()
-		go func() { _ = svc.ServeConn(context.Background(), server) }()
-		return client, nil
-	}
-}
 
 func openStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
@@ -40,12 +31,12 @@ func openStore(t *testing.T, dir string) *store.Store {
 // through the client's own trace.
 func TestStoreWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 
 	svc1, reg1 := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client1, errCh1 := servicePipe(svc1)
-	res, err := RunSession(context.Background(), client1, hello,
-		ClientOptions{Seed: []byte("w1"), Redial: redialTo(svc1)}, instances(10))
+	res, err := oneBatch(context.Background(), client1, hello,
+		ClientOptions{Seed: []byte("w1")}, instances(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +63,8 @@ func TestStoreWarmRestart(t *testing.T) {
 	svc2, reg2 := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	ctx2, tc2 := tracedContext(t)
 	client2, errCh2 := servicePipe(svc2)
-	res, err = RunSession(ctx2, client2, hello,
-		ClientOptions{Seed: []byte("w2"), Redial: redialTo(svc2)}, instances(7))
+	res, err = oneBatch(ctx2, client2, hello,
+		ClientOptions{Seed: []byte("w2")}, instances(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +105,11 @@ func TestStoreWarmRestart(t *testing.T) {
 // off the memory tier with no upload at all.
 func TestHashFirstMemoryWarm(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2})
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 	for i, want := range []int64{0, 1} {
 		client, errCh := servicePipe(svc)
-		res, err := RunSession(context.Background(), client, hello,
-			ClientOptions{Seed: []byte{byte(i)}, Redial: redialTo(svc)}, instances(5))
+		res, err := oneBatch(context.Background(), client, hello,
+			ClientOptions{Seed: []byte{byte(i)}}, instances(5))
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -137,71 +128,64 @@ func TestHashFirstMemoryWarm(t *testing.T) {
 	}
 }
 
-// TestHashFirstDowngradeInterop pins the server below v3: the hash-first
-// hello is rejected exactly like an older build would, and the client's
-// redial retry lands the session on the server's dialect with the full
-// source.
+// TestHashFirstDowngradeInterop: a server from before hash-first hellos
+// rejected one with its own, older version in the error ack, which used to
+// make the client redial with the full source. The client now takes the
+// rejection as final: it fails in the hello phase over the one connection
+// it was given, without uploading the source.
 func TestHashFirstDowngradeInterop(t *testing.T) {
-	for _, pin := range []int{ProtocolV1, ProtocolV2} {
-		svc, reg := testService(ServiceOptions{Workers: 2, MaxWireVersion: pin})
-		client, errCh := servicePipe(svc)
-		hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-		sess, err := NewSession(context.Background(), []net.Conn{client}, hello,
-			ClientOptions{Seed: []byte("dg"), Redial: redialTo(svc)})
-		if err != nil {
-			t.Fatalf("pin v%d: %v", pin, err)
+	client, server := net.Pipe()
+	defer client.Close()
+	got := make(chan Hello, 1)
+	go func() {
+		defer server.Close()
+		dec, enc := gob.NewDecoder(server), gob.NewEncoder(server)
+		var h Hello
+		if dec.Decode(&h) != nil {
+			return
 		}
-		if got := sess.WireVersion(); got != pin {
-			t.Fatalf("pin v%d: negotiated v%d", pin, got)
-		}
-		res, err := sess.RunBatch(context.Background(), instances(4))
-		if err != nil {
-			t.Fatalf("pin v%d: %v", pin, err)
-		}
-		checkBatch(t, res, []int64{4})
-		sess.Close()
-		// The first connection died on the version rejection — that is the
-		// downgrade signal, and the server reports it as such.
-		var vErr *ProtocolVersionError
-		if err := <-errCh; !errors.As(err, &vErr) {
-			t.Fatalf("pin v%d: first conn error %v, want *ProtocolVersionError", pin, err)
-		} else if vErr.Max != pin {
-			t.Fatalf("pin v%d: rejection reported max v%d", pin, vErr.Max)
-		}
-		if got := reg.Counter(MetricHelloSourceSkipped).Value(); got != 0 {
-			t.Fatalf("pin v%d: downgraded session skipped %d uploads", pin, got)
-		}
+		got <- h
+		_ = enc.Encode(HelloAck{Err: "transport: malformed hello: empty source", Version: 2})
+	}()
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
+	_, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{})
+	var rErr *RemoteError
+	if !errors.As(err, &rErr) || rErr.Phase != "hello" {
+		t.Fatalf("err = %v, want a hello-phase RemoteError", err)
+	}
+	if h := <-got; h.Source != "" || len(h.SourceHash) != sha256.Size || h.Version != MaxProtocolVersion {
+		t.Fatalf("client sent %d source bytes, a %d-byte hash, v%d; want a v%d hash-only hello",
+			len(h.Source), len(h.SourceHash), h.Version, MaxProtocolVersion)
 	}
 }
 
-// TestPinnedV2ClientAgainstV3Server is the reverse interop direction: a
-// client pinning the pre-hash-first dialect sends the full source, the v3
-// server serves it — and still writes the bundle back, so even legacy
-// clients warm the store.
+// TestPinnedV2ClientAgainstV3Server: a client from before hash-first hellos
+// sends its full source stamped v2. The server refuses it with the version
+// it speaks, before any compile — so, unlike when v2 was served, the
+// session does not warm the artifact store.
 func TestPinnedV2ClientAgainstV3Server(t *testing.T) {
 	dir := t.TempDir()
 	svc, _ := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true, Version: ProtocolV2}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("v2")})
-	if err != nil {
+	defer client.Close()
+	cc := newTimedCodec(client, 5*time.Second)
+	if err := cc.send(Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true, Version: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.WireVersion(); got != ProtocolV2 {
-		t.Fatalf("negotiated v%d, want v%d", got, ProtocolV2)
-	}
-	res, err := sess.RunBatch(context.Background(), instances(6))
-	if err != nil {
+	var ack HelloAck
+	if err := cc.recv(&ack); err != nil {
 		t.Fatal(err)
 	}
-	checkBatch(t, res, []int64{6})
-	sess.Close()
-	if err := <-errCh; err != nil {
-		t.Fatalf("server: %v", err)
+	if ack.Err == "" || ack.Version != MaxProtocolVersion {
+		t.Fatalf("ack %+v, want an error ack stamped v%d", ack, MaxProtocolVersion)
+	}
+	var vErr *ProtocolVersionError
+	if err := <-errCh; !errors.As(err, &vErr) || vErr.Version != 2 || vErr.Max != MaxProtocolVersion {
+		t.Fatalf("server err = %v, want *ProtocolVersionError{2, %d}", err, MaxProtocolVersion)
 	}
 	svc.FlushStore()
-	if !openStore(t, dir).Contains(store.KeyFor(sessionSrc, "F128", pcp.BackendZaatar)) {
-		t.Fatal("v2 session did not warm the store")
+	if openStore(t, dir).Contains(store.KeyFor(sessionSrc, "F128", pcp.BackendZaatar)) {
+		t.Fatal("a refused v2 session wrote a bundle")
 	}
 }
 
@@ -211,7 +195,7 @@ func TestPinnedV2ClientAgainstV3Server(t *testing.T) {
 func TestConcurrentColdCompileSingleflight(t *testing.T) {
 	const n = 6
 	svc, reg := testService(ServiceOptions{Workers: 2, MaxSessions: n})
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -219,8 +203,8 @@ func TestConcurrentColdCompileSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
-			res, err := RunSession(context.Background(), client, hello,
-				ClientOptions{Seed: []byte{byte(i)}, Redial: redialTo(svc)}, instances(int64(i+1)))
+			res, err := oneBatch(context.Background(), client, hello,
+				ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i+1)))
 			if err == nil && !res.AllAccepted() {
 				err = errors.New("batch rejected")
 			}
@@ -252,12 +236,12 @@ func TestConcurrentColdCompileSingleflight(t *testing.T) {
 // exactly once, nothing compiles, and no session uploads the source.
 func TestConcurrentColdDiskLoadSingleflight(t *testing.T) {
 	dir := t.TempDir()
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 
 	seed, _ := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client0, errCh0 := servicePipe(seed)
-	if _, err := RunSession(context.Background(), client0, hello,
-		ClientOptions{Seed: []byte("s"), Redial: redialTo(seed)}, instances(3)); err != nil {
+	if _, err := oneBatch(context.Background(), client0, hello,
+		ClientOptions{Seed: []byte("s")}, instances(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh0; err != nil {
@@ -274,8 +258,8 @@ func TestConcurrentColdDiskLoadSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
-			res, err := RunSession(context.Background(), client, hello,
-				ClientOptions{Seed: []byte{byte(i)}, Redial: redialTo(svc)}, instances(int64(i+1)))
+			res, err := oneBatch(context.Background(), client, hello,
+				ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i+1)))
 			if err == nil && !res.AllAccepted() {
 				err = errors.New("batch rejected")
 			}
@@ -307,13 +291,13 @@ func TestConcurrentColdDiskLoadSingleflight(t *testing.T) {
 // atomically replaces the damaged file.
 func TestStoreCorruptBundleRecompiles(t *testing.T) {
 	dir := t.TempDir()
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 	key := store.KeyFor(sessionSrc, "F128", pcp.BackendZaatar)
 
 	seed, _ := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client0, errCh0 := servicePipe(seed)
-	if _, err := RunSession(context.Background(), client0, hello,
-		ClientOptions{Seed: []byte("s"), Redial: redialTo(seed)}, instances(3)); err != nil {
+	if _, err := oneBatch(context.Background(), client0, hello,
+		ClientOptions{Seed: []byte("s")}, instances(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh0; err != nil {
@@ -333,8 +317,8 @@ func TestStoreCorruptBundleRecompiles(t *testing.T) {
 
 	svc, reg := testService(ServiceOptions{Workers: 2, Store: st})
 	client, errCh := servicePipe(svc)
-	res, err := RunSession(context.Background(), client, hello,
-		ClientOptions{Seed: []byte("c"), Redial: redialTo(svc)}, instances(9))
+	res, err := oneBatch(context.Background(), client, hello,
+		ClientOptions{Seed: []byte("c")}, instances(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +363,8 @@ func TestStoreParentFormatBundleRecompiles(t *testing.T) {
 			svc, reg := testService(ServiceOptions{Workers: 2, Store: st})
 			ctx, tc := tracedContext(t)
 			client, errCh := servicePipe(svc)
-			res, err := RunSession(ctx, client, Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true},
-				ClientOptions{Seed: []byte(code), Redial: redialTo(svc)}, instances(5))
+			res, err := oneBatch(ctx, client, Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true},
+				ClientOptions{Seed: []byte(code)}, instances(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,25 +390,30 @@ func TestStoreParentFormatBundleRecompiles(t *testing.T) {
 }
 
 // TestMaxSourceBytes covers the configurable source bound on both ingestion
-// paths: the plain hello and the v3 source upload.
+// paths: a source inline in the hello and a source upload.
 func TestMaxSourceBytes(t *testing.T) {
-	if err := (Hello{Source: sessionSrc, Version: ProtocolV2}).validate(16); !errors.Is(err, ErrSourceTooLarge) {
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true, Version: MaxProtocolVersion}
+	if err := hello.validate(16); !errors.Is(err, ErrSourceTooLarge) {
 		t.Fatalf("validate: %v, want ErrSourceTooLarge", err)
 	}
-	if err := (Hello{Source: sessionSrc, Version: ProtocolV2}).validate(0); err != nil {
+	if err := hello.validate(0); err != nil {
 		t.Fatalf("default limit rejected a tiny source: %v", err)
 	}
 
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
 	t.Run("hello", func(t *testing.T) {
 		svc, _ := testService(ServiceOptions{Workers: 1, MaxSourceBytes: 16})
 		client, errCh := servicePipe(svc)
-		h := hello
-		h.Version = ProtocolV2 // full source rides in the hello
-		_, err := RunSession(context.Background(), client, h, ClientOptions{}, instances(2))
-		var rErr *RemoteError
-		if !errors.As(err, &rErr) || rErr.Phase != "hello" {
-			t.Fatalf("client err = %v, want hello-phase RemoteError", err)
+		defer client.Close()
+		cc := newTimedCodec(client, 5*time.Second)
+		if err := cc.send(hello); err != nil {
+			t.Fatal(err)
+		}
+		var ack HelloAck
+		if err := cc.recv(&ack); err != nil {
+			t.Fatal(err)
+		}
+		if ack.Err == "" {
+			t.Fatal("server accepted an oversized inline source")
 		}
 		if err := <-errCh; !errors.Is(err, ErrSourceTooLarge) {
 			t.Fatalf("server err = %v, want ErrSourceTooLarge", err)
@@ -433,8 +422,7 @@ func TestMaxSourceBytes(t *testing.T) {
 	t.Run("upload", func(t *testing.T) {
 		svc, _ := testService(ServiceOptions{Workers: 1, MaxSourceBytes: 16})
 		client, errCh := servicePipe(svc)
-		_, err := RunSession(context.Background(), client, hello,
-			ClientOptions{Redial: redialTo(svc)}, instances(2))
+		_, err := oneBatch(context.Background(), client, hello, ClientOptions{}, instances(2))
 		var rErr *RemoteError
 		if !errors.As(err, &rErr) || rErr.Phase != "hello" {
 			t.Fatalf("client err = %v, want hello-phase RemoteError", err)
@@ -445,8 +433,9 @@ func TestMaxSourceBytes(t *testing.T) {
 	})
 }
 
-// TestSourceUploadHashMismatch speaks raw v3 and uploads a source that does
-// not match the hello's digest; the server must refuse to compile it.
+// TestSourceUploadHashMismatch speaks the wire by hand and uploads a source
+// that does not match the hello's digest; the server must refuse to compile
+// it.
 func TestSourceUploadHashMismatch(t *testing.T) {
 	svc, _ := testService(ServiceOptions{Workers: 1})
 	client, errCh := servicePipe(svc)
@@ -454,7 +443,7 @@ func TestSourceUploadHashMismatch(t *testing.T) {
 	enc, dec := gob.NewEncoder(client), gob.NewDecoder(client)
 
 	claimed := sha256.Sum256([]byte(sessionSrc))
-	h := Hello{Version: ProtocolV3, SourceHash: claimed[:], RhoLin: 1, Rho: 1, NoCommitment: true}
+	h := Hello{Version: MaxProtocolVersion, Backends: zaatarOnly, SourceHash: claimed[:], RhoLin: 1, Rho: 1, NoCommitment: true}
 	if err := enc.Encode(h); err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +468,7 @@ func TestSourceUploadHashMismatch(t *testing.T) {
 	}
 
 	// Mismatch inside one hello is caught by validation directly.
-	bad := Hello{Source: sessionSrc, SourceHash: make([]byte, sha256.Size), Version: ProtocolV3}
+	bad := Hello{Source: sessionSrc, Backends: zaatarOnly, SourceHash: make([]byte, sha256.Size), Version: MaxProtocolVersion}
 	if err := bad.validate(0); !errors.Is(err, ErrMalformedHello) {
 		t.Fatalf("validate: %v, want ErrMalformedHello", err)
 	}

@@ -5,31 +5,26 @@
 // query material crossing the wire is one encrypted commitment vector, a
 // PRG seed, and the consistency points, rather than full query sets.
 //
-// Three wire dialects are spoken. v1 is the original
-// one-batch-per-connection exchange. v2 adds session keep-alive: after
-// version negotiation in the hello/ack, a connection carries any number of
-// batches, all reusing the negotiated program (and, server-side, its cached
-// compilation and QAP precomputation), so repeat batches skip compilation
-// and negotiation. Each batch still carries its own commit request: the
+// One wire dialect is spoken, protocol v3. The hello names the program by
+// sha256(source); the server answers SourceNeeded only when neither its
+// memory cache nor its disk artifact store (internal/store,
+// ServiceOptions.Store) holds the program, so a warm server opens the
+// session with the program never crossing the wire. After the hello a
+// connection carries any number of batches, all reusing the negotiated
+// program (and, server-side, its cached compilation and QAP
+// precomputation). Each batch carries its own commit request: the
 // commitment key is per-batch — a decommit reveals a consistency point over
 // the key's secret vector, so a key reused across batches would stop
-// binding. v3 adds hash-first source exchange: the hello ships
-// sha256(source) instead of the source, the server answers SourceNeeded
-// only when neither its memory cache nor its disk artifact store
-// (internal/store, ServiceOptions.Store) holds the program, and a warm
-// server opens the session with the program never crossing the wire.
-// Versioning rides gob's forward-compatible field semantics: a peer that
-// predates the Version fields simply leaves them zero, which both ends
-// treat as v1; a pre-v3 server rejects a hash-first hello with its own
-// version in the error ack, and the client redials and retries with the
-// full source (ClientOptions.Redial).
+// binding. A hello or ack stamped with any other Version is refused with a
+// *ProtocolVersionError.
 //
 // The prover side is a long-lived multi-tenant Service: compiled programs
 // and their prover precomputations live in an LRU shared across sessions,
 // and a service-wide admission semaphore bounds how many sessions compute
 // concurrently. The verifier side is a Session (NewSession / RunBatch /
-// Close); RunSession and RunSessionDistributed remain as single-batch
-// conveniences on top of it.
+// Close) over one prover connection. A session over several connections
+// belongs to the farm (internal/farm), which drives each leg through
+// ShardCommit and ShardRespond.
 //
 // Both ends are context-aware: cancelling the context closes the
 // connection, unblocking any in-flight read or write, and per-message I/O
@@ -39,8 +34,8 @@
 // *ProtocolVersionError.
 //
 // cmd/zaatar-server and cmd/zaatar-client reach this package through the
-// public zaatar API (zaatar.Serve, zaatar.Client); tests drive both ends
-// over net.Pipe.
+// public zaatar API (zaatar.Serve, zaatar.Dial, zaatar.DialFarm); tests
+// drive both ends over net.Pipe.
 package transport
 
 import (
@@ -57,33 +52,15 @@ import (
 	"time"
 
 	"zaatar/internal/field"
-	"zaatar/internal/obs"
 	"zaatar/internal/obs/trace"
 	"zaatar/internal/pcp"
 	"zaatar/internal/vc"
 )
 
-// Wire protocol versions. A Hello carries the highest version the client
-// speaks; the ack answers with the version the server selected (never
-// higher than the client's). Zero means the peer predates versioning and
-// speaks v1.
-const (
-	// ProtocolV1 is the original dialect: one batch per connection, the
-	// commit request sent with the batch.
-	ProtocolV1 = 1
-	// ProtocolV2 adds session keep-alive: multiple batches per connection
-	// (each carrying its own commit request and a freshly reseeded query
-	// set) and an explicit Close frame.
-	ProtocolV2 = 2
-	// ProtocolV3 adds hash-first source exchange: the hello carries only
-	// sha256(source); the server answers SourceNeeded when neither its
-	// memory cache nor its artifact store knows the program, and only then
-	// does the client upload the source in a SourceMsg. A warm server opens
-	// a session without the program ever crossing the wire.
-	ProtocolV3 = 3
-	// MaxProtocolVersion is the highest version this build speaks.
-	MaxProtocolVersion = ProtocolV3
-)
+// MaxProtocolVersion is the one wire protocol version this build speaks:
+// hash-first hellos, keep-alive sessions, one commit request per batch.
+// Hello.Version and HelloAck.Version must both equal it.
+const MaxProtocolVersion = 3
 
 // Typed failures. Peer-reported errors are *RemoteError; local validation
 // failures wrap the sentinels.
@@ -96,9 +73,6 @@ var (
 	ErrMalformedHello = errors.New("transport: malformed hello")
 	// ErrSessionClosed reports a RunBatch on a closed Session.
 	ErrSessionClosed = errors.New("transport: session closed")
-	// ErrSingleBatch reports a second RunBatch on a session whose negotiated
-	// wire version (v1) supports only one batch per connection.
-	ErrSingleBatch = errors.New("transport: negotiated wire protocol v1 supports one batch per connection")
 	// ErrNoCommonBackend reports a hello whose offered proof backends share
 	// no member with the server's supported set.
 	ErrNoCommonBackend = errors.New("transport: no common proof backend")
@@ -119,13 +93,12 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: prover failed in %s phase: %s", e.Phase, e.Msg)
 }
 
-// ProtocolVersionError reports a wire version this build does not speak —
-// either a Hello requesting an unknown version, or an ack selecting a
-// version higher than the client offered. Max names the highest version the
-// reporting side supports, so a newer peer can retry with it.
+// ProtocolVersionError reports a wire version this build does not speak:
+// a Hello or an ack stamped with anything but MaxProtocolVersion. Max names
+// the version the reporting side speaks.
 type ProtocolVersionError struct {
-	Version int // the version the peer asked for or selected
-	Max     int // highest version this side speaks
+	Version int // the version the peer stamped
+	Max     int // the version this side speaks
 }
 
 func (e *ProtocolVersionError) Error() string {
@@ -137,7 +110,7 @@ const (
 	MetricSessions       = "transport.sessions"        // counter: server sessions opened
 	MetricSessionErrors  = "transport.session.errors"  // counter: server sessions failed
 	MetricServedInstance = "transport.instances"       // counter: instances served
-	MetricServedBatches  = "transport.batches"         // counter: batches served (≥ sessions under v2 keep-alive)
+	MetricServedBatches  = "transport.batches"         // counter: batches served (≥ sessions under keep-alive)
 	MetricSpanSession    = "transport.session"         // histogram: server session wall
 	MetricClientSessions = "transport.client.sessions" // counter: client sessions run
 	MetricSpanClient     = "transport.client.session"  // histogram: client session wall
@@ -159,7 +132,7 @@ const (
 	MetricStoreBytesSaved  = "transport.store.bytes_saved"  // counter: source bytes never sent thanks to hash-first hellos
 	MetricStoreWriteErrors = "transport.store.write_errors" // counter: failed bundle write-backs (service keeps running)
 
-	MetricHelloSourceSkipped = "transport.hello.source_skipped" // counter: v3 sessions opened without a source upload
+	MetricHelloSourceSkipped = "transport.hello.source_skipped" // counter: sessions opened without a source upload
 
 	// MetricBackendSessions prefixes a per-backend session counter; the
 	// full series name is the prefix plus the negotiated backend name,
@@ -200,35 +173,29 @@ func ProgramHash(source string) string {
 type Hello struct {
 	Source       string
 	Field220     bool
-	Ginger       bool
 	RhoLin, Rho  int
 	NoCommitment bool
 
 	// Backends is the ordered list of proof backends the client can verify,
 	// most preferred first; the server answers (in HelloAck.Backend) with
-	// the first offered name it supports. Empty — what a pre-negotiation
-	// peer sends, since gob omits empty fields — falls back to the legacy
-	// Ginger bool: an offer of exactly [ginger] or [zaatar].
+	// the first offered name it supports. An empty offer is malformed.
 	Backends []string
 
-	// Version is the highest wire protocol version the client speaks; the
-	// server answers (in HelloAck.Version) with the version it selected,
-	// never higher. Zero — what a pre-versioning peer sends, since gob omits
-	// zero fields — means v1.
+	// Version is the wire protocol version the client speaks; the server
+	// refuses any value but MaxProtocolVersion.
 	Version int
 
-	// SourceHash is sha256(Source). Under wire v3 a client may send the
-	// hash alone (Source empty): a server that already holds the program —
-	// in its memory cache or its on-disk artifact store — opens the session
+	// SourceHash is sha256(Source). A client may send the hash alone
+	// (Source empty): a server that already holds the program — in its
+	// memory cache or its on-disk artifact store — opens the session
 	// without the source ever crossing the wire, and answers
 	// HelloAck.SourceNeeded otherwise. When both fields are present they
-	// must agree; pre-v3 peers leave the hash empty.
+	// must agree.
 	SourceHash []byte
 
 	// Trace and TraceParent propagate the verifier's trace context so the
 	// prover's spans land in the same trace (under the verifier's session
-	// span). Zero values — also what a pre-tracing peer sends, since gob
-	// omits absent and zero fields — leave tracing off for the session.
+	// span). Zero values leave tracing off for the session.
 	Trace       trace.TraceID
 	TraceParent trace.SpanID
 }
@@ -245,9 +212,9 @@ const (
 	maxBackendBytes = 32
 )
 
-// hashFirst reports a v3 hash-only hello: no source, just its digest.
+// hashFirst reports a hash-only hello: no source, just its digest.
 func (h Hello) hashFirst() bool {
-	return h.Source == "" && h.version() >= ProtocolV3 && len(h.SourceHash) == sha256.Size
+	return h.Source == "" && len(h.SourceHash) == sha256.Size
 }
 
 // validate checks the hello against maxSource (0 means
@@ -257,7 +224,7 @@ func (h Hello) validate(maxSource int) error {
 		maxSource = DefaultMaxSourceBytes
 	}
 	switch {
-	case h.Version < 0 || h.Version > MaxProtocolVersion:
+	case h.Version != MaxProtocolVersion:
 		return &ProtocolVersionError{Version: h.Version, Max: MaxProtocolVersion}
 	case strings.TrimSpace(h.Source) == "" && !h.hashFirst():
 		return fmt.Errorf("%w: empty source", ErrMalformedHello)
@@ -268,6 +235,8 @@ func (h Hello) validate(maxSource int) error {
 	case h.RhoLin < 0 || h.Rho < 0 || h.RhoLin > maxRepetitions || h.Rho > maxRepetitions:
 		return fmt.Errorf("%w: PCP repetitions (ρ_lin=%d, ρ=%d) out of range [0, %d]",
 			ErrMalformedHello, h.RhoLin, h.Rho, maxRepetitions)
+	case len(h.Backends) == 0:
+		return fmt.Errorf("%w: no backend offered", ErrMalformedHello)
 	case len(h.Backends) > maxBackends:
 		return fmt.Errorf("%w: %d backend names offered (max %d)", ErrMalformedHello, len(h.Backends), maxBackends)
 	}
@@ -284,46 +253,21 @@ func (h Hello) validate(maxSource int) error {
 	return nil
 }
 
-// offered normalizes the hello's backend offer: an explicit list is taken
-// as-is; a legacy peer's empty list means the single backend the Ginger
-// bool encodes.
-func (h Hello) offered() []string {
-	if len(h.Backends) > 0 {
-		return h.Backends
-	}
-	if h.Ginger {
-		return []string{pcp.BackendGinger}
-	}
-	return []string{pcp.BackendZaatar}
-}
-
-// version normalizes the gob zero value to v1.
-func (h Hello) version() int {
-	if h.Version == 0 {
-		return ProtocolV1
-	}
-	return h.Version
-}
-
 // HelloAck reports compilation results (or an error) back to the verifier.
-// Under wire v3 a first ack with SourceNeeded set is an interim frame: the
-// server knows neither the program nor a stored bundle for the hello's
-// hash, the client answers with a SourceMsg, and the definitive ack
-// follows.
+// A first ack with SourceNeeded set is an interim frame: the server knows
+// neither the program nor a stored bundle for the hello's hash, the client
+// answers with a SourceMsg, and the definitive ack follows.
 type HelloAck struct {
 	Err                   string
 	NumInputs, NumOutputs int
 	// SourceNeeded asks a hash-first client to upload the program source
 	// before the session can open.
 	SourceNeeded bool
-	// Version is the wire version the server selected for the session
-	// (≤ the client's Hello.Version). Zero means a pre-versioning server,
-	// i.e. v1.
+	// Version is MaxProtocolVersion; the client refuses an ack carrying
+	// any other.
 	Version int
 	// Backend is the proof backend the server selected from the hello's
-	// offer. Empty means a pre-negotiation server, which derives the
-	// backend from the legacy Ginger bool; the client then assumes the
-	// same derivation.
+	// offer. The client refuses a successful ack that names none.
 	Backend string
 }
 
@@ -334,15 +278,14 @@ type SourceMsg struct {
 }
 
 // BatchMsg carries one batch: the per-instance inputs plus that batch's
-// commit request — the key material is per-batch, so every batch of a v2
-// keep-alive session ships a fresh Req. A final Close frame ends the
-// session cleanly. (The server tolerates a nil Req after the first batch
-// for pre-re-keying v2 clients, whose key reuse was unsound but wire-legal.)
+// commit request — the key material is per-batch, so every batch ships a
+// fresh Req and the server refuses a batch without one. A final Close frame
+// ends the session cleanly.
 type BatchMsg struct {
 	Req       *vc.CommitRequest
 	Instances [][]*big.Int
-	// Close, under v2, marks a goodbye frame: no batch follows and the
-	// server ends the session with success.
+	// Close marks a goodbye frame: no batch follows and the server ends the
+	// session with success.
 	Close bool
 }
 
@@ -360,9 +303,8 @@ type DecommitMsg struct {
 
 // ResponsesMsg returns the per-instance query answers. When the session is
 // traced, Trace carries the prover's completed spans back to the verifier,
-// which stitches them into its own timeline; peers that predate the field
-// simply leave it empty. Under v2 keep-alive the prover ships only the
-// spans completed since the previous batch.
+// which stitches them into its own timeline. Each batch ships only the
+// spans completed since the previous one.
 type ResponsesMsg struct {
 	Err   string
 	Items []*vc.Response
@@ -419,21 +361,6 @@ func negotiateBackend(offered, supported []string) (string, error) {
 	return "", fmt.Errorf("%w: offered %v, supported %v", ErrNoCommonBackend, offered, supported)
 }
 
-// ServerOptions configures a single-connection prover (see ServeConn). The
-// long-lived, multi-tenant form is ServiceOptions.
-type ServerOptions struct {
-	// Workers is the prover's per-session parallelism over a batch.
-	Workers int
-	// MaxBatch bounds the number of instances a client may submit.
-	MaxBatch int
-	// IOTimeout, when positive, is the per-message read/write deadline on
-	// the connection; a peer stalling longer than this fails the session.
-	IOTimeout time.Duration
-	// Obs receives the transport's counters and spans; nil uses
-	// obs.Default().
-	Obs *obs.Registry
-}
-
 // timedCodec arms a fresh connection deadline before every gob message, so
 // one stalled peer cannot pin a session goroutine forever.
 type timedCodec struct {
@@ -486,22 +413,4 @@ func ctxErr(ctx context.Context, err error) error {
 		return ctx.Err()
 	}
 	return err
-}
-
-// ServeConn handles one verifier connection on the prover side with a
-// throwaway single-session service: compile the received program, then
-// serve its batches until the session ends, the context is cancelled, or
-// the peer stalls past opts.IOTimeout. Long-lived deployments should hold
-// one Service and call its ServeConn instead, which is what makes the
-// program cache and admission control span connections.
-func ServeConn(ctx context.Context, conn net.Conn, opts ServerOptions) error {
-	svc := NewService(ServiceOptions{
-		Workers:     opts.Workers,
-		MaxSessions: 1,
-		MaxBatch:    opts.MaxBatch,
-		IOTimeout:   opts.IOTimeout,
-		CacheSize:   1,
-		Obs:         opts.Obs,
-	})
-	return svc.ServeConn(ctx, conn)
 }

@@ -12,6 +12,7 @@ import (
 	"zaatar/internal/elgamal"
 	"zaatar/internal/field"
 	"zaatar/internal/obs"
+	"zaatar/internal/pcp"
 	"zaatar/internal/prg"
 	"zaatar/internal/vc"
 )
@@ -24,19 +25,47 @@ y = x - 3;
 sq = x * x;
 `
 
+// zaatarOnly is the backend offer of most test hellos.
+var zaatarOnly = []string{pcp.BackendZaatar}
+
+// serve runs a fresh Service (with its own registry unless opts names one)
+// on the server end of a pipe.
+func serve(ctx context.Context, server net.Conn, opts ServiceOptions) error {
+	svc, _ := testService(opts)
+	return svc.ServeConn(ctx, server)
+}
+
+// oneBatch opens a session over conn, runs one batch and closes the
+// session.
+func oneBatch(ctx context.Context, conn net.Conn, hello Hello, opts ClientOptions, batch [][]*big.Int) (*SessionResult, error) {
+	sess, err := NewSession(ctx, []net.Conn{conn}, hello, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	return sess.RunBatch(ctx, batch)
+}
+
+// wireHello stamps the fields NewSession would, for tests that write a
+// hello onto the wire by hand.
+func wireHello(h Hello) Hello {
+	h.Version = MaxProtocolVersion
+	return h
+}
+
 func runPipeSession(t *testing.T, hello Hello, opts ClientOptions, batch [][]*big.Int) (*SessionResult, error) {
 	t.Helper()
 	client, server := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- ServeConn(context.Background(), server, ServerOptions{Workers: 2}) }()
-	res, err := RunSession(context.Background(), client, hello, opts, batch)
+	go func() { errCh <- serve(context.Background(), server, ServiceOptions{Workers: 2}) }()
+	res, err := oneBatch(context.Background(), client, hello, opts, batch)
 	client.Close()
 	<-errCh
 	return res, err
 }
 
 func TestSessionNoCrypto(t *testing.T) {
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 	batch := [][]*big.Int{{big.NewInt(10)}, {big.NewInt(-4)}}
 	res, err := runPipeSession(t, hello, ClientOptions{Seed: []byte("t")}, batch)
 	if err != nil {
@@ -58,7 +87,7 @@ func TestSessionWithCrypto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1}
 	batch := [][]*big.Int{{big.NewInt(5)}}
 	res, err := runPipeSession(t, hello, ClientOptions{Seed: []byte("c"), Group: g}, batch)
 	if err != nil {
@@ -73,7 +102,7 @@ func TestSessionWithCrypto(t *testing.T) {
 }
 
 func TestSessionGinger(t *testing.T) {
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true, Ginger: true}
+	hello := Hello{Source: sessionSrc, Backends: []string{pcp.BackendGinger}, RhoLin: 1, Rho: 1, NoCommitment: true}
 	res, err := runPipeSession(t, hello, ClientOptions{Seed: []byte("g")}, [][]*big.Int{{big.NewInt(6)}})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +113,7 @@ func TestSessionGinger(t *testing.T) {
 }
 
 func TestSessionParallelVerify(t *testing.T) {
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 	batch := make([][]*big.Int, 6)
 	for i := range batch {
 		batch[i] = []*big.Int{big.NewInt(int64(i))}
@@ -104,19 +133,19 @@ func TestSessionParallelVerify(t *testing.T) {
 }
 
 func TestSessionBadProgram(t *testing.T) {
-	hello := Hello{Source: "not a program", RhoLin: 1, Rho: 1, NoCommitment: true}
+	hello := Hello{Source: "not a program", Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	// The client compiles the program itself before dialing, so it fails
 	// locally without touching the wire.
-	if _, err := RunSession(context.Background(), nil, hello, ClientOptions{}, [][]*big.Int{{big.NewInt(1)}}); err == nil {
+	if _, err := NewSession(context.Background(), []net.Conn{nil}, hello, ClientOptions{}); err == nil {
 		t.Fatal("bad program accepted by client")
 	}
 	// A server fed the same hello raw reports the compile failure in its ack
 	// and survives.
 	client, server := net.Pipe()
 	serverErr := make(chan error, 1)
-	go func() { serverErr <- ServeConn(context.Background(), server, ServerOptions{}) }()
+	go func() { serverErr <- serve(context.Background(), server, ServiceOptions{}) }()
 	cc := newTimedCodec(client, 5*time.Second)
-	if err := cc.send(hello); err != nil {
+	if err := cc.send(wireHello(hello)); err != nil {
 		t.Fatal(err)
 	}
 	var ack HelloAck
@@ -133,12 +162,12 @@ func TestSessionBadProgram(t *testing.T) {
 }
 
 func TestSessionOversizedBatch(t *testing.T) {
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	client, server := net.Pipe()
 	serverErr := make(chan error, 1)
-	go func() { serverErr <- ServeConn(context.Background(), server, ServerOptions{MaxBatch: 1}) }()
+	go func() { serverErr <- serve(context.Background(), server, ServiceOptions{MaxBatch: 1}) }()
 	batch := [][]*big.Int{{big.NewInt(1)}, {big.NewInt(2)}}
-	_, err := RunSession(context.Background(), client, hello, ClientOptions{Seed: []byte("x")}, batch)
+	_, err := oneBatch(context.Background(), client, hello, ClientOptions{Seed: []byte("x")}, batch)
 	client.Close()
 	// The client sees the rejection as a typed commit-phase failure naming
 	// the batch bound; the server reports the sentinel and survives.
@@ -159,22 +188,22 @@ func TestSessionMalformedHello(t *testing.T) {
 		name  string
 		hello Hello
 	}{
-		{"empty source", Hello{RhoLin: 1, Rho: 1, NoCommitment: true}},
-		{"negative repetitions", Hello{Source: sessionSrc, RhoLin: -1, Rho: 1, NoCommitment: true}},
-		{"huge repetitions", Hello{Source: sessionSrc, RhoLin: 1, Rho: maxRepetitions + 1, NoCommitment: true}},
+		{"empty source", Hello{Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}},
+		{"negative repetitions", Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: -1, Rho: 1, NoCommitment: true}},
+		{"huge repetitions", Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: maxRepetitions + 1, NoCommitment: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Client-side validation rejects before anything hits the wire.
-			if _, err := RunSessionDistributed(context.Background(), []net.Conn{nil}, tc.hello, ClientOptions{}, nil); !errors.Is(err, ErrMalformedHello) {
+			if _, err := NewSession(context.Background(), []net.Conn{nil}, tc.hello, ClientOptions{}); !errors.Is(err, ErrMalformedHello) {
 				t.Fatalf("client validation err = %v, want ErrMalformedHello", err)
 			}
 			// A server receiving it raw reports the sentinel and survives.
 			client, server := net.Pipe()
 			serverErr := make(chan error, 1)
-			go func() { serverErr <- ServeConn(context.Background(), server, ServerOptions{}) }()
+			go func() { serverErr <- serve(context.Background(), server, ServiceOptions{}) }()
 			cc := newTimedCodec(client, time.Second)
-			if err := cc.send(tc.hello); err != nil {
+			if err := cc.send(wireHello(tc.hello)); err != nil {
 				t.Fatal(err)
 			}
 			var ack HelloAck
@@ -196,16 +225,16 @@ func TestSessionMalformedHello(t *testing.T) {
 // session goroutine returns an error and the server survives for the next
 // connection.
 func TestServerSurvivesMidSessionDisconnect(t *testing.T) {
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	client, server := net.Pipe()
 	serverErr := make(chan error, 1)
 	reg := obs.NewRegistry()
-	go func() { serverErr <- ServeConn(context.Background(), server, ServerOptions{Obs: reg}) }()
+	go func() { serverErr <- serve(context.Background(), server, ServiceOptions{Obs: reg}) }()
 
 	// Speak the first half of the protocol by hand, then hang up after
 	// receiving the commitments (the server is now blocked on the decommit).
 	cc := newTimedCodec(client, 5*time.Second)
-	if err := cc.send(hello); err != nil {
+	if err := cc.send(wireHello(hello)); err != nil {
 		t.Fatal(err)
 	}
 	var ack HelloAck
@@ -245,7 +274,7 @@ func TestServerIOTimeout(t *testing.T) {
 	defer client.Close()
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- ServeConn(context.Background(), server, ServerOptions{IOTimeout: 50 * time.Millisecond})
+		serverErr <- serve(context.Background(), server, ServiceOptions{IOTimeout: 50 * time.Millisecond})
 	}()
 	// Send nothing: the hello read must time out.
 	select {
@@ -262,7 +291,7 @@ func TestServerIOTimeout(t *testing.T) {
 func TestServerSurvivesGarbage(t *testing.T) {
 	client, server := net.Pipe()
 	serverErr := make(chan error, 1)
-	go func() { serverErr <- ServeConn(context.Background(), server, ServerOptions{}) }()
+	go func() { serverErr <- serve(context.Background(), server, ServiceOptions{}) }()
 	go func() {
 		_, _ = client.Write([]byte("\x00\xffnot gob at all\x13\x37"))
 		client.Close()
@@ -284,7 +313,7 @@ func TestServeConnContextCancel(t *testing.T) {
 	defer client.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	serverErr := make(chan error, 1)
-	go func() { serverErr <- ServeConn(ctx, server, ServerOptions{}) }()
+	go func() { serverErr <- serve(ctx, server, ServiceOptions{}) }()
 	cancel()
 	select {
 	case err := <-serverErr:
@@ -305,8 +334,8 @@ func TestRunSessionContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	clientErr := make(chan error, 1)
 	go func() {
-		hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-		_, err := RunSession(ctx, client, hello, ClientOptions{Seed: []byte("cc")}, [][]*big.Int{{big.NewInt(1)}})
+		hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
+		_, err := oneBatch(ctx, client, hello, ClientOptions{Seed: []byte("cc")}, [][]*big.Int{{big.NewInt(1)}})
 		clientErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -321,40 +350,66 @@ func TestRunSessionContextCancel(t *testing.T) {
 	}
 }
 
+// TestDistributedProvers: a session over three provers is the farm's to
+// drive. RunBatch refuses it before touching the wire, and every leg still
+// serves a shard of the batch through ShardCommit/ShardRespond afterwards.
 func TestDistributedProvers(t *testing.T) {
-	// Three provers each take a slice of the batch (the paper's
-	// multi-machine prover); one verifier checks everything.
 	const nProvers = 3
 	conns := make([]net.Conn, nProvers)
 	for i := range conns {
 		client, server := net.Pipe()
 		conns[i] = client
-		go func() { _ = ServeConn(context.Background(), server, ServerOptions{}) }()
+		go func() { _ = serve(context.Background(), server, ServiceOptions{}) }()
 	}
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-	batch := make([][]*big.Int, 7) // uneven split: 3+3+1
-	for i := range batch {
-		batch[i] = []*big.Int{big.NewInt(int64(i))}
-	}
-	res, err := RunSessionDistributed(context.Background(), conns, hello, ClientOptions{Seed: []byte("d")}, batch)
-	for _, c := range conns {
-		c.Close()
-	}
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
+	ctx := context.Background()
+	sess, err := NewSession(ctx, conns, hello, ClientOptions{Seed: []byte("d")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Accepted) != 7 || !res.AllAccepted() {
-		t.Fatalf("distributed batch failed: %v", res.Reasons)
+	defer sess.Close()
+	if _, err := sess.RunBatch(ctx, instances(1, 2, 3)); !errors.Is(err, errMultiLeg) {
+		t.Fatalf("RunBatch on %d legs: err = %v, want the multi-leg refusal", nProvers, err)
 	}
-	for i := range batch {
-		if res.Outputs[i][0].Int64() != int64(i)-3 {
-			t.Fatalf("instance %d output %v", i, res.Outputs[i])
+	for leg := 0; leg < nProvers; leg++ {
+		v, err := sess.Verifier().Fork(ctx, []byte{byte(leg)})
+		if err != nil {
+			t.Fatal(err)
 		}
+		xs := []int64{int64(leg), int64(leg) + 10}
+		res := proveShard(t, sess, v, leg, instances(xs...))
+		checkBatch(t, res, xs)
 	}
 }
 
+// proveShard runs one shard on leg i under verifier v and verifies it.
+func proveShard(t *testing.T, sess *Session, v *vc.Verifier, i int, batch [][]*big.Int) *SessionResult {
+	t.Helper()
+	ctx := context.Background()
+	cms, err := sess.ShardCommit(ctx, i, v.Setup(), batch)
+	if err != nil {
+		t.Fatalf("leg %d commit: %v", i, err)
+	}
+	dreq, err := v.Decommit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resps, err := sess.ShardRespond(ctx, i, dreq, len(batch))
+	if err != nil {
+		t.Fatalf("leg %d respond: %v", i, err)
+	}
+	res := &SessionResult{}
+	for j := range batch {
+		ok, reason := v.VerifyInstance(ctx, batch[j], cms[j], resps[j])
+		res.Accepted = append(res.Accepted, ok)
+		res.Reasons = append(res.Reasons, reason)
+		res.Outputs = append(res.Outputs, cms[j].Output)
+	}
+	return res
+}
+
 func TestDistributedNoConns(t *testing.T) {
-	if _, err := RunSessionDistributed(context.Background(), nil, Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}, ClientOptions{}, [][]*big.Int{{big.NewInt(1)}}); err == nil {
+	if _, err := NewSession(context.Background(), nil, Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}, ClientOptions{}); err == nil {
 		t.Fatal("no connections accepted")
 	}
 }
@@ -370,15 +425,15 @@ func TestSessionOverTCP(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = ServeConn(context.Background(), conn, ServerOptions{Workers: 2, IOTimeout: 30 * time.Second})
+		_ = serve(context.Background(), conn, ServiceOptions{Workers: 2, IOTimeout: 30 * time.Second})
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-	res, err := RunSession(context.Background(), conn, hello, ClientOptions{Seed: []byte("tcp"), IOTimeout: 30 * time.Second}, [][]*big.Int{{big.NewInt(8)}})
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
+	res, err := oneBatch(context.Background(), conn, hello, ClientOptions{Seed: []byte("tcp"), IOTimeout: 30 * time.Second}, [][]*big.Int{{big.NewInt(8)}})
 	if err != nil {
 		t.Fatal(err)
 	}

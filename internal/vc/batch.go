@@ -97,18 +97,6 @@ func (r *BatchResult) AllAccepted() bool {
 	return len(r.Accepted) > 0
 }
 
-// ProverWall is a compatibility accessor for Metrics.ProverWall, the
-// wall-clock time of the prover's phases for the whole batch.
-func (r *BatchResult) ProverWall() time.Duration { return r.Metrics.ProverWall }
-
-// VerifierSetup is a compatibility accessor for Metrics.Setup, the
-// amortized query/key construction time.
-func (r *BatchResult) VerifierSetup() time.Duration { return r.Metrics.Setup }
-
-// VerifierPerInstance is a compatibility accessor for Metrics.VerifyTotal,
-// the total per-instance verification time across the batch.
-func (r *BatchResult) VerifierPerInstance() time.Duration { return r.Metrics.VerifyTotal }
-
 // Test hooks, nil outside tests. testHookAfterCommit runs after each
 // instance's commitment is produced (and may tamper with it);
 // testHookPreDecommit runs at the barrier, after every commitment and
@@ -149,7 +137,7 @@ func RunBatch(ctx context.Context, prog *compiler.Program, cfg Config, inputs []
 	// Both ends share one program-dependent precomputation: it is immutable,
 	// and building it is not part of the verifier's per-batch setup.
 	preTr := trace.Start(ctx, "vc.preprocess")
-	pre, err := PreprocessBackend(prog, cfg.BackendName())
+	pre, err := PreprocessBackend(prog, cfg.backend())
 	preTr.End()
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 //
 // This is the scheduling primitive of the pipeline engine: the prover's
 // commit and respond phases in RunBatch, and the per-instance phases of
-// transport.ServeConn, all run on it.
+// transport.Service.ServeConn, all run on it.
 func ForEach(ctx context.Context, n, workers int, fn func(int) error) error {
 	return par.ForEach(ctx, n, workers, fn)
 }

@@ -40,14 +40,8 @@ type Prover struct {
 
 	// prepR1/prepR2 cache the Montgomery preparation of the batch's Enc(r)
 	// vectors (commit.Prepare): built once per HandleCommitRequest, reused
-	// by every instance's Commit. When the request is a masked share of a
-	// split commit request (a farm coordinator splitting one instance's
-	// commitment across cooperating provers), only the live positions are
-	// prepared — liveR1/liveR2 record which — so the per-instance multiexp
-	// runs over this prover's slice alone.
+	// by every instance's Commit.
 	prepR1, prepR2 *elgamal.PreparedVector
-	liveR1, liveR2 []int // nil = dense request
-	lenR1, lenR2   int
 
 	// kernelWorkers shards the homomorphic inner product inside each
 	// Commit call. It defaults to 1 because batch drivers already run one
@@ -106,14 +100,6 @@ func PreprocessBackend(prog *compiler.Program, backend string) (*Precomputation,
 	return &Precomputation{Backend: bk.Name(), bk: bk, pre: pre}, nil
 }
 
-// Preprocess builds the prover-side precomputation for a program under the
-// given protocol.
-//
-// Deprecated: use PreprocessBackend with a backend name.
-func Preprocess(prog *compiler.Program, protocol Protocol) (*Precomputation, error) {
-	return PreprocessBackend(prog, protocol.String())
-}
-
 // NewProver prepares the prover for a computation.
 func NewProver(prog *compiler.Program, cfg Config) (*Prover, error) {
 	return NewProverPre(prog, cfg, nil)
@@ -133,10 +119,10 @@ func NewProverPre(prog *compiler.Program, cfg Config, pre *Precomputation) (*Pro
 // orPreprocess returns p if it was built for cfg's backend, and a fresh
 // precomputation otherwise (p may be nil).
 func (p *Precomputation) orPreprocess(prog *compiler.Program, cfg Config) (*Precomputation, error) {
-	if p != nil && p.Backend == cfg.BackendName() {
+	if p != nil && p.Backend == cfg.backend() {
 		return p, nil
 	}
-	return PreprocessBackend(prog, cfg.BackendName())
+	return PreprocessBackend(prog, cfg.backend())
 }
 
 // HandleCommitRequest stores the batch's encrypted commitment vectors and
@@ -147,7 +133,6 @@ func (p *Precomputation) orPreprocess(prog *compiler.Program, cfg Config) (*Prec
 // rejected with an error and leaves the prover with no open batch.
 func (p *Prover) HandleCommitRequest(req *CommitRequest) error {
 	p.req, p.prepR1, p.prepR2 = nil, nil, nil
-	p.liveR1, p.liveR2, p.lenR1, p.lenR2 = nil, nil, 0, 0
 	if req != nil && (len(req.EncR1) > 0 || len(req.EncR2) > 0) {
 		if req.PK == nil {
 			return errors.New("vc: commit request carries ciphertexts but no public key")
@@ -165,35 +150,11 @@ func (p *Prover) HandleCommitRequest(req *CommitRequest) error {
 		if err := group.CheckCiphertexts(req.EncR2); err != nil {
 			return fmt.Errorf("vc: commit request Enc(r2): %w", err)
 		}
-		// A masked share (farm-split commit request) carries neutral (1,1)
-		// ciphertexts outside this prover's slice; those positions
-		// contribute the identity to the commitment whatever u holds, so
-		// they are dropped before preparation and the multiexp runs over
-		// the live slice alone.
-		p.liveR1, p.liveR2 = liveIndices(req.EncR1), liveIndices(req.EncR2)
-		p.lenR1, p.lenR2 = len(req.EncR1), len(req.EncR2)
-		p.prepR1 = commit.Prepare(group, gatherCiphertexts(req.EncR1, p.liveR1))
-		p.prepR2 = commit.Prepare(group, gatherCiphertexts(req.EncR2, p.liveR2))
+		p.prepR1 = commit.Prepare(group, req.EncR1)
+		p.prepR2 = commit.Prepare(group, req.EncR2)
 	}
 	p.req = req
 	return nil
-}
-
-// gatherWeights compacts the proof vector u down to a masked request's live
-// positions (nil live = dense, u unchanged). The request's full oracle
-// length must match |u| — the same invariant the unmasked multiexp enforces.
-func gatherWeights(u []field.Element, live []int, reqLen int) ([]field.Element, error) {
-	if live == nil {
-		return u, nil
-	}
-	if len(u) != reqLen {
-		return nil, errors.New("vc: masked commit request length does not match the proof vector")
-	}
-	out := make([]field.Element, len(live))
-	for j, i := range live {
-		out[j] = u[i]
-	}
-	return out, nil
 }
 
 // Commit executes the computation on one instance's inputs and commits to
@@ -247,22 +208,14 @@ func (p *Prover) Commit(ctx context.Context, inputs []*big.Int) (*Commitment, *I
 		if kw < 1 {
 			kw = 1
 		}
-		u1, err := gatherWeights(st.U1, p.liveR1, p.lenR1)
-		if err != nil {
-			return nil, nil, err
-		}
-		u2, err := gatherWeights(st.U2, p.liveR2, p.lenR2)
-		if err != nil {
-			return nil, nil, err
-		}
-		k1 := trace.Start(cctx, "kernel.multiexp").WithArg("n", int64(len(u1)))
-		cm.C1, err = commit.CommitPrepared(group, f, p.prepR1, u1, kw)
+		k1 := trace.Start(cctx, "kernel.multiexp").WithArg("n", int64(len(st.U1)))
+		cm.C1, err = commit.CommitPrepared(group, f, p.prepR1, st.U1, kw)
 		k1.End()
 		if err != nil {
 			return nil, nil, err
 		}
-		k2 := trace.Start(cctx, "kernel.multiexp").WithArg("n", int64(len(u2)))
-		cm.C2, err = commit.CommitPrepared(group, f, p.prepR2, u2, kw)
+		k2 := trace.Start(cctx, "kernel.multiexp").WithArg("n", int64(len(st.U2)))
+		cm.C2, err = commit.CommitPrepared(group, f, p.prepR2, st.U2, kw)
 		k2.End()
 		if err != nil {
 			return nil, nil, err

@@ -33,8 +33,6 @@ import (
 	"io"
 	"math/big"
 
-	"zaatar/internal/constraint"
-	"zaatar/internal/costmodel"
 	"zaatar/internal/elgamal"
 	"zaatar/internal/field"
 	"zaatar/internal/obs"
@@ -42,41 +40,11 @@ import (
 	"zaatar/internal/prg"
 )
 
-// Protocol selects the proof encoding.
-//
-// Deprecated: Protocol survives for the v1 API surface; it is now only a
-// shorthand for the backend names of internal/pcp. New code should set
-// Config.Backend directly.
-type Protocol int
-
-const (
-	// Zaatar is the QAP-based linear PCP (§3); proof vector |Z| + |C|.
-	Zaatar Protocol = iota
-	// Ginger is the classical linear PCP baseline (§2.2); proof vector
-	// |Z| + |Z|².
-	Ginger
-)
-
-// protocolNames maps the legacy enum onto pcp backend identifiers. Indexed
-// lookup (not comparison) so the enum stays a pure naming shim.
-var protocolNames = [...]string{pcp.BackendZaatar, pcp.BackendGinger}
-
-func (p Protocol) String() string {
-	if int(p) >= 0 && int(p) < len(protocolNames) {
-		return protocolNames[p]
-	}
-	return pcp.BackendZaatar
-}
-
 // Config controls one verifier/prover pair.
 type Config struct {
-	// Backend names the proof backend (see pcp.Names). Empty falls back to
-	// Protocol's name, preserving the legacy two-way switch.
+	// Backend names the proof backend (see pcp.Names); empty means
+	// pcp.BackendZaatar.
 	Backend string
-	// Protocol picks Zaatar or Ginger when Backend is empty.
-	//
-	// Deprecated: set Backend.
-	Protocol Protocol
 	// Params are the PCP repetition counts. Zero value means
 	// pcp.DefaultParams().
 	Params pcp.Params
@@ -118,13 +86,12 @@ func (c Config) params() pcp.Params {
 	return c.Params
 }
 
-// BackendName resolves the configured backend identifier: Backend if set,
-// otherwise the legacy Protocol's name.
-func (c Config) BackendName() string {
+// backend resolves the configured backend name, defaulting to Zaatar.
+func (c Config) backend() string {
 	if c.Backend != "" {
 		return c.Backend
 	}
-	return c.Protocol.String()
+	return pcp.BackendZaatar
 }
 
 // CommitRequest opens a batch: the encrypted commitment vectors for the two
@@ -189,16 +156,3 @@ func freshSeed(cfg Config) ([]byte, error) {
 }
 
 var errPhase = errors.New("vc: protocol phase violation")
-
-// RecommendProtocol picks the cheaper of the two commitment-lane encodings
-// (footnote 5 of §4).
-//
-// Deprecated: the model moved to costmodel.RecommendProtocol (and its
-// three-way generalization costmodel.RecommendBackend); this wrapper maps
-// the backend name back onto the legacy enum.
-func RecommendProtocol(gs *constraint.GingerSystem, qs *constraint.QuadSystem) Protocol {
-	if costmodel.RecommendProtocol(gs, qs) == pcp.BackendGinger {
-		return Ginger
-	}
-	return Zaatar
-}

@@ -28,7 +28,7 @@ for i = 0 to N-1 {
 }
 `
 
-func testSetup(t *testing.T, protocol Protocol, noCommit bool) (*compiler.Program, Config) {
+func testSetup(t *testing.T, backend string, noCommit bool) (*compiler.Program, Config) {
 	t.Helper()
 	f := field.FTest()
 	prog, err := compiler.Compile(f, testSrc)
@@ -36,7 +36,7 @@ func testSetup(t *testing.T, protocol Protocol, noCommit bool) (*compiler.Progra
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Protocol:     protocol,
+		Backend:      backend,
 		Params:       pcp.TestParams(),
 		NoCommitment: noCommit,
 		Seed:         []byte("vc-test-seed"),
@@ -60,7 +60,7 @@ func inputsFor(vals ...int64) []*big.Int {
 }
 
 func TestEndToEndZaatarWithCrypto(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	batch := [][]*big.Int{
 		inputsFor(1, 2, 3, 4),
 		inputsFor(-5, 0, 5, 2),
@@ -83,7 +83,7 @@ func TestEndToEndZaatarWithCrypto(t *testing.T) {
 }
 
 func TestEndToEndGingerWithCrypto(t *testing.T) {
-	prog, cfg := testSetup(t, Ginger, false)
+	prog, cfg := testSetup(t, pcp.BackendGinger, false)
 	res, err := RunBatch(context.Background(), prog, cfg, [][]*big.Int{inputsFor(1, 2, 3, 4), inputsFor(0, -1, -2, -3)})
 	if err != nil {
 		t.Fatal(err)
@@ -94,20 +94,20 @@ func TestEndToEndGingerWithCrypto(t *testing.T) {
 }
 
 func TestEndToEndNoCommitment(t *testing.T) {
-	for _, proto := range []Protocol{Zaatar, Ginger} {
-		prog, cfg := testSetup(t, proto, true)
+	for _, backend := range []string{pcp.BackendZaatar, pcp.BackendGinger} {
+		prog, cfg := testSetup(t, backend, true)
 		res, err := RunBatch(context.Background(), prog, cfg, [][]*big.Int{inputsFor(3, 1, 4, 1)})
 		if err != nil {
-			t.Fatalf("%v: %v", proto, err)
+			t.Fatalf("%v: %v", backend, err)
 		}
 		if !res.AllAccepted() {
-			t.Fatalf("%v: rejected: %v", proto, res.Reasons)
+			t.Fatalf("%v: rejected: %v", backend, res.Reasons)
 		}
 	}
 }
 
 func TestParallelWorkersMatchSerial(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	batch := make([][]*big.Int, 8)
 	for i := range batch {
 		batch[i] = inputsFor(int64(i), int64(i+1), int64(-i), 3)
@@ -135,7 +135,7 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 // different instance.
 func TestCheatingOutputRejected(t *testing.T) {
 	for _, noCommit := range []bool{false, true} {
-		prog, cfg := testSetup(t, Zaatar, noCommit)
+		prog, cfg := testSetup(t, pcp.BackendZaatar, noCommit)
 		verifier, err := NewVerifier(prog, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +171,7 @@ func TestCheatingOutputRejected(t *testing.T) {
 func TestTamperedResponseRejectedByConsistency(t *testing.T) {
 	// With commitment on, even a tampered response that would satisfy the
 	// PCP tests (we tamper t answers) is caught by the consistency test.
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	verifier, _ := NewVerifier(prog, cfg)
 	prover, _ := NewProver(prog, cfg)
 	prover.HandleCommitRequest(verifier.Setup())
@@ -192,10 +192,10 @@ func TestTamperedResponseRejectedByConsistency(t *testing.T) {
 // verifyTampered runs one honest instance through commit, decommit and
 // respond, passes the response through tamper, and returns the verifier's
 // verdict.
-func verifyTampered(t *testing.T, protocol Protocol, noCommit bool, tamper func(f *field.Field, r *Response)) (bool, string) {
+func verifyTampered(t *testing.T, backend string, noCommit bool, tamper func(f *field.Field, r *Response)) (bool, string) {
 	t.Helper()
 	ctx := context.Background()
-	prog, cfg := testSetup(t, protocol, noCommit)
+	prog, cfg := testSetup(t, backend, noCommit)
 	v, err := NewVerifier(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -247,25 +247,25 @@ func TestDerivedAnswerTamperRejected(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name       string
-		protocol   Protocol
+		backend    string
 		tamper     func(*field.Field, *Response)
 		consistent string // reason with commitments on
 		pcpTest    string // reason with commitments off
 	}{
-		{"zaatar a7 != a5+a6", Zaatar, oracle1(2), "oracle 1", "π_z linearity test failed (rep 0, iter 0)"},
-		{"zaatar a10 != a8+a9", Zaatar, oracle2(3 + 2), "oracle 2", "π_h linearity test failed (rep 0, iter 1)"},
-		{"zaatar q1 answer != <q_a,u> + a5⁰", Zaatar, oracle1(zRep + lin), "oracle 1", "divisibility correction test failed (rep 1)"},
-		{"zaatar q4 answer != <q_d,h> + a8⁰", Zaatar, oracle2(hRep + lin), "oracle 2", "divisibility correction test failed (rep 1)"},
-		{"ginger a7 != a5+a6", Ginger, oracle1(g1Rep + 2), "oracle 1", "π₁ linearity test failed (rep 1, iter 0)"},
-		{"ginger qq_a⊗qq_b + q8⁰ answer", Ginger, oracle2(lin), "oracle 2", "quadratic correction test failed (rep 0)"},
-		{"ginger γ₂ + q8⁰ answer", Ginger, oracle2(g2Rep + lin + 1), "oracle 2", "circuit test failed (rep 1)"},
+		{"zaatar a7 != a5+a6", pcp.BackendZaatar, oracle1(2), "oracle 1", "π_z linearity test failed (rep 0, iter 0)"},
+		{"zaatar a10 != a8+a9", pcp.BackendZaatar, oracle2(3 + 2), "oracle 2", "π_h linearity test failed (rep 0, iter 1)"},
+		{"zaatar q1 answer != <q_a,u> + a5⁰", pcp.BackendZaatar, oracle1(zRep + lin), "oracle 1", "divisibility correction test failed (rep 1)"},
+		{"zaatar q4 answer != <q_d,h> + a8⁰", pcp.BackendZaatar, oracle2(hRep + lin), "oracle 2", "divisibility correction test failed (rep 1)"},
+		{"ginger a7 != a5+a6", pcp.BackendGinger, oracle1(g1Rep + 2), "oracle 1", "π₁ linearity test failed (rep 1, iter 0)"},
+		{"ginger qq_a⊗qq_b + q8⁰ answer", pcp.BackendGinger, oracle2(lin), "oracle 2", "quadratic correction test failed (rep 0)"},
+		{"ginger γ₂ + q8⁰ answer", pcp.BackendGinger, oracle2(g2Rep + lin + 1), "oracle 2", "circuit test failed (rep 1)"},
 	} {
 		for _, noCommit := range []bool{false, true} {
 			want := "commitment consistency test failed for " + c.consistent
 			if noCommit {
 				want = c.pcpTest
 			}
-			if ok, reason := verifyTampered(t, c.protocol, noCommit, c.tamper); ok || reason != want {
+			if ok, reason := verifyTampered(t, c.backend, noCommit, c.tamper); ok || reason != want {
 				t.Errorf("%s (noCommit=%v): verdict %v %q, want rejection %q", c.name, noCommit, ok, reason, want)
 			}
 		}
@@ -273,7 +273,7 @@ func TestDerivedAnswerTamperRejected(t *testing.T) {
 
 	// One answer per base vector: 2ρ_lin+3 and 2ρ_lin+1 per repetition.
 	for _, noCommit := range []bool{false, true} {
-		ok, reason := verifyTampered(t, Zaatar, noCommit, func(_ *field.Field, r *Response) {
+		ok, reason := verifyTampered(t, pcp.BackendZaatar, noCommit, func(_ *field.Field, r *Response) {
 			r.R1 = r.R1[:pp.Rho*(2*pp.RhoLin+3)]
 			r.R2 = r.R2[:pp.Rho*(2*pp.RhoLin+1)]
 		})
@@ -284,7 +284,7 @@ func TestDerivedAnswerTamperRejected(t *testing.T) {
 }
 
 func TestPhaseViolations(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, true)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, true)
 	prover, _ := NewProver(prog, cfg)
 	if _, _, err := prover.Commit(context.Background(), inputsFor(1, 2, 3, 4)); err == nil {
 		t.Error("Commit before HandleCommitRequest accepted")
@@ -305,7 +305,7 @@ func TestPhaseViolations(t *testing.T) {
 // key, and broken or mismatched group parameters. Each must surface as an
 // error — never a panic — and leave the prover with no open batch.
 func TestHandleCommitRequestRejectsMalformed(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	v, err := NewVerifier(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestHandleCommitRequestRejectsMalformed(t *testing.T) {
 }
 
 func TestEmptyBatchRejected(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, true)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, true)
 	if _, err := RunBatch(context.Background(), prog, cfg, nil); err == nil {
 		t.Error("empty batch accepted")
 	}
@@ -388,7 +388,7 @@ func TestMissingGroupError(t *testing.T) {
 }
 
 func TestProofVectorLen(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, true)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, true)
 	v, err := NewVerifier(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func TestProofVectorLen(t *testing.T) {
 		t.Errorf("ProofVectorLen = %d, want %d", got, st.UZaatar+1)
 	}
 
-	progG, cfgG := testSetup(t, Ginger, true)
+	progG, cfgG := testSetup(t, pcp.BackendGinger, true)
 	vg, err := NewVerifier(progG, cfgG)
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +411,7 @@ func TestProofVectorLen(t *testing.T) {
 }
 
 func TestTimingInstrumentation(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	res, err := RunBatch(context.Background(), prog, cfg, [][]*big.Int{inputsFor(1, 2, 3, 4)})
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +423,7 @@ func TestTimingInstrumentation(t *testing.T) {
 	if pt.Crypto <= 0 {
 		t.Error("crypto phase timing not recorded with commitment enabled")
 	}
-	if res.VerifierSetup() <= 0 || res.VerifierPerInstance() <= 0 {
+	if res.Metrics.Setup <= 0 || res.Metrics.VerifyTotal <= 0 {
 		t.Error("verifier timings not recorded")
 	}
 	m := res.Metrics
@@ -440,7 +440,7 @@ func TestTimingInstrumentation(t *testing.T) {
 // Two verifiers built from the identical fixed-seed Config must agree on
 // the queries but differ in key material and consistency points.
 func TestSecretsIndependentOfSeed(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	va, err := NewVerifier(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +482,7 @@ func TestSecretsIndependentOfSeed(t *testing.T) {
 // protocol must still verify end-to-end with the fresh key.
 func TestReseedRekeysAndVerifies(t *testing.T) {
 	ctx := context.Background()
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	v, err := NewVerifier(prog, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -86,23 +86,13 @@ func WithServerMetrics(r *obs.Registry) ServerOption {
 	return func(o *serverOptions) { o.svc.Obs = r }
 }
 
-// WithServerLogf installs a logger receiving one line per failed session
-// from the accept loop (e.g. log.Printf). By default failures are silent.
-//
-// Deprecated: use WithServerLogger, whose structured records carry the
-// session id, backend, program hash, and trace correlation. WithServerLogf
-// keeps working (the two compose) but receives only the accept-loop lines.
-func WithServerLogf(logf func(format string, args ...any)) ServerOption {
-	return func(o *serverOptions) { o.svc.Logf = logf }
-}
-
 // WithServerLogger installs a structured logger on the service: one record
-// per session event (negotiation, each batch served, session close)
-// carrying the session id, negotiated backend, program hash, and — when the
-// client's hello carries a trace — trace_id/span_id fields joinable against
-// the exported Perfetto trace. Composes with WithServerLogf, which keeps
-// receiving the accept-loop failure lines. By default the service emits no
-// structured records.
+// per session event (negotiation, each batch served, session close or
+// failure) carrying the session id, negotiated backend, program hash, and —
+// when the client's hello carries a trace — trace_id/span_id fields
+// joinable against the exported Perfetto trace, plus a record per refused
+// connection and per artifact-store error. By default the service emits no
+// records.
 func WithServerLogger(l *slog.Logger) ServerOption {
 	return func(o *serverOptions) { o.svc.Logger = l }
 }
@@ -122,7 +112,7 @@ func WithStore(dir string) ServerOption {
 }
 
 // WithMaxSourceBytes bounds the program source a client may submit, in
-// bytes, whether it arrives inline in the hello or as a v3 upload.
+// bytes, whether it arrives inline in the hello or as an upload.
 // Oversized sessions fail with a hello-phase error the client sees as a
 // RemoteError. Defaults to 1 MiB.
 func WithMaxSourceBytes(n int) ServerOption {
@@ -139,15 +129,15 @@ func WithSLOWindow(d time.Duration) ServerOption {
 // Serve runs a long-lived multi-tenant prover service on ln until ctx is
 // cancelled (or ln fails), then drains in-flight sessions and returns.
 // Compiled programs are cached across sessions in an LRU keyed by source,
-// field, and protocol — a repeat session for the same program skips
+// field, and backend — a repeat session for the same program skips
 // compilation — and a bounded admission semaphore shares the kernel pool
 // fairly among concurrent sessions. The service speaks wire protocol v3
-// (hash-first hellos: a client names its program by digest and uploads the
-// source only when the server holds neither a cached nor a stored copy) on
-// top of v2 session keep-alive (many batches per connection, reusing the
-// program; each batch carries its own commitment key, which soundness
-// keeps per-batch), and transparently falls back to v2 or v1 for old
-// peers. With WithStore, compiled programs additionally persist across
+// only: hash-first hellos (a client names its program by digest and uploads
+// the source only when the server holds neither a cached nor a stored
+// copy), then many batches per connection, reusing the program, each batch
+// carrying its own commitment key, which soundness keeps per-batch. A
+// client stamping another version is refused with a *ProtocolVersionError
+// message. With WithStore, compiled programs additionally persist across
 // server restarts.
 func Serve(ctx context.Context, ln net.Listener, opts ...ServerOption) error {
 	var o serverOptions

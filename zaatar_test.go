@@ -96,7 +96,7 @@ func TestGingerOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(prog, [][]*big.Int{{big.NewInt(-12)}},
-		WithGingerProtocol(), WithParams(1, 1), WithoutCommitment(), WithSeed([]byte("g")))
+		WithBackend(BackendGinger), WithParams(1, 1), WithoutCommitment(), WithSeed([]byte("g")))
 	if err != nil {
 		t.Fatal(err)
 	}
