@@ -267,44 +267,6 @@ func BenchmarkFig6Workers(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineOverlap measures what the respond→verify overlap buys:
-// the same batch with the pipeline disabled (respond everything, then
-// verify serially — the pre-pipeline engine) vs the staged pipeline that
-// streams responded instances into parallel verification. Crypto is on so
-// per-instance verification is substantial enough to overlap.
-func BenchmarkPipelineOverlap(b *testing.B) {
-	bench := benchprogs.FloydWarshall(4)
-	prog := compiled(b, bench)
-	rng := rand.New(rand.NewSource(6))
-	batch := make([][]*big.Int, 8)
-	for i := range batch {
-		batch[i] = bench.GenInputs(rng)
-	}
-	for _, mode := range []struct {
-		name       string
-		workers    int
-		noPipeline bool
-	}{
-		{"serial", 1, true},
-		{"pipeline-4", 4, false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := quickCfg(mode.workers, true)
-			cfg.NoPipeline = mode.noPipeline
-			for i := 0; i < b.N; i++ {
-				res, err := vc.RunBatch(context.Background(), prog, cfg, batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllAccepted() {
-					b.Fatal("batch rejected")
-				}
-				b.ReportMetric(res.Metrics.RespondVerify.Seconds()*1e3, "respond+verify-ms")
-			}
-		})
-	}
-}
-
 // --- Figure 7: break-even batch sizes (cost model at paper sizes) ---
 
 func BenchmarkFig7Breakeven(b *testing.B) {

@@ -12,9 +12,8 @@
 // (-timeout), drains in-flight sessions on SIGINT/SIGTERM before exiting,
 // and can expose its metrics registry over HTTP (-metrics): /metrics is the
 // expvar-style text form, /metrics/prometheus the Prometheus exposition
-// format (including the per-tenant labeled series and the transport.slo.*
-// gauges), /healthz liveness, /readyz readiness (-slo-p99 flips it to 503
-// while the rolling p99 batch latency is over budget), and -pprof
+// format (including the per-tenant labeled series), /healthz liveness, and
+// -pprof
 // additionally mounts net/http/pprof under /debug/pprof/ on the same
 // address. The server logs to stderr in -log-format (text by default, or
 // json): one structured record per session negotiation/batch/close or
@@ -24,7 +23,7 @@
 // Usage:
 //
 //	zaatar-server -listen :7001 -workers 8 -maxsessions 16 -timeout 2m -metrics :7002 -pprof
-//	zaatar-server -listen :7001 -log-format json -metrics :7002 -slo-p99 500ms
+//	zaatar-server -listen :7001 -log-format json -metrics :7002
 package main
 
 import (
@@ -45,7 +44,6 @@ import (
 
 	"zaatar"
 	"zaatar/internal/obs"
-	"zaatar/internal/transport"
 )
 
 func main() {
@@ -64,7 +62,6 @@ func main() {
 		metrics     = flag.String("metrics", "", "address for the HTTP metrics endpoint (empty disables)")
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -metrics address")
 		logFormat   = flag.String("log-format", "text", "structured logs to stderr (sessions, refused connections, store errors): text or json (empty disables)")
-		sloP99      = flag.Duration("slo-p99", 0, "readiness SLO: /readyz reports 503 while the rolling p99 batch latency exceeds this (0 disables)")
 		drain       = flag.Duration("drain", 30*time.Second, "how long to wait for in-flight sessions on shutdown")
 		workerMode  = flag.Bool("worker", false, "run as a prover-farm worker: identical service, plus the farm.worker.up gauge for farm monitoring (see zaatar-client -connect)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file (covers the whole server lifetime)")
@@ -106,16 +103,6 @@ func main() {
 		mux.Handle("/metrics", reg.Handler())
 		mux.Handle("/metrics/prometheus", reg.PrometheusHandler())
 		mux.Handle("/healthz", obs.HealthHandler())
-		mux.Handle("/readyz", obs.ReadyHandler(func() error {
-			if *sloP99 <= 0 {
-				return nil
-			}
-			p99, ok := reg.GaugeValue(transport.MetricSLOPrefix + obs.SLOGaugeP99)
-			if ok && p99 > sloP99.Seconds() {
-				return fmt.Errorf("rolling p99 %.0fms exceeds SLO %v", p99*1e3, *sloP99)
-			}
-			return nil
-		}))
 		if *pprofOn {
 			mux.HandleFunc("/debug/pprof/", httppprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -91,8 +92,12 @@ func TestDialFarmShardsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFarmOutputs(t, batch, res)
-	if up, ok := sreg.GaugeValue("farm.worker.up"); !ok || up != 1 {
-		t.Fatalf("farm.worker.up = %v (registered %v), want 1", up, ok)
+	var text strings.Builder
+	if err := sreg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "farm.worker.up 1\n") {
+		t.Fatalf("farm.worker.up is not 1:\n%s", text.String())
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"time"
 
 	"zaatar/internal/costmodel"
 	"zaatar/internal/obs"
+	"zaatar/internal/pcp"
 	"zaatar/internal/vc"
 )
 
@@ -46,9 +48,11 @@ type Baseline struct {
 	// operation, calibrated on this machine for the 128-bit field.
 	Calibration costmodel.OpCosts `json:"calibration"`
 
-	Benchmarks []BaselineBench          `json:"benchmarks"`
-	Phases     map[string]PhaseQuantile `json:"phases"`
-	Kernels    map[string]KernelStats   `json:"kernels"`
+	Benchmarks []BaselineBench `json:"benchmarks"`
+	// Phases holds the vc.phase quantiles of the Zaatar batches, keyed
+	// vc.<phase> (phaseKeys).
+	Phases  map[string]PhaseQuantile `json:"phases"`
+	Kernels map[string]KernelStats   `json:"kernels"`
 
 	// Cache is the program-cache / keep-alive amortization experiment
 	// (schema ≥ 2): cold vs warm session setup against a transport.Service
@@ -180,11 +184,9 @@ func RunBaseline(o Options, beta int) (*Baseline, error) {
 	}
 
 	reg := obs.Default()
-	for _, name := range []string{
-		vc.MetricSpanSetup, vc.MetricSpanCommit, vc.MetricSpanDecommit,
-		vc.MetricSpanRespond, vc.MetricSpanVerify, vc.MetricSpanBatch,
-	} {
-		b.Phases[name] = quantile(reg.Histogram(name).Snapshot())
+	phases := reg.HistogramVec(vc.MetricPhase, vc.LabelPhase, vc.LabelBackend)
+	for _, name := range phaseKeys {
+		b.Phases[name] = quantile(phases.With(strings.TrimPrefix(name, "vc."), pcp.BackendZaatar).Snapshot())
 	}
 	if me := reg.Histogram("elgamal.multiexp").Snapshot(); me.Count > 0 {
 		items := reg.Counter("elgamal.multiexp.bases").Value()
@@ -238,6 +240,10 @@ func RunBaseline(o Options, beta int) (*Baseline, error) {
 	return b, nil
 }
 
+// phaseKeys names the Phases entries: one per vc.phase series, in
+// protocol order.
+var phaseKeys = []string{"vc.setup", "vc.commit", "vc.decommit", "vc.respond", "vc.verify", "vc.batch"}
+
 // WriteJSON renders the baseline as indented JSON.
 func (b *Baseline) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -259,10 +265,7 @@ func RenderBaseline(w io.Writer, b *Baseline) {
 			bb.Name, bb.SetupMs, bb.CommitMs, bb.RespondMs, bb.VerifyMs, bb.TotalMs)
 	}
 	fmt.Fprintf(w, "\n%-28s %8s %10s %10s %10s %10s\n", "phase histogram", "count", "avg", "p50", "p90", "p99")
-	for _, name := range []string{
-		vc.MetricSpanSetup, vc.MetricSpanCommit, vc.MetricSpanDecommit,
-		vc.MetricSpanRespond, vc.MetricSpanVerify, vc.MetricSpanBatch,
-	} {
+	for _, name := range phaseKeys {
 		q := b.Phases[name]
 		fmt.Fprintf(w, "%-28s %8d %9.2fms %9.2fms %9.2fms %9.2fms\n",
 			name, q.Count, q.AvgMs, q.P50Ms, q.P90Ms, q.P99Ms)

@@ -15,9 +15,10 @@ import (
 
 // The scaling experiment measures commit throughput — the homomorphic inner
 // product against Enc(r), the prover's dominant cryptographic cost — as the
-// kernel worker count grows. It exercises the MultiExpParallel sharding the
-// prover uses via SetKernelWorkers, isolated from the rest of the protocol
-// so the curve is the kernel's own. Speedups are relative to one worker on
+// kernel worker count grows. It exercises the MultiExpParallel sharding of
+// commit.CommitPrepared in isolation (the protocol's prover runs each
+// kernel on one goroutine and parallelizes across instances instead), so
+// the curve is the kernel's own. Speedups are relative to one worker on
 // the same machine; a host with fewer physical cores than the largest
 // worker count will show the curve flatten there (NumCPU is recorded so
 // readers can tell saturation from overhead).

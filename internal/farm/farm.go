@@ -3,11 +3,11 @@
 // A Farm wraps a multi-leg transport.Session (one leg per worker) and
 // shards each batch across the legs: every shard is an independent wire
 // mini-batch — its own commit request, its own query seed, its own
-// commitment key — driven over one leg via Session.ShardCommit and
-// Session.ShardRespond. Per-shard keys are what make the scheme sound
-// without a global barrier: the workers are collectively one adversary, and
-// each shard's seed is revealed only after that shard's commitments are in,
-// exactly the per-batch discipline of Verifier.Reseed. A requeued or stolen
+// commitment key — run by vc.Drive over that leg's link (Session.Leg).
+// Per-shard keys are what make the scheme sound without a global barrier:
+// the workers are collectively one adversary, and each shard's seed is
+// revealed only after that shard's commitments are in, exactly the
+// per-batch discipline of Verifier.Reseed. A requeued or stolen
 // shard therefore replays on another worker with fresh randomness, never
 // re-exposing a seed whose commitments the dead worker already saw.
 //
@@ -52,9 +52,9 @@ const (
 	// MetricWorkerUp is the gauge a worker process sets to 1 while serving
 	// (zaatar.ServeWorker registers it).
 	MetricWorkerUp = "farm.worker.up"
-	// MetricSpanBatch / MetricSpanShard time one farm batch / one shard.
-	MetricSpanBatch = "farm.batch"
-	MetricSpanShard = "farm.shard"
+	// MetricBatchWall / MetricShardWall time one farm batch / one shard.
+	MetricBatchWall = "farm.batch"
+	MetricShardWall = "farm.shard"
 	// LabelWorker is the worker-address label on MetricShards.
 	LabelWorker = "worker"
 )
@@ -71,9 +71,10 @@ type Options struct {
 	ShardSize int
 	// Workers is the verification parallelism within one shard.
 	Workers int
-	// Seed fixes shard query seeds (each shard appends a counter); empty
-	// draws fresh randomness per shard. Must match the seed the session was
-	// dialed with for the dial-time verifier to line up.
+	// Seed fixes shard query seeds (each re-key appends a counter; see
+	// vc.DeriveSeed); empty draws fresh randomness per shard. Must match the
+	// seed the session was dialed with for the dial-time verifier to line
+	// up.
 	Seed []byte
 	// Obs receives farm.* metrics and spans; nil uses obs.Default().
 	Obs *obs.Registry
@@ -95,19 +96,12 @@ type Farm struct {
 	mu    sync.Mutex
 	alive []bool
 	live  int
-	seq   int // shard seed counter, monotone across batches
+	seq   int // shard seed counter, monotone across batches and forks
 
-	vmu   sync.Mutex
-	vmade int
-	vpool chan *pooledVerifier
-}
-
-// pooledVerifier is a free-list entry; used marks state already consumed by
-// a shard (or abandoned mid-shard), so the next acquire must Reseed before
-// handing it out.
-type pooledVerifier struct {
-	v    *vc.Verifier
-	used bool
+	// pool holds the verifiers no shard is using, the dial-time one
+	// first. A verifier is forked only when every pooled one is busy, so
+	// there are never more than one per worker.
+	pool chan *vc.Verifier
 }
 
 // New wraps an open session in a coordinator; each shard is one wire batch
@@ -123,17 +117,15 @@ func New(sess *transport.Session, opts Options) (*Farm, error) {
 		log:   obs.OrNop(opts.Logger),
 		alive: make([]bool, sess.NumLegs()),
 		live:  sess.NumLegs(),
-		vpool: make(chan *pooledVerifier, sess.NumLegs()),
-		vmade: 1,
+		pool:  make(chan *vc.Verifier, sess.NumLegs()),
 	}
+	f.pool <- sess.Verifier()
 	if f.reg == nil {
 		f.reg = obs.Default()
 	}
 	for i := range f.alive {
 		f.alive[i] = true
 	}
-	// The dial-time verifier is pool member #1, fresh from the handshake.
-	f.vpool <- &pooledVerifier{v: sess.Verifier()}
 	f.reg.RegisterGauge(MetricWorkersLive, func() float64 {
 		f.mu.Lock()
 		defer f.mu.Unlock()
@@ -149,9 +141,7 @@ func (f *Farm) Backend() string              { return f.sess.Backend() }
 func (f *Farm) SetupDuration() time.Duration { return f.sess.SetupDuration() }
 func (f *Farm) Close() error                 { return f.sess.Close() }
 
-// NumWorkers reports the fleet size; LiveWorkers how many are still serving.
-func (f *Farm) NumWorkers() int { return f.sess.NumLegs() }
-
+// LiveWorkers reports how many workers are still serving.
 func (f *Farm) LiveWorkers() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -170,66 +160,30 @@ func (f *Farm) retries() int {
 	}
 }
 
-// shardSeed derives shard n's query seed; empty base stays empty (fresh
-// randomness per shard), mirroring the session's per-batch derivation.
-func shardSeed(base []byte, n int) []byte {
-	if len(base) == 0 {
-		return nil
-	}
-	out := make([]byte, 0, len(base)+4)
-	out = append(out, base...)
-	return append(out, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-}
-
 func (f *Farm) nextSeed() []byte {
 	f.mu.Lock()
 	n := f.seq
 	f.seq++
 	f.mu.Unlock()
-	return shardSeed(f.opts.Seed, n)
+	return vc.DeriveSeed(f.opts.Seed, n)
 }
 
-// acquire hands out a verifier with fresh per-shard state: a pooled one
-// (reseeded if its state was consumed), or a new Fork of the dial-time
-// verifier while the pool is below the fleet size.
-func (f *Farm) acquire(ctx context.Context) (*pooledVerifier, error) {
-	var pv *pooledVerifier
+// verifier hands one shard a verifier with fresh per-shard state: a pooled
+// one, re-keyed if its key is spent, or a new Fork of the dial-time
+// verifier when every pooled one is busy. The shard returns it to the pool.
+func (f *Farm) verifier(ctx context.Context) (*vc.Verifier, error) {
 	select {
-	case pv = <-f.vpool:
-	default:
-		f.vmu.Lock()
-		if f.vmade < f.sess.NumLegs() {
-			f.vmade++
-			f.vmu.Unlock()
-			nv, err := f.sess.Verifier().Fork(ctx, f.nextSeed())
-			if err != nil {
-				f.vmu.Lock()
-				f.vmade--
-				f.vmu.Unlock()
+	case v := <-f.pool:
+		if v.Spent() {
+			if err := v.Reseed(ctx, f.nextSeed()); err != nil {
+				f.pool <- v
 				return nil, err
 			}
-			return &pooledVerifier{v: nv}, nil
 		}
-		f.vmu.Unlock()
-		select {
-		case pv = <-f.vpool:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		return v, nil
+	default:
+		return f.sess.Verifier().Fork(ctx, f.nextSeed())
 	}
-	if pv.used {
-		if err := pv.v.Reseed(ctx, f.nextSeed()); err != nil {
-			f.release(pv)
-			return nil, err
-		}
-		pv.used = false
-	}
-	return pv, nil
-}
-
-func (f *Farm) release(pv *pooledVerifier) {
-	pv.used = true
-	f.vpool <- pv
 }
 
 // liveLegs snapshots the indices of legs still serving, in rank order.
@@ -292,20 +246,46 @@ func isWorkerDeath(ctx context.Context, err error) (*transport.FarmError, bool) 
 func (f *Farm) RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.SessionResult, error) {
 	f.runMu.Lock()
 	defer f.runMu.Unlock()
-	if len(batch) == 0 {
+	n := len(batch)
+	if n == 0 {
 		return nil, errors.New("farm: empty batch")
 	}
-	if len(f.liveLegs()) == 0 {
+	live := f.liveLegs()
+	if len(live) == 0 {
 		return nil, errors.New("farm: no live workers")
 	}
-	sp := f.reg.StartSpan(MetricSpanBatch)
+	sp := f.reg.StartSpan(MetricBatchWall)
 	defer sp.End()
-	out := &transport.SessionResult{
-		Accepted: make([]bool, len(batch)),
-		Reasons:  make([]string, len(batch)),
-		Outputs:  make([][]*big.Int, len(batch)),
+	size := f.opts.ShardSize
+	if size <= 0 {
+		size = max(1, (n+2*len(live)-1)/(2*len(live)))
 	}
-	if err := f.runSharded(ctx, batch, out); err != nil {
+	q := newShardQueue()
+	for s, i := 0, 0; s < n; i++ {
+		e := min(s+size, n)
+		q.tasks = append(q.tasks, &task{lo: s, hi: e, pref: live[i%len(live)]})
+		s = e
+	}
+	q.outstanding = len(q.tasks)
+	q.workers = len(live)
+	// A cancelled caller context must wake workers parked in cond.Wait.
+	stop := context.AfterFunc(ctx, func() { q.fail(ctx.Err()) })
+	defer stop()
+	out := &transport.SessionResult{
+		Accepted: make([]bool, n),
+		Reasons:  make([]string, n),
+		Outputs:  make([][]*big.Int, n),
+	}
+	var wg sync.WaitGroup
+	for _, leg := range live {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f.legWorker(ctx, leg, q, batch, out)
+		}()
+	}
+	wg.Wait()
+	if err := q.failure(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -409,47 +389,6 @@ func (q *shardQueue) failure() error {
 	return q.err
 }
 
-// runSharded schedules batch across the live workers and writes verdicts
-// into the matching positions of out.
-func (f *Farm) runSharded(ctx context.Context, batch [][]*big.Int, out *transport.SessionResult) error {
-	live := f.liveLegs()
-	if len(live) == 0 {
-		return errors.New("farm: no live workers")
-	}
-	n := len(batch)
-	size := f.opts.ShardSize
-	if size <= 0 {
-		size = (n + 2*len(live) - 1) / (2 * len(live))
-		if size < 1 {
-			size = 1
-		}
-	}
-	q := newShardQueue()
-	for s, i := 0, 0; s < n; i++ {
-		e := s + size
-		if e > n {
-			e = n
-		}
-		q.tasks = append(q.tasks, &task{lo: s, hi: e, pref: live[i%len(live)]})
-		s = e
-	}
-	q.outstanding = len(q.tasks)
-	q.workers = len(live)
-	// A cancelled caller context must wake workers parked in cond.Wait.
-	stop := context.AfterFunc(ctx, func() { q.fail(ctx.Err()) })
-	defer stop()
-	var wg sync.WaitGroup
-	for _, leg := range live {
-		wg.Add(1)
-		go func(leg int) {
-			defer wg.Done()
-			f.legWorker(ctx, leg, q, batch, out)
-		}(leg)
-	}
-	wg.Wait()
-	return q.failure()
-}
-
 // legWorker drains the queue over one leg until the queue empties, a fatal
 // error lands, or this leg's worker dies.
 func (f *Farm) legWorker(ctx context.Context, leg int, q *shardQueue, batch [][]*big.Int, out *transport.SessionResult) {
@@ -462,14 +401,7 @@ func (f *Farm) legWorker(ctx context.Context, leg int, q *shardQueue, batch [][]
 		if stolen {
 			f.reg.Counter(MetricShardStolen).Inc()
 		}
-		pv, err := f.acquire(ctx)
-		if err != nil {
-			q.fail(err)
-			q.retire(err)
-			return
-		}
-		err = f.runShard(ctx, leg, pv.v, t, batch, out)
-		f.release(pv)
+		err := f.runShard(ctx, leg, t, batch, out)
 		if err == nil {
 			q.done()
 			continue
@@ -494,34 +426,23 @@ func (f *Farm) legWorker(ctx context.Context, leg int, q *shardQueue, batch [][]
 	}
 }
 
-// runShard runs one shard as a wire mini-batch on one leg: commit, decommit,
-// respond, verify, with verdicts written to the shard's slice of out.
-func (f *Farm) runShard(ctx context.Context, leg int, v *vc.Verifier, t *task, batch [][]*big.Int, out *transport.SessionResult) error {
-	sp := f.reg.StartSpan(MetricSpanShard)
+// runShard drives one shard as a wire mini-batch on one leg under its own
+// verifier, writing its verdicts into the shard's slice of out.
+func (f *Farm) runShard(ctx context.Context, leg int, t *task, batch [][]*big.Int, out *transport.SessionResult) error {
+	sp := f.reg.StartSpan(MetricShardWall)
 	defer sp.End()
 	f.reg.CounterVec(MetricShards, LabelWorker).With(f.sess.LegAddr(leg)).Inc()
-	shard := batch[t.lo:t.hi]
-	cms, err := f.sess.ShardCommit(ctx, leg, v.Setup(), shard)
+	v, err := f.verifier(ctx)
 	if err != nil {
 		return err
 	}
-	dreq, err := v.Decommit()
+	defer func() { f.pool <- v }()
+	res, err := vc.Drive(ctx, v, f.sess.Leg(leg), batch[t.lo:t.hi], f.opts.Workers)
 	if err != nil {
 		return err
 	}
-	resps, err := f.sess.ShardRespond(ctx, leg, dreq, len(shard))
-	if err != nil {
-		return err
-	}
-	workers := f.opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	return vc.ForEach(ctx, len(shard), workers, func(i int) error {
-		ok, reason := v.VerifyInstance(ctx, shard[i], cms[i], resps[i])
-		out.Accepted[t.lo+i] = ok
-		out.Reasons[t.lo+i] = reason
-		out.Outputs[t.lo+i] = cms[i].Output
-		return nil
-	})
+	copy(out.Accepted[t.lo:], res.Accepted)
+	copy(out.Reasons[t.lo:], res.Reasons)
+	copy(out.Outputs[t.lo:], res.Outputs)
+	return nil
 }

@@ -280,16 +280,3 @@ func (r *Registry) RegisterGauge(name string, fn func() float64) {
 	defer r.mu.Unlock()
 	r.gauges[name] = fn
 }
-
-// GaugeValue evaluates the named registered gauge, reporting whether it
-// exists. Health checks use this to read SLO gauges by name without
-// holding a reference to the component that computes them.
-func (r *Registry) GaugeValue(name string) (float64, bool) {
-	r.mu.RLock()
-	fn, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	return fn(), true
-}

@@ -177,32 +177,23 @@ func TestRegistryConcurrentStress(t *testing.T) {
 
 func TestGauges(t *testing.T) {
 	r := NewRegistry()
-	if _, ok := r.GaugeValue("missing"); ok {
-		t.Fatal("GaugeValue reported a gauge that was never registered")
-	}
-	r.RegisterGauge("transport.slo.error_rate", func() float64 { return 0.25 })
-	if v, ok := r.GaugeValue("transport.slo.error_rate"); !ok || v != 0.25 {
-		t.Fatalf("GaugeValue = %v, %v", v, ok)
-	}
+	r.RegisterGauge("farm.workers.live", func() float64 { return 0.25 })
 	// Re-registering replaces the function (idempotent wiring).
-	r.RegisterGauge("transport.slo.error_rate", func() float64 { return 0.5 })
-	if v, _ := r.GaugeValue("transport.slo.error_rate"); v != 0.5 {
-		t.Fatalf("GaugeValue after re-register = %v", v)
-	}
+	r.RegisterGauge("farm.workers.live", func() float64 { return 0.5 })
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "transport.slo.error_rate 0.5") {
-		t.Fatalf("WriteText missing gauge:\n%s", buf.String())
+	if out := buf.String(); !strings.Contains(out, "farm.workers.live 0.5") || strings.Contains(out, "0.25") {
+		t.Fatalf("WriteText gauge not replaced:\n%s", out)
 	}
 	buf.Reset()
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "# TYPE zaatar_transport_slo_error_rate gauge") ||
-		!strings.Contains(out, "zaatar_transport_slo_error_rate 0.5") {
+	if !strings.Contains(out, "# TYPE zaatar_farm_workers_live gauge") ||
+		!strings.Contains(out, "zaatar_farm_workers_live 0.5") {
 		t.Fatalf("WritePrometheus missing gauge:\n%s", out)
 	}
 }

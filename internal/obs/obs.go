@@ -356,6 +356,16 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return nil
 }
 
+// HealthHandler answers liveness probes: 200 as long as the process can
+// serve HTTP at all.
+func HealthHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write([]byte("ok\n"))
+	})
+}
+
 // Handler serves the registry as text/plain — the body behind
 // zaatar-server's -metrics endpoint.
 func (r *Registry) Handler() http.Handler {

@@ -173,6 +173,14 @@ func TestWriteTextAndHandler(t *testing.T) {
 	}
 }
 
+func TestHealthHandler(t *testing.T) {
+	rec := httptest.NewRecorder()
+	HealthHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != 200 || rec.Body.String() != "ok\n" {
+		t.Fatalf("healthz = %d %q", rec.Code, rec.Body.String())
+	}
+}
+
 func TestDefaultRegistryIsSingleton(t *testing.T) {
 	if Default() != Default() {
 		t.Fatal("Default registry not a singleton")

@@ -34,7 +34,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.CounterVec("transport.errors", "kind").With("say \"no\"\\\n").Inc()
 	pv := r.HistogramVec("vc.phase", "phase", "backend")
 	pv.With("commit", "zaatar").Observe(2 * time.Microsecond)
-	r.RegisterGauge("transport.slo.p99_seconds", func() float64 { return 0.125 })
+	r.RegisterGauge("farm.workers.live", func() float64 { return 2 })
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {

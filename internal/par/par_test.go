@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -76,5 +77,74 @@ func TestForEachCancelledContext(t *testing.T) {
 		if atomic.LoadInt32(&ran) == 50 {
 			t.Errorf("workers=%d: cancelled run completed every item", workers)
 		}
+	}
+}
+
+// Regression test for the old parallelFor, which kept dispatching every
+// remaining index after the first error: the pool must stop feeding and
+// drain promptly.
+func TestForEachStopsAfterFirstError(t *testing.T) {
+	const n, workers = 100, 4
+	boom := errors.New("boom")
+	var calls atomic.Int32
+	err := ForEach(context.Background(), n, workers, func(i int) error {
+		calls.Add(1)
+		if i == 0 {
+			return boom
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if c := calls.Load(); int(c) > n/2 {
+		t.Fatalf("pool ran %d of %d indices after the first error; feeder did not stop", c, n)
+	}
+}
+
+func TestForEachSerialStopsAfterFirstError(t *testing.T) {
+	boom := errors.New("boom")
+	var calls int
+	err := ForEach(context.Background(), 10, 1, func(i int) error {
+		calls++
+		if i == 3 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || calls != 4 {
+		t.Fatalf("serial pool: err = %v, calls = %d (want boom after 4 calls)", err, calls)
+	}
+}
+
+func TestForEachContextCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var calls atomic.Int32
+	done := make(chan error, 1)
+	go func() {
+		done <- ForEach(ctx, 50, 2, func(i int) error {
+			if calls.Add(1) == 1 {
+				close(started)
+				<-release
+			}
+			return nil
+		})
+	}()
+	<-started
+	cancel()
+	close(release)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("pool did not drain after cancellation")
+	}
+	if c := calls.Load(); c > 10 {
+		t.Fatalf("pool ran %d indices after cancellation", c)
 	}
 }

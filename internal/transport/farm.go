@@ -37,17 +37,14 @@ func (s *Session) legError(i int, err error) error {
 	if !s.multi {
 		return err
 	}
-	return s.shardError(i, err)
+	return s.attribute(i, err)
 }
 
-// shardError always wraps: the per-leg shard operations exist for farm
-// coordinators, where attribution is the point even on a one-worker farm.
-func (s *Session) shardError(i int, err error) error {
-	if err == nil {
-		return err
-	}
+// attribute wraps err (when non-nil and not already attributed) in a
+// *FarmError naming leg i's worker.
+func (s *Session) attribute(i int, err error) error {
 	var fe *FarmError
-	if errors.As(err, &fe) {
+	if err == nil || errors.As(err, &fe) {
 		return err
 	}
 	return &FarmError{Addr: s.legs[i].addr, Leg: i, Err: err}
@@ -60,8 +57,7 @@ func (s *Session) NumLegs() int { return len(s.legs) }
 // otherwise the connection's remote address).
 func (s *Session) LegAddr(i int) string { return s.legs[i].addr }
 
-// Verifier exposes the session's verifier so a coordinator can drive the
-// commit/decommit phases itself (see ShardCommit/ShardRespond) or Fork
+// Verifier exposes the session's verifier so a coordinator can Fork
 // per-shard verifiers off its precomputation. The verifier is not safe for
 // concurrent use; coordinators fork one per in-flight shard.
 func (s *Session) Verifier() *vc.Verifier { return s.verifier }
@@ -74,72 +70,77 @@ func (s *Session) CloseLeg(i int) error {
 	return s.legs[i].conn.Close()
 }
 
-// ShardCommit runs the commit half of one mini-batch on leg i alone: it
-// ships req (a fresh per-shard commit request — shards are independent
-// batches, each with its own key and seed) together with the shard's
-// instances, and collects the per-instance commitments. The caller must
-// follow with ShardRespond on the same leg before starting this leg's next
-// shard; distinct legs may run shards concurrently.
-func (s *Session) ShardCommit(ctx context.Context, i int, req *vc.CommitRequest, instances [][]*big.Int) ([]*vc.Commitment, error) {
-	cms, err := s.commitLeg(ctx, i, req, instances)
-	return cms, s.shardError(i, err)
+// Leg returns the prover link over leg i alone, for a farm coordinator to
+// vc.Drive one shard through: each shard is an independent wire batch
+// with its own commit request, key and seed. Every failure is a *FarmError
+// naming the worker — attribution is the point even on a one-worker farm.
+// Distinct legs may run shards concurrently; one link carries one batch.
+func (s *Session) Leg(i int) vc.ProverLink {
+	return &legLink{s: s, i: i, farm: true}
 }
 
-// ShardRespond completes leg i's in-flight shard of n instances: it reveals
-// the decommit (seed + consistency points) and collects the per-instance
-// responses, stitching the worker's trace spans into the session's
-// timeline. Must follow a successful ShardCommit on the same leg.
-func (s *Session) ShardRespond(ctx context.Context, i int, dreq *vc.DecommitRequest, n int) ([]*vc.Response, error) {
-	resps, err := s.respondLeg(ctx, i, dreq, n)
-	return resps, s.shardError(i, err)
+// legLink is the vc.ProverLink over one prover connection: Commit is the
+// commit exchange on the wire, Respond the decommit/responses exchange.
+type legLink struct {
+	s    *Session
+	i    int
+	farm bool // attribute every failure to the worker (*FarmError)
+	n    int  // instances in flight, set by Commit
 }
 
-// commitLeg is the commit exchange of one batch on leg i, shared by
-// RunBatch and ShardCommit: the commit request and instances out, one
-// commitment per instance back.
-func (s *Session) commitLeg(ctx context.Context, i int, req *vc.CommitRequest, instances [][]*big.Int) ([]*vc.Commitment, error) {
-	leg := s.legs[i]
+// exchange sends one frame on the leg and receives the reply into in,
+// holding the leg for the round trip; failures are attributed on farm
+// links.
+func (l *legLink) exchange(ctx context.Context, out, in any) (err error) {
+	leg := l.s.legs[l.i]
 	leg.mu.Lock()
 	defer leg.mu.Unlock()
 	defer watch(ctx, leg.conn)()
-	if err := leg.cc.send(BatchMsg{Req: req, Instances: instances}); err != nil {
-		return nil, ctxErr(ctx, err)
+	if err = leg.cc.send(out); err == nil {
+		err = leg.cc.recv(in)
 	}
+	return l.fail(ctxErr(ctx, err))
+}
+
+func (l *legLink) fail(err error) error {
+	if l.farm {
+		return l.s.attribute(l.i, err)
+	}
+	return err
+}
+
+// Commit ships the commit request and instances and collects one
+// commitment per instance.
+func (l *legLink) Commit(ctx context.Context, req *vc.CommitRequest, instances [][]*big.Int) ([]*vc.Commitment, error) {
+	l.n = len(instances)
 	var cms CommitmentsMsg
-	if err := leg.cc.recv(&cms); err != nil {
-		return nil, ctxErr(ctx, err)
-	}
-	if cms.Err != "" {
-		return nil, &RemoteError{Phase: "commit", Msg: cms.Err}
-	}
-	if len(cms.Items) != len(instances) {
-		return nil, errors.New("transport: commitment count mismatch")
+	switch err := l.exchange(ctx, BatchMsg{Req: req, Instances: instances}, &cms); {
+	case err != nil:
+		return nil, err
+	case cms.Err != "":
+		return nil, l.fail(&RemoteError{Phase: "commit", Msg: cms.Err})
+	case len(cms.Items) != l.n:
+		return nil, l.fail(errors.New("transport: commitment count mismatch"))
 	}
 	return cms.Items, nil
 }
 
-// respondLeg is the respond exchange of one batch of n instances on leg i,
-// shared by RunBatch and ShardRespond: the decommit out, one response per
-// instance back, the prover's trace spans imported.
-func (s *Session) respondLeg(ctx context.Context, i int, dreq *vc.DecommitRequest, n int) ([]*vc.Response, error) {
-	leg := s.legs[i]
-	leg.mu.Lock()
-	defer leg.mu.Unlock()
-	defer watch(ctx, leg.conn)()
-	if err := leg.cc.send(DecommitMsg{Req: dreq}); err != nil {
-		return nil, ctxErr(ctx, err)
-	}
+// Respond reveals the decommit, collects one response per instance and
+// imports the prover's trace spans into the session's timeline.
+func (l *legLink) Respond(ctx context.Context, dec *vc.DecommitRequest, emit func(int, *vc.Response)) error {
 	var resp ResponsesMsg
-	if err := leg.cc.recv(&resp); err != nil {
-		return nil, ctxErr(ctx, err)
-	}
-	if resp.Err != "" {
-		return nil, &RemoteError{Phase: "respond", Msg: resp.Err}
-	}
-	if len(resp.Items) != n {
-		return nil, errors.New("transport: response count mismatch")
+	switch err := l.exchange(ctx, DecommitMsg{Req: dec}, &resp); {
+	case err != nil:
+		return err
+	case resp.Err != "":
+		return l.fail(&RemoteError{Phase: "respond", Msg: resp.Err})
+	case len(resp.Items) != l.n:
+		return l.fail(errors.New("transport: response count mismatch"))
 	}
 	// Records from any other trace are dropped by Import.
-	s.tc.Import(resp.Trace)
-	return resp.Items, nil
+	l.s.tc.Import(resp.Trace)
+	for i, r := range resp.Items {
+		emit(i, r)
+	}
+	return nil
 }

@@ -139,7 +139,7 @@ func TestStructuredLogsJoinTrace(t *testing.T) {
 // TestLabeledTransportMetrics is the acceptance check for the per-tenant
 // metric breakdown: after a run, the Prometheus exposition shows
 // transport.batches and transport.instances broken out by backend and
-// program_hash, transport.sessions by backend, and the SLO gauges present.
+// program_hash, and transport.sessions by backend.
 func TestLabeledTransportMetrics(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2})
 	client, errCh := servicePipe(svc)
@@ -168,8 +168,6 @@ func TestLabeledTransportMetrics(t *testing.T) {
 		`zaatar_transport_batches_total{backend="` + backend + `",program_hash="` + phash + `"} 1`,
 		`zaatar_transport_instances_total{backend="` + backend + `",program_hash="` + phash + `"} 1`,
 		`zaatar_transport_sessions_total{backend="` + backend + `"} 1`,
-		"# TYPE zaatar_transport_slo_p99_seconds gauge",
-		"zaatar_transport_slo_requests 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus exposition missing %q:\n%s", want, out)
@@ -183,16 +181,5 @@ func TestLabeledTransportMetrics(t *testing.T) {
 	// same registry.
 	if !strings.Contains(out, `zaatar_vc_phase_seconds_count{phase="verify",backend="`+backend+`"}`) {
 		t.Fatalf("vc.phase labeled histogram missing:\n%s", out)
-	}
-
-	// Error-rate accounting: a failed session ticks the SLO error gauge.
-	bad, errCh2 := servicePipe(svc)
-	if _, err := oneBatch(context.Background(), bad, Hello{Source: "nonsense {", Backends: zaatarOnly}, ClientOptions{Obs: reg}, instances(1)); err == nil {
-		t.Fatal("malformed source unexpectedly accepted")
-	}
-	bad.Close() // the client fails before the hello; unblock the server's read
-	<-errCh2
-	if v, ok := reg.GaugeValue(MetricSLOPrefix + obs.SLOGaugeErrorRate); !ok || v <= 0 {
-		t.Fatalf("SLO error rate = %v, %v; want > 0 after a failed session", v, ok)
 	}
 }

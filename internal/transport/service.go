@@ -81,10 +81,6 @@ type ServiceOptions struct {
 	// per service (connections refused at MaxConns, artifact-store errors).
 	// Nil disables logging.
 	Logger *slog.Logger
-	// SLOWindow is the rolling window over which the service tracks its
-	// error rate and latency quantiles, exposed as transport.slo.* gauges.
-	// Defaults to obs.DefaultSLOWindow.
-	SLOWindow time.Duration
 }
 
 // Service is a long-lived multi-tenant prover: it owns a cross-session LRU
@@ -107,7 +103,6 @@ type Service struct {
 	log         *slog.Logger
 
 	reg     *obs.Registry
-	slo     *obs.SLO
 	sem     chan struct{}
 	active  atomic.Int64
 	conns   atomic.Int64
@@ -118,7 +113,6 @@ type Service struct {
 	sessionsVec  *obs.CounterVec
 	batchesVec   *obs.CounterVec
 	instancesVec *obs.CounterVec
-	phasesVec    *obs.HistogramVec
 	storeHitsVec *obs.CounterVec
 	skippedVec   *obs.CounterVec
 
@@ -171,12 +165,6 @@ func NewService(opts ServiceOptions) *Service {
 	if maxSource <= 0 {
 		maxSource = DefaultMaxSourceBytes
 	}
-	window := opts.SLOWindow
-	if window <= 0 {
-		window = obs.DefaultSLOWindow
-	}
-	slo := obs.NewSLO(window)
-	obs.ExposeSLO(reg, MetricSLOPrefix, slo)
 	return &Service{
 		workers:      workers,
 		maxSessions:  maxSessions,
@@ -189,12 +177,10 @@ func NewService(opts ServiceOptions) *Service {
 		store:        opts.Store,
 		log:          obs.OrNop(opts.Logger),
 		reg:          reg,
-		slo:          slo,
 		sem:          make(chan struct{}, maxSessions),
 		sessionsVec:  reg.CounterVec(MetricSessions, LabelBackend),
 		batchesVec:   reg.CounterVec(MetricServedBatches, LabelBackend, LabelProgramHash),
 		instancesVec: reg.CounterVec(MetricServedInstance, LabelBackend, LabelProgramHash),
-		phasesVec:    reg.HistogramVec(vc.MetricPhase, vc.LabelPhase, vc.LabelBackend),
 		storeHitsVec: reg.CounterVec(MetricStoreHits, LabelBackend, LabelProgramHash),
 		skippedVec:   reg.CounterVec(MetricHelloSourceSkipped, LabelProgramHash),
 		cache:        newProgramCache(cacheSize, reg),
@@ -410,9 +396,6 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 		err = ctxErr(ctx, err)
 		if err != nil {
 			s.reg.Counter(MetricSessionErrors).Inc()
-			// Failed sessions count against the SLO error rate; successful
-			// batches were already observed with their latency.
-			s.slo.Observe(0, true)
 			logger.ErrorContext(ctx, "session failed", "err", err.Error())
 		} else {
 			logger.InfoContext(ctx, "session closed")
@@ -556,8 +539,6 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 			return err
 		}
 		dur := time.Since(t0)
-		s.slo.Observe(dur, false)
-		s.phasesVec.With("batch", backend).Observe(dur)
 		s.reg.Counter(MetricServedBatches).Inc()
 		s.reg.Counter(MetricServedInstance).Add(int64(n))
 		s.batchesVec.With(backend, phash).Inc()
@@ -569,8 +550,9 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 }
 
 // serveBatch runs the commit → decommit → respond exchange for one batch
-// and returns the number of instances served. ship is called immediately
-// before the final ResponsesMsg to collect the trace records to attach.
+// through the prover's batch routines and returns the number of instances
+// served. ship is called immediately before the final ResponsesMsg to
+// collect the trace records to attach.
 func (s *Service) serveBatch(ctx context.Context, cc *timedCodec, prover *vc.Prover, batch BatchMsg, batchIdx, workers int, ship func() []trace.Record) (int, error) {
 	batchTr, ctx := trace.Child(ctx, "transport.batch")
 	batchTr.WithArg("batch", int64(batchIdx))
@@ -588,37 +570,15 @@ func (s *Service) serveBatch(ctx context.Context, cc *timedCodec, prover *vc.Pro
 		_ = cc.send(CommitmentsMsg{Err: err.Error()})
 		return 0, err
 	}
-	// The request was gob-decoded from the peer: reject malformed group
-	// parameters or ciphertexts here, as a protocol error the client sees,
-	// rather than panicking inside the commitment kernels.
-	if err := prover.HandleCommitRequest(batch.Req); err != nil {
+	// The request was gob-decoded from the peer: CommitBatch rejects
+	// malformed group parameters or ciphertexts as a protocol error the
+	// client sees, rather than panicking inside the commitment kernels.
+	cms, states, err := prover.CommitBatch(ctx, batch.Req, batch.Instances, workers)
+	if err != nil {
 		_ = cc.send(CommitmentsMsg{Err: err.Error()})
 		return 0, err
 	}
-	// Small batches leave pool workers idle during the commit phase; hand
-	// the leftovers to each Commit's group-arithmetic kernel.
-	prover.SetKernelWorkers(workers / n)
-
-	states := make([]*vc.InstanceState, n)
-	cms := CommitmentsMsg{Items: make([]*vc.Commitment, n)}
-	commitTr, commitCtx := trace.Child(ctx, "vc.commit")
-	defer commitTr.End()
-	if err := vc.ForEach(ctx, n, workers, func(i int) error {
-		isp, ictx := trace.Child(commitCtx, "prover.commit")
-		isp.WithArg("instance", int64(i))
-		defer isp.End()
-		cm, st, err := prover.Commit(ictx, batch.Instances[i])
-		if err != nil {
-			return fmt.Errorf("instance %d: %w", i, err)
-		}
-		cms.Items[i], states[i] = cm, st
-		return nil
-	}); err != nil {
-		_ = cc.send(CommitmentsMsg{Err: err.Error()})
-		return 0, err
-	}
-	commitTr.End()
-	if err := cc.send(cms); err != nil {
+	if err := cc.send(CommitmentsMsg{Items: cms}); err != nil {
 		return 0, err
 	}
 
@@ -626,32 +586,18 @@ func (s *Service) serveBatch(ctx context.Context, cc *timedCodec, prover *vc.Pro
 	// round-trip; it shows up as its own span so wire stalls are visible.
 	awaitTr := trace.Start(ctx, "wire.await_decommit")
 	var decommit DecommitMsg
-	err := cc.recv(&decommit)
+	err = cc.recv(&decommit)
 	awaitTr.End()
 	if err != nil {
 		return 0, fmt.Errorf("transport: reading decommit: %w", err)
 	}
-	if err := prover.HandleDecommit(decommit.Req); err != nil {
-		_ = cc.send(ResponsesMsg{Err: err.Error()})
-		return 0, err
-	}
 	resp := ResponsesMsg{Items: make([]*vc.Response, n)}
-	respondTr, respondCtx := trace.Child(ctx, "vc.respond")
-	defer respondTr.End()
-	if err := vc.ForEach(ctx, n, workers, func(i int) error {
-		isp := trace.Start(respondCtx, "prover.respond").WithArg("instance", int64(i))
-		defer isp.End()
-		r, err := prover.Respond(ctx, states[i])
-		if err != nil {
-			return fmt.Errorf("instance %d: %w", i, err)
-		}
+	if err := prover.RespondBatch(ctx, decommit.Req, states, workers, func(i int, r *vc.Response) {
 		resp.Items[i] = r
-		return nil
 	}); err != nil {
 		_ = cc.send(ResponsesMsg{Err: err.Error()})
 		return 0, err
 	}
-	respondTr.End()
 	batchTr.End()
 	resp.Trace = ship()
 	return n, cc.send(resp)

@@ -73,8 +73,7 @@ type sessionLeg struct {
 }
 
 // errMultiLeg refuses Session.RunBatch on a session over several provers:
-// the farm (internal/farm) drives those legs through ShardCommit and
-// ShardRespond.
+// the farm (internal/farm) drives those legs, one Session.Leg link each.
 var errMultiLeg = errors.New("transport: RunBatch drives a one-prover session; shard a multi-prover session with internal/farm (zaatar.DialFarm)")
 
 // Session is the verifier side of a prover session. NewSession opens it and
@@ -89,7 +88,6 @@ var errMultiLeg = errors.New("transport: RunBatch drives a one-prover session; s
 type Session struct {
 	mu       sync.Mutex
 	opts     ClientOptions
-	reg      *obs.Registry
 	prog     *compiler.Program
 	verifier *vc.Verifier
 	legs     []*sessionLeg
@@ -98,7 +96,8 @@ type Session struct {
 	sessTr   *trace.Span
 	obsSpan  obs.Span
 	log      *slog.Logger
-	batches  int
+	batches  int // batches verified
+	reseeds  int // re-keys so far; names each fresh query seed
 	closed   bool
 	multi    bool // more than one prover connection: leg errors carry worker attribution
 }
@@ -136,7 +135,6 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 
 	sess := &Session{
 		opts:    opts,
-		reg:     reg,
 		multi:   len(conns) > 1,
 		tc:      tc,
 		sessTr:  sessTr,
@@ -226,9 +224,7 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 	cfg := hello.config(0, opts.Seed, s.backend)
 	cfg.Group = opts.Group
 	cfg.Obs = opts.Obs
-	setupTr, setupCtx := trace.Child(tctx, "vc.setup")
-	s.verifier, err = vc.NewVerifierPre(setupCtx, s.prog, cfg, nil)
-	setupTr.End()
+	s.verifier, err = vc.NewVerifierPre(tctx, s.prog, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -279,23 +275,13 @@ func (s *Session) Program() *compiler.Program { return s.prog }
 // the batching argument.
 func (s *Session) SetupDuration() time.Duration { return s.verifier.SetupDuration() }
 
-// deriveSeed gives batch b its own deterministic seed from a fixed base;
-// an empty base stays empty (fresh randomness every batch).
-func deriveSeed(base []byte, b int) []byte {
-	if len(base) == 0 {
-		return nil
-	}
-	out := make([]byte, 0, len(base)+4)
-	out = append(out, base...)
-	return append(out, byte(b>>24), byte(b>>16), byte(b>>8), byte(b))
-}
-
 // RunBatch proves and verifies one batch of instances on a one-prover
-// session. Every batch ships its own commit request: later batches reuse
-// the connection and the negotiated (server-cached) program, but redraw the
-// query seed and the commitment key — reusing the key across decommits
-// would leak the secret vector r. A session over several provers is
-// refused; the farm shards those.
+// session: vc.Drive over the session's one wire leg. Every batch ships its
+// own commit request: later batches reuse the connection and the
+// negotiated (server-cached) program, but a verifier whose request already
+// went out redraws the query seed and the commitment key first — reusing
+// the key across decommits would leak the secret vector r. A session over
+// several provers is refused; the farm shards those.
 func (s *Session) RunBatch(ctx context.Context, batch [][]*big.Int) (res *SessionResult, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -313,74 +299,28 @@ func (s *Session) RunBatch(ctx context.Context, batch [][]*big.Int) (res *Sessio
 	batchTr.WithArg("batch", int64(s.batches)).WithArg("instances", int64(len(batch)))
 	defer batchTr.End()
 
-	if s.batches > 0 {
+	if s.verifier.Spent() {
 		// Fresh queries and a fresh commitment key for a fresh batch: the
-		// previous batch's decommit revealed t = r + Σ αᵢqᵢ, so carrying r
-		// over would let the prover solve for it across batches (see
-		// Verifier.Reseed).
-		reseedTr, reseedCtx := trace.Child(ctx, "vc.reseed")
-		err := s.verifier.Reseed(reseedCtx, deriveSeed(s.opts.Seed, s.batches))
-		reseedTr.End()
-		if err != nil {
+		// previous decommit revealed t = r + Σ αᵢqᵢ, so carrying r over
+		// would let the prover solve for it (see Verifier.Reseed).
+		s.reseeds++
+		if err := s.verifier.Reseed(ctx, vc.DeriveSeed(s.opts.Seed, s.reseeds)); err != nil {
 			return nil, err
 		}
 	}
-
-	// Commit request + inputs out, every commitment back before anything
-	// further is revealed (the soundness barrier).
-	commitTr := trace.Start(ctx, "wire.commit_exchange")
-	cms, err := s.commitLeg(ctx, 0, s.verifier.Setup(), batch)
-	commitTr.End()
+	res, err = vc.Drive(ctx, s.verifier, &legLink{s: s}, batch, s.opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-
-	decommitTr := trace.Start(ctx, "vc.decommit")
-	dreq, err := s.verifier.Decommit()
-	decommitTr.End()
-	if err != nil {
-		return nil, err
-	}
-	respondTr := trace.Start(ctx, "wire.respond_exchange")
-	resps, err := s.respondLeg(ctx, 0, dreq, len(batch))
-	respondTr.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Verify everything — in parallel over opts.Workers; the verifier's
-	// state is read-only after Decommit.
-	out := &SessionResult{
-		Accepted: make([]bool, len(batch)),
-		Reasons:  make([]string, len(batch)),
-		Outputs:  make([][]*big.Int, len(batch)),
-	}
-	phases := s.reg.HistogramVec(vc.MetricPhase, vc.LabelPhase, vc.LabelBackend)
-	verifyTr, verifyCtx := trace.Child(ctx, "vc.verify_stage")
-	defer verifyTr.End()
-	if err := vc.ForEach(ctx, len(batch), s.opts.Workers, func(i int) error {
-		vsp := trace.Start(verifyCtx, "vc.verify").WithArg("instance", int64(i))
-		defer vsp.End()
-		t0 := time.Now()
-		ok, reason := s.verifier.VerifyInstance(ctx, batch[i], cms[i], resps[i])
-		phases.With("verify", s.backend).Observe(time.Since(t0))
-		out.Accepted[i] = ok
-		out.Reasons[i] = reason
-		out.Outputs[i] = cms[i].Output
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	verifyTr.End()
 	accepted := 0
-	for _, ok := range out.Accepted {
+	for _, ok := range res.Accepted {
 		if ok {
 			accepted++
 		}
 	}
 	s.log.InfoContext(ctx, "batch verified", "batch", s.batches, "instances", len(batch), "accepted", accepted)
 	s.batches++
-	return out, nil
+	return res, nil
 }
 
 // finish ends the session's spans exactly once; callers hold no lock.

@@ -87,13 +87,14 @@ func TestTracePropagation(t *testing.T) {
 	if serves[0].Parent != sessions[0].Span {
 		t.Fatalf("transport.serve parent %x, want verifier session span %x", serves[0].Parent, sessions[0].Span)
 	}
-	// All four protocol phases appear, with the commit/respond work on the
-	// prover side and setup/decommit/verify on the verifier side.
+	// Every protocol phase appears as the verifier's span — Drive names
+	// them identically on every link — while the per-instance work spans
+	// belong to the prover.
 	for name, wantProc := range map[string]string{
 		"vc.setup":       "verifier",
-		"vc.commit":      "prover",
+		"vc.commit":      "verifier",
 		"vc.decommit":    "verifier",
-		"vc.respond":     "prover",
+		"vc.respond":     "verifier",
 		"vc.verify":      "verifier",
 		"prover.commit":  "prover",
 		"prover.respond": "prover",

@@ -22,9 +22,10 @@
 // and their prover precomputations live in an LRU shared across sessions,
 // and a service-wide admission semaphore bounds how many sessions compute
 // concurrently. The verifier side is a Session (NewSession / RunBatch /
-// Close) over one prover connection. A session over several connections
-// belongs to the farm (internal/farm), which drives each leg through
-// ShardCommit and ShardRespond.
+// Close) over one prover connection; RunBatch is vc.Drive over that
+// connection's link. A session over several connections belongs to the
+// farm (internal/farm), which drives each leg's link (Session.Leg) the
+// same way.
 //
 // Both ends are context-aware: cancelling the context closes the
 // connection, unblocking any in-flight read or write, and per-message I/O
@@ -138,10 +139,6 @@ const (
 	// full series name is the prefix plus the negotiated backend name,
 	// e.g. "pcp.backend.sessions.sumcheck".
 	MetricBackendSessions = "pcp.backend.sessions."
-
-	// MetricSLOPrefix prefixes the service's rolling-window SLO gauges
-	// (".requests", ".error_rate", ".p99_seconds" — see obs.ExposeSLO).
-	MetricSLOPrefix = "transport.slo"
 )
 
 // Label keys for the labeled (per-tenant) views of the transport metrics.
@@ -311,22 +308,9 @@ type ResponsesMsg struct {
 	Trace []trace.Record
 }
 
-// SessionResult is the verifier-side outcome of one batch.
-type SessionResult struct {
-	Accepted []bool
-	Reasons  []string
-	Outputs  [][]*big.Int
-}
-
-// AllAccepted reports whether every instance verified.
-func (r *SessionResult) AllAccepted() bool {
-	for _, ok := range r.Accepted {
-		if !ok {
-			return false
-		}
-	}
-	return len(r.Accepted) > 0
-}
+// SessionResult is the verifier-side outcome of one batch: the verdict
+// vc.Drive returns on every link.
+type SessionResult = vc.Verdict
 
 func (h Hello) fieldOf() *field.Field {
 	if h.Field220 {

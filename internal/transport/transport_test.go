@@ -268,6 +268,46 @@ func TestServerSurvivesMidSessionDisconnect(t *testing.T) {
 	}
 }
 
+// A decommit frame without its request is malformed peer input: the
+// service answers it with a respond-phase error instead of dereferencing
+// the missing request.
+func TestServerRejectsEmptyDecommit(t *testing.T) {
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
+	client, server := net.Pipe()
+	defer client.Close()
+	serverErr := make(chan error, 1)
+	go func() { serverErr <- serve(context.Background(), server, ServiceOptions{}) }()
+
+	cc := newTimedCodec(client, 5*time.Second)
+	if err := cc.send(wireHello(hello)); err != nil {
+		t.Fatal(err)
+	}
+	var ack HelloAck
+	if err := cc.recv(&ack); err != nil || ack.Err != "" {
+		t.Fatalf("hello failed: %v %q", err, ack.Err)
+	}
+	if err := cc.send(BatchMsg{Req: &vc.CommitRequest{}, Instances: [][]*big.Int{{big.NewInt(4)}}}); err != nil {
+		t.Fatal(err)
+	}
+	var cms CommitmentsMsg
+	if err := cc.recv(&cms); err != nil || cms.Err != "" {
+		t.Fatalf("commit failed: %v %q", err, cms.Err)
+	}
+	if err := cc.send(DecommitMsg{}); err != nil {
+		t.Fatal(err)
+	}
+	var resp ResponsesMsg
+	if err := cc.recv(&resp); err != nil {
+		t.Fatalf("server dropped the connection instead of answering: %v", err)
+	}
+	if resp.Err == "" {
+		t.Fatal("server answered a decommit that carried no request")
+	}
+	if err := <-serverErr; err == nil {
+		t.Fatal("server reported success for a malformed session")
+	}
+}
+
 // A stalled peer must not hold a session past the IO deadline.
 func TestServerIOTimeout(t *testing.T) {
 	client, server := net.Pipe()
@@ -352,7 +392,7 @@ func TestRunSessionContextCancel(t *testing.T) {
 
 // TestDistributedProvers: a session over three provers is the farm's to
 // drive. RunBatch refuses it before touching the wire, and every leg still
-// serves a shard of the batch through ShardCommit/ShardRespond afterwards.
+// serves a shard of the batch through its Leg link afterwards.
 func TestDistributedProvers(t *testing.T) {
 	const nProvers = 3
 	conns := make([]net.Conn, nProvers)
@@ -385,25 +425,9 @@ func TestDistributedProvers(t *testing.T) {
 // proveShard runs one shard on leg i under verifier v and verifies it.
 func proveShard(t *testing.T, sess *Session, v *vc.Verifier, i int, batch [][]*big.Int) *SessionResult {
 	t.Helper()
-	ctx := context.Background()
-	cms, err := sess.ShardCommit(ctx, i, v.Setup(), batch)
+	res, err := vc.Drive(context.Background(), v, sess.Leg(i), batch, 1)
 	if err != nil {
-		t.Fatalf("leg %d commit: %v", i, err)
-	}
-	dreq, err := v.Decommit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resps, err := sess.ShardRespond(ctx, i, dreq, len(batch))
-	if err != nil {
-		t.Fatalf("leg %d respond: %v", i, err)
-	}
-	res := &SessionResult{}
-	for j := range batch {
-		ok, reason := v.VerifyInstance(ctx, batch[j], cms[j], resps[j])
-		res.Accepted = append(res.Accepted, ok)
-		res.Reasons = append(res.Reasons, reason)
-		res.Outputs = append(res.Outputs, cms[j].Output)
+		t.Fatalf("leg %d: %v", i, err)
 	}
 	return res
 }

@@ -12,6 +12,7 @@ import (
 	"zaatar/internal/elgamal"
 	"zaatar/internal/field"
 	"zaatar/internal/obs/trace"
+	"zaatar/internal/par"
 	"zaatar/internal/pcp"
 )
 
@@ -43,24 +44,9 @@ type Prover struct {
 	// by every instance's Commit.
 	prepR1, prepR2 *elgamal.PreparedVector
 
-	// kernelWorkers shards the homomorphic inner product inside each
-	// Commit call. It defaults to 1 because batch drivers already run one
-	// Commit per instance concurrently; SetKernelWorkers raises it when
-	// instance-level parallelism can't fill the machine (small batches).
-	kernelWorkers int
-
 	// query regeneration state after decommit
 	queries pcp.Queries
 	t1, t2  []field.Element
-}
-
-// SetKernelWorkers sets the number of goroutines used inside a single
-// Commit's group-arithmetic kernel. Values below 1 are treated as 1.
-func (p *Prover) SetKernelWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.kernelWorkers = n
 }
 
 // InstanceState carries a single instance's proof between the commit and
@@ -203,19 +189,17 @@ func (p *Prover) Commit(ctx context.Context, inputs []*big.Int) (*Commitment, *I
 	if len(p.req.EncR1) > 0 {
 		cryptoTr, cctx := trace.Child(ctx, "prover.crypto")
 		defer cryptoTr.End()
+		// One goroutine per kernel: the batch routines already run one
+		// Commit per instance concurrently.
 		group := p.req.PK.Group
-		kw := p.kernelWorkers
-		if kw < 1 {
-			kw = 1
-		}
 		k1 := trace.Start(cctx, "kernel.multiexp").WithArg("n", int64(len(st.U1)))
-		cm.C1, err = commit.CommitPrepared(group, f, p.prepR1, st.U1, kw)
+		cm.C1, err = commit.CommitPrepared(group, f, p.prepR1, st.U1, 1)
 		k1.End()
 		if err != nil {
 			return nil, nil, err
 		}
 		k2 := trace.Start(cctx, "kernel.multiexp").WithArg("n", int64(len(st.U2)))
-		cm.C2, err = commit.CommitPrepared(group, f, p.prepR2, st.U2, kw)
+		cm.C2, err = commit.CommitPrepared(group, f, p.prepR2, st.U2, 1)
 		k2.End()
 		if err != nil {
 			return nil, nil, err
@@ -228,6 +212,9 @@ func (p *Prover) Commit(ctx context.Context, inputs []*big.Int) (*Commitment, *I
 
 // HandleDecommit regenerates the batch query state from the revealed seed.
 func (p *Prover) HandleDecommit(req *DecommitRequest) error {
+	if req == nil {
+		return errPhase
+	}
 	q, err := queriesFromSeed(p.bk, p.pre, p.Cfg.params(), req.Seed)
 	if err != nil {
 		return err
@@ -263,4 +250,52 @@ func (p *Prover) Respond(ctx context.Context, st *InstanceState) (*Response, err
 	}
 	st.Times.Answer = time.Since(start)
 	return resp, nil
+}
+
+// CommitBatch opens a batch with req and commits to every instance over a
+// pool of workers goroutines, one prover.commit span per instance. It is
+// the prover half of the commit phase on every link — in process and
+// behind the wire service alike — and returns the per-instance states
+// RespondBatch continues from.
+func (p *Prover) CommitBatch(ctx context.Context, req *CommitRequest, inputs [][]*big.Int, workers int) ([]*Commitment, []*InstanceState, error) {
+	if err := p.HandleCommitRequest(req); err != nil {
+		return nil, nil, err
+	}
+	cms := make([]*Commitment, len(inputs))
+	states := make([]*InstanceState, len(inputs))
+	err := par.ForEach(ctx, len(inputs), workers, func(i int) error {
+		sp, ictx := trace.Child(ctx, "prover.commit")
+		sp.WithArg("instance", int64(i))
+		defer sp.End()
+		cm, st, err := p.Commit(ictx, inputs[i])
+		if err != nil {
+			return fmt.Errorf("instance %d: %w", i, err)
+		}
+		cms[i], states[i] = cm, st
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return cms, states, nil
+}
+
+// RespondBatch regenerates the batch's queries from dec and answers them
+// for every committed instance over a pool of workers goroutines, one
+// prover.respond span per instance, handing each response to emit as soon
+// as it is ready (emit must be safe for concurrent use).
+func (p *Prover) RespondBatch(ctx context.Context, dec *DecommitRequest, states []*InstanceState, workers int, emit func(i int, r *Response)) error {
+	if err := p.HandleDecommit(dec); err != nil {
+		return err
+	}
+	return par.ForEach(ctx, len(states), workers, func(i int) error {
+		sp := trace.Start(ctx, "prover.respond").WithArg("instance", int64(i))
+		r, err := p.Respond(ctx, states[i])
+		sp.End()
+		if err != nil {
+			return fmt.Errorf("instance %d: %w", i, err)
+		}
+		emit(i, r)
+		return nil
+	})
 }

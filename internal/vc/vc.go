@@ -22,8 +22,14 @@
 // field. Backends that need no commitment (NeedsCommitment() == false) skip
 // the cryptographic phases entirely: the commit request is empty, the
 // commitment carries only the claimed outputs, and the response is the
-// backend's transcript proof. The driver can spread a batch over a worker
-// pool (the paper's GPU/cluster parallelism; Figure 6).
+// backend's transcript proof.
+//
+// Drive is the one protocol engine: it sequences a batch over a
+// ProverLink — the in-process prover (RunBatch), one wire connection, or
+// one farm worker — and verifies on a worker pool overlapped with the
+// prover's answers. The prover half of every link is Prover.CommitBatch
+// and Prover.RespondBatch, which spread a batch over a worker pool (the
+// paper's GPU/cluster parallelism; Figure 6).
 package vc
 
 import (
@@ -52,7 +58,9 @@ type Config struct {
 	// PCP (for ablations and fast tests); the protocol is then only sound
 	// against provers that honestly fix a linear function.
 	NoCommitment bool
-	// Workers is the prover's parallelism over a batch; 0 means 1.
+	// Workers is the parallelism over a batch's instances — RunBatch's
+	// prover and verifier pools — and of the verifier's key generation;
+	// 0 means 1.
 	Workers int
 	// Seed fixes the verifier's query randomness (for reproducible
 	// experiments); empty means fresh randomness from crypto/rand. It
@@ -63,10 +71,6 @@ type Config struct {
 	// Group overrides the ElGamal group (tests with small fields); nil
 	// selects the production group for the program's field.
 	Group *elgamal.Group
-	// NoPipeline disables the respond→verify overlap in RunBatch, running
-	// the two stages back-to-back with a serial verification loop — the
-	// pre-pipeline engine, kept as an ablation and equivalence reference.
-	NoPipeline bool
 	// Obs receives the driver's counters and phase spans; nil uses
 	// obs.Default().
 	Obs *obs.Registry
@@ -144,9 +148,10 @@ func (c Config) group(f *field.Field) (*elgamal.Group, error) {
 	return nil, fmt.Errorf("vc: no built-in ElGamal group for field %s; set Config.Group", f.Name())
 }
 
-func freshSeed(cfg Config) ([]byte, error) {
-	if len(cfg.Seed) > 0 {
-		return cfg.Seed, nil
+// freshSeed returns seed, or fresh crypto/rand bytes when it is empty.
+func freshSeed(seed []byte) ([]byte, error) {
+	if len(seed) > 0 {
+		return seed, nil
 	}
 	s := make([]byte, seedLen)
 	if _, err := io.ReadFull(rand.Reader, s); err != nil {

@@ -32,6 +32,9 @@ type Verifier struct {
 	sec2     commit.Secrets
 	setupDur time.Duration
 
+	// spent records that Setup handed out this key's commit request; a
+	// spent verifier must Reseed before it opens another batch.
+	spent         bool
 	decommitBuilt bool
 }
 
@@ -55,19 +58,8 @@ func NewVerifierPre(ctx context.Context, prog *compiler.Program, cfg Config, pre
 		return nil, err
 	}
 	v := &Verifier{Prog: prog, Cfg: cfg, bk: pre.bk, pre: pre.pre}
-	if v.seed, err = freshSeed(cfg); err != nil {
+	if err := v.Reseed(ctx, cfg.Seed); err != nil {
 		return nil, err
-	}
-	qTr := trace.Start(ctx, "verifier.queries")
-	if v.queries, err = queriesFromSeed(v.bk, v.pre, cfg.params(), v.seed); err != nil {
-		return nil, err
-	}
-	qTr.End()
-
-	if v.bk.NeedsCommitment() && !cfg.NoCommitment {
-		if err := v.genKeys(ctx); err != nil {
-			return nil, err
-		}
 	}
 	v.setupDur = time.Since(start)
 	return v, nil
@@ -116,26 +108,33 @@ func (v *Verifier) genKeys(ctx context.Context) error {
 // key material always comes from crypto/rand. Binding then holds per batch
 // because the new seed is revealed only after that batch's commitments
 // have been collected. The caller must ship the new Setup() output to the
-// prover: the previous batch's commit request is dead.
+// prover: the previous batch's commit request is dead. Sessions and farms
+// reseed exactly when Spent reports the previous request went out. The
+// whole call is the vc.setup phase.
 func (v *Verifier) Reseed(ctx context.Context, seed []byte) error {
-	cfg := v.Cfg
-	cfg.Seed = seed
-	s, err := freshSeed(cfg)
+	sp, ctx := v.phase(ctx, "setup")
+	defer sp.end()
+	var err error
+	if v.seed, err = freshSeed(seed); err != nil {
+		return err
+	}
+	qTr := trace.Start(ctx, "verifier.queries")
+	v.queries, err = queriesFromSeed(v.bk, v.pre, v.Cfg.params(), v.seed)
+	qTr.End()
 	if err != nil {
 		return err
 	}
-	v.seed = s
-	if v.queries, err = queriesFromSeed(v.bk, v.pre, v.Cfg.params(), s); err != nil {
-		return err
-	}
-	v.decommitBuilt = false
+	v.spent, v.decommitBuilt = false, false
 	if v.bk.NeedsCommitment() && !v.Cfg.NoCommitment {
-		if err := v.genKeys(ctx); err != nil {
-			return err
-		}
+		return v.genKeys(ctx)
 	}
 	return nil
 }
+
+// Spent reports whether this batch's commit request has gone out (Setup
+// was called since the last Reseed): the key is then bound to that batch
+// and must not open another.
+func (v *Verifier) Spent() bool { return v.spent }
 
 // Fork creates an independent verifier sharing this one's compiled program,
 // backend, and precomputation (the expensive, immutable part of setup) but
@@ -174,8 +173,10 @@ func (v *Verifier) Backend() string { return v.bk.Name() }
 // the amortized cost that determines break-even batch sizes.
 func (v *Verifier) SetupDuration() time.Duration { return v.setupDur }
 
-// Setup emits the commit request opening the batch.
+// Setup emits the commit request opening the batch and marks the verifier
+// spent.
 func (v *Verifier) Setup() *CommitRequest {
+	v.spent = true
 	req := &CommitRequest{}
 	if v.key1 != nil {
 		req.EncR1 = v.key1.EncR
@@ -212,7 +213,7 @@ func (v *Verifier) Decommit() (*DecommitRequest, error) {
 // consistency test and the PCP tests. inputs are the instance's inputs (the
 // verifier knows them; §2.1), and the commitment carries the claimed
 // outputs. After Decommit the verifier's state is read-only, so instances
-// may be verified concurrently — the pipeline engine's stage 4 does. A
+// may be verified concurrently — Drive's verify pool does. A
 // cancelled ctx rejects without running the checks.
 func (v *Verifier) VerifyInstance(ctx context.Context, inputs []*big.Int, cm *Commitment, resp *Response) (bool, string) {
 	if err := ctx.Err(); err != nil {

@@ -119,13 +119,6 @@ func WithMaxSourceBytes(n int) ServerOption {
 	return func(o *serverOptions) { o.svc.MaxSourceBytes = n }
 }
 
-// WithSLOWindow sets the rolling window over which the service aggregates
-// its SLO gauges (transport.slo.requests, .error_rate, .p99_seconds).
-// Defaults to one minute.
-func WithSLOWindow(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.svc.SLOWindow = d }
-}
-
 // Serve runs a long-lived multi-tenant prover service on ln until ctx is
 // cancelled (or ln fails), then drains in-flight sessions and returns.
 // Compiled programs are cached across sessions in an LRU keyed by source,

@@ -263,7 +263,7 @@ func Run(prog *Program, batch [][]*big.Int, opts ...RunOption) (*Result, error) 
 	return RunContext(context.Background(), prog, batch, opts...)
 }
 
-// RunContext is Run with cancellation: the staged pipeline checks ctx
+// RunContext is Run with cancellation: the protocol engine checks ctx
 // between per-instance steps and aborts promptly with ctx.Err() when it is
 // cancelled.
 func RunContext(ctx context.Context, prog *Program, batch [][]*big.Int, opts ...RunOption) (*Result, error) {

@@ -164,7 +164,7 @@ func TestWithMetrics(t *testing.T) {
 	}
 	var buf strings.Builder
 	reg.WriteText(&buf)
-	if !strings.Contains(buf.String(), vc.MetricSpanBatch) {
-		t.Fatalf("metrics text missing %s:\n%s", vc.MetricSpanBatch, buf.String())
+	if want := vc.MetricPhase + ".count{phase=batch,backend=zaatar} 1"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("metrics text missing %s:\n%s", want, buf.String())
 	}
 }
