@@ -148,3 +148,23 @@ func TestForEachContextCancel(t *testing.T) {
 		t.Fatalf("pool ran %d indices after cancellation", c)
 	}
 }
+
+func TestForEachCompletesAll(t *testing.T) {
+	var calls atomic.Int32
+	seen := make([]atomic.Bool, 64)
+	if err := ForEach(context.Background(), 64, 8, func(i int) error {
+		calls.Add(1)
+		seen[i].Store(true)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 64 {
+		t.Fatalf("ran %d of 64 indices", calls.Load())
+	}
+	for i := range seen {
+		if !seen[i].Load() {
+			t.Fatalf("index %d never ran", i)
+		}
+	}
+}
