@@ -53,9 +53,8 @@ func main() {
 		metrics  = flag.String("metrics", "", "address for the HTTP metrics endpoint for the session's lifetime: /metrics and /metrics/prometheus (empty disables)")
 		logFmt   = flag.String("log-format", "", "emit structured session logs to stderr: text or json (empty disables)")
 
-		shardSize   = flag.Int("shard-size", 0, "farm: instances per shard (0 = auto-size to about two shards per worker)")
-		shardRetry  = flag.Int("shard-retries", 0, "farm: max requeues per shard after a worker death (0 = default 2, negative disables)")
-		farmRouting = flag.String("farm-routing", "affinity", "farm: worker ordering for shard placement: affinity|static")
+		shardSize  = flag.Int("shard-size", 0, "farm: instances per shard (0 = auto-size to about two shards per worker)")
+		shardRetry = flag.Int("shard-retries", 0, "farm: max requeues per shard after a worker death (0 = default 2, negative disables)")
 	)
 	flag.Parse()
 	if *srcPath == "" || *inputs == "" {
@@ -127,16 +126,7 @@ func main() {
 	}
 	var client *zaatar.Client
 	if len(provers) > 1 {
-		routing := zaatar.FarmAffinity
-		switch *farmRouting {
-		case "affinity":
-		case "static":
-			routing = zaatar.FarmStatic
-		default:
-			check(fmt.Errorf("unknown -farm-routing %q (want affinity or static)", *farmRouting))
-		}
 		opts = append(opts,
-			zaatar.WithFarmRouting(routing),
 			zaatar.WithShardRetries(*shardRetry),
 			zaatar.WithFarmShardSize(*shardSize))
 		client, err = zaatar.DialFarm(ctx, provers, string(src), opts...)

@@ -5,7 +5,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"zaatar/internal/farm"
@@ -13,32 +14,14 @@ import (
 	"zaatar/internal/transport"
 )
 
-// FarmError attributes a farm (or multi-prover session) failure to one
-// worker: Addr names the worker, Leg its connection index, and Unwrap
-// exposes the cause. RunBatch on a farm client returns one only when a
-// shard could not be recovered (every retry exhausted, or all workers
-// lost); a mere verification failure is never an error — it surfaces as
-// SessionResult.Accepted[i] == false.
+// FarmError attributes a client failure to one prover: Addr names the
+// worker, Leg its connection index, and Unwrap exposes the cause. Every
+// client — Dial'ed or DialFarm'ed — wraps each failure of a prover's
+// connection in one. RunBatch returns one only when a shard could not be
+// recovered (every retry exhausted, or all workers lost; a Dial'ed client
+// has no other worker to retry on); a mere verification failure is never
+// an error — it surfaces as SessionResult.Accepted[i] == false.
 type FarmError = transport.FarmError
-
-// FarmRouting selects how DialFarm orders workers for shard placement.
-type FarmRouting int
-
-const (
-	// FarmAffinity (the default) ranks the workers by a rendezvous hash of
-	// the program's source digest and the worker address, so a given
-	// program consistently fronts the same workers across farm restarts —
-	// the ones whose program caches and artifact stores are already warm.
-	FarmAffinity FarmRouting = iota
-	// FarmStatic keeps the caller's address order.
-	FarmStatic
-)
-
-// WithFarmRouting selects the worker-ordering policy for DialFarm; other
-// dial paths ignore it.
-func WithFarmRouting(r FarmRouting) RunOption {
-	return runOption(func(o *options) { o.farmRouting = r })
-}
 
 // WithShardRetries bounds how many times a farm may requeue one shard after
 // a worker death before failing the batch. The default is 2; negative
@@ -47,10 +30,12 @@ func WithShardRetries(n int) RunOption {
 	return runOption(func(o *options) { o.shardRetries = n })
 }
 
-// WithFarmShardSize fixes the number of instances per farm shard. By
-// default the farm sizes shards so each live worker expects about two —
-// small enough for work stealing to absorb stragglers, large enough to
-// amortize the per-shard key generation.
+// WithFarmShardSize fixes the number of instances per DialFarm shard. By
+// default a lone live worker gets the whole batch, and otherwise the farm
+// sizes shards so each live worker expects about two — small enough for
+// work stealing to absorb stragglers, large enough to amortize the
+// per-shard key generation. Dial ignores it: its one worker takes each
+// batch whole.
 func WithFarmShardSize(n int) RunOption {
 	return runOption(func(o *options) { o.shardSize = n })
 }
@@ -59,29 +44,16 @@ func WithFarmShardSize(n int) RunOption {
 // digest: each worker scores sha256(srcDigest ‖ addr), and higher scores
 // front the ranking. Every farm for the same program computes the same
 // order whatever order the caller listed the workers in, which is what
-// keeps shard placement (and so each worker's program cache) stable across
-// restarts.
+// keeps shard placement (and so each worker's program cache and artifact
+// store) stable across restarts.
 func rankAddrs(addrs []string, src string) []string {
 	digest := sha256.Sum256([]byte(src))
-	type ranked struct {
-		addr  string
-		score [sha256.Size]byte
+	score := func(addr string) string {
+		sum := sha256.Sum256(append(digest[:], addr...))
+		return string(sum[:])
 	}
-	rs := make([]ranked, len(addrs))
-	for i, a := range addrs {
-		h := sha256.New()
-		h.Write(digest[:])
-		h.Write([]byte(a))
-		copy(rs[i].score[:], h.Sum(nil))
-		rs[i].addr = a
-	}
-	sort.SliceStable(rs, func(i, j int) bool {
-		return string(rs[i].score[:]) > string(rs[j].score[:])
-	})
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.addr
-	}
+	out := slices.Clone(addrs)
+	slices.SortStableFunc(out, func(a, b string) int { return strings.Compare(score(b), score(a)) })
 	return out
 }
 
@@ -107,26 +79,7 @@ func DialFarm(ctx context.Context, addrs []string, src string, opts ...RunOption
 	if len(clean) == 0 {
 		return nil, fmt.Errorf("zaatar: no worker addresses")
 	}
-	if o.farmRouting == FarmAffinity {
-		clean = rankAddrs(clean, src)
-	}
-	sess, err := dialSession(ctx, clean, src, o)
-	if err != nil {
-		return nil, err
-	}
-	f, err := farm.New(sess, farm.Options{
-		ShardRetries: o.shardRetries,
-		ShardSize:    o.shardSize,
-		Workers:      o.cfg.Workers,
-		Seed:         o.cfg.Seed,
-		Obs:          o.cfg.Obs,
-		Logger:       o.logger,
-	})
-	if err != nil {
-		_ = sess.Close()
-		return nil, err
-	}
-	return &Client{sess: f}, nil
+	return dial(ctx, rankAddrs(clean, src), src, o)
 }
 
 // ServeWorker runs a farm worker on ln: an ordinary prover service (farm

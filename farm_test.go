@@ -11,6 +11,7 @@ import (
 
 	"zaatar"
 	"zaatar/internal/obs"
+	"zaatar/internal/transport"
 )
 
 const farmTestSrc = `
@@ -189,5 +190,48 @@ func TestDialFarmReportsDeadWorker(t *testing.T) {
 	}
 	if fe.Addr != addrs[0] && fe.Addr != addrs[1] {
 		t.Fatalf("FarmError names %q, want one of %v", fe.Addr, addrs)
+	}
+}
+
+// TestClosedClientFailsAlike: a closed client fails the same way on every
+// path. After Close, a two-worker DialFarm client's RunBatch returns
+// transport.ErrSessionClosed without counting a worker failure or a
+// requeue and without logging a worker death, and an empty batch is
+// ErrBatchTooLarge on a Dial'ed and a DialFarm'ed client alike.
+func TestClosedClientFailsAlike(t *testing.T) {
+	addrs := []string{startWorker(t, nil), startWorker(t, nil)}
+	opts := []zaatar.RunOption{zaatar.WithParams(2, 2), zaatar.WithoutCommitment()}
+
+	one, err := zaatar.Dial(context.Background(), addrs[0], farmTestSrc, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	var logs strings.Builder
+	creg := obs.NewRegistry()
+	many, err := zaatar.DialFarm(context.Background(), addrs, farmTestSrc,
+		append(opts, zaatar.WithMetrics(creg), zaatar.WithLogger(obs.NewLogger(&logs, "text")))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*zaatar.Client{"Dial": one, "DialFarm": many} {
+		if _, err := c.RunBatch(context.Background(), nil); !errors.Is(err, transport.ErrBatchTooLarge) {
+			t.Fatalf("%s: empty batch err = %v, want ErrBatchTooLarge", name, err)
+		}
+	}
+
+	if err := many.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := many.RunBatch(context.Background(), farmBatch(4)); !errors.Is(err, transport.ErrSessionClosed) {
+		t.Fatalf("RunBatch after Close: err = %v, want ErrSessionClosed", err)
+	}
+	for _, name := range []string{"farm.worker.failures", "farm.shard.requeued"} {
+		if got := creg.Counter(name).Value(); got != 0 {
+			t.Fatalf("%s = %d after a batch on a closed client, want 0", name, got)
+		}
+	}
+	if strings.Contains(logs.String(), "farm worker died") {
+		t.Fatalf("closed client logged a worker death:\n%s", logs.String())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"zaatar/internal/elgamal"
+	"zaatar/internal/farm"
 	"zaatar/internal/field"
 	"zaatar/internal/obs"
 	"zaatar/internal/pcp"
@@ -87,21 +88,21 @@ func RunCache(o Options, beta int) (*CacheResult, error) {
 		Rho:          o.Params.Rho,
 		NoCommitment: !o.Crypto,
 	}
-	copts := transport.ClientOptions{Seed: []byte(fmt.Sprintf("cache-%d", o.Seed))}
+	fopts := farm.Options{Seed: []byte(fmt.Sprintf("cache-%d", o.Seed))}
 	if o.Crypto {
-		copts.Group = elgamal.GroupFor(bench.Field)
+		fopts.Group = elgamal.GroupFor(bench.Field)
 	}
 	ctx := context.Background()
 
 	// open dials an in-process pipe to the service and returns the session
 	// plus the session-open wall (which includes the server's cache lookup
 	// and, on a miss, the compile).
-	open := func() (*transport.Session, float64, error) {
+	open := func() (*farm.Farm, float64, error) {
 		client, server := net.Pipe()
 		go func() { _ = svc.ServeConn(ctx, server) }()
-		var sess *transport.Session
+		var sess *farm.Farm
 		ms, err := wallMs(func() (err error) {
-			sess, err = transport.NewSession(ctx, []net.Conn{client}, hello, copts)
+			sess, err = farm.New(ctx, []string{"prover"}, []net.Conn{client}, hello, fopts)
 			return err
 		})
 		return sess, ms, err

@@ -64,29 +64,28 @@ func RunFarm(o Options, beta int) (*FarmResult, error) {
 		Rho:          o.Params.Rho,
 		NoCommitment: !o.Crypto,
 	}
-	copts := transport.ClientOptions{Seed: []byte(fmt.Sprintf("farm-%d", o.Seed))}
-	if o.Crypto {
-		copts.Group = elgamal.GroupFor(bench.Field)
-	}
-	dial := func(n int) ([]net.Conn, error) {
+	// open starts n in-process workers and a farm session over them,
+	// recording into reg.
+	open := func(n int, reg *obs.Registry) (*farm.Farm, error) {
+		addrs := make([]string, n)
 		conns := make([]net.Conn, n)
 		for i := range conns {
 			svc := transport.NewService(transport.ServiceOptions{Workers: o.Workers, Obs: obs.NewRegistry()})
 			client, server := net.Pipe()
 			go func() { _ = svc.ServeConn(context.Background(), server) }()
-			conns[i] = client
+			addrs[i], conns[i] = fmt.Sprintf("worker-%d", i), client
 		}
-		return conns, nil
+		fopts := farm.Options{Seed: []byte(fmt.Sprintf("farm-%d", o.Seed)), Workers: o.Workers, Obs: reg}
+		if o.Crypto {
+			fopts.Group = elgamal.GroupFor(bench.Field)
+		}
+		return farm.New(context.Background(), addrs, conns, hello, fopts)
 	}
 	ctx := context.Background()
 	res := &FarmResult{Benchmark: bench.Name, Beta: beta, Workers: workers, NumCPU: runtime.NumCPU()}
 
 	// Single-prover reference.
-	conns, err := dial(1)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := transport.NewSession(ctx, conns, hello, copts)
+	sess, err := open(1, obs.NewRegistry())
 	if err != nil {
 		return nil, err
 	}
@@ -103,23 +102,9 @@ func RunFarm(o Options, beta int) (*FarmResult, error) {
 	}
 
 	// The same batch through the coordinator.
-	conns, err = dial(workers)
-	if err != nil {
-		return nil, err
-	}
-	fcopts := copts
-	fcopts.Addrs = make([]string, workers)
-	for i := range fcopts.Addrs {
-		fcopts.Addrs[i] = fmt.Sprintf("worker-%d", i)
-	}
-	sess, err = transport.NewSession(ctx, conns, hello, fcopts)
-	if err != nil {
-		return nil, err
-	}
 	reg := obs.NewRegistry()
-	fm, err := farm.New(sess, farm.Options{Workers: o.Workers, Seed: fcopts.Seed, Obs: reg})
+	fm, err := open(workers, reg)
 	if err != nil {
-		sess.Close()
 		return nil, err
 	}
 	res.FarmWallMs, err = wallMs(func() error {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"zaatar/internal/elgamal"
+	"zaatar/internal/farm"
 	"zaatar/internal/field"
 	"zaatar/internal/obs"
 	"zaatar/internal/obs/trace"
@@ -111,9 +112,9 @@ func RunStore(o Options, beta int) (*StoreResult, error) {
 		Rho:          o.Params.Rho,
 		NoCommitment: !o.Crypto,
 	}
-	copts := transport.ClientOptions{Seed: []byte(fmt.Sprintf("store-%d", o.Seed))}
+	fopts := farm.Options{Seed: []byte(fmt.Sprintf("store-%d", o.Seed))}
 	if o.Crypto {
-		copts.Group = elgamal.GroupFor(bench.Field)
+		fopts.Group = elgamal.GroupFor(bench.Field)
 	}
 
 	newSvc := func() (*transport.Service, *obs.Registry, error) {
@@ -135,9 +136,9 @@ func RunStore(o Options, beta int) (*StoreResult, error) {
 	open := func(ctx context.Context, svc *transport.Service) (openMs float64, wireBytes int64, err error) {
 		client, server := net.Pipe()
 		go func() { _ = svc.ServeConn(context.Background(), server) }()
-		var sess *transport.Session
+		var sess *farm.Farm
 		ms, err := wallMs(func() (err error) {
-			sess, err = transport.NewSession(ctx, []net.Conn{countConn{client, &wireBytes}}, hello, copts)
+			sess, err = farm.New(ctx, []string{"prover"}, []net.Conn{countConn{client, &wireBytes}}, hello, fopts)
 			return err
 		})
 		if err != nil {

@@ -65,39 +65,35 @@ func (c *gateAfterOpen) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-// newTestFarm dials n loopback workers (in-process transport services over
-// net.Pipe), opens farmHello's session on them and wraps it in a Farm.
-// wrap, when non-nil, may replace worker i's server-side connection (fault
-// injection); opened is set once the session is open.
-func newTestFarm(t *testing.T, n int, copts transport.ClientOptions, fopts Options, wrap func(i int, conn net.Conn, opened *atomic.Bool) net.Conn) *Farm {
+// newTestFarm starts n loopback workers (in-process transport services
+// over net.Pipe, recording into the returned registry) and opens a farm on
+// hello over them. wrap, when non-nil, may replace worker i's server-side
+// connection (fault injection); opened is set once the farm is open.
+func newTestFarm(t *testing.T, n int, hello transport.Hello, opts Options, wrap func(i int, conn net.Conn, opened *atomic.Bool) net.Conn) (*Farm, *obs.Registry) {
 	t.Helper()
 	conns := make([]net.Conn, n)
 	addrs := make([]string, n)
 	opened := new(atomic.Bool)
+	srv := obs.NewRegistry()
 	for i := 0; i < n; i++ {
 		client, server := net.Pipe()
 		if wrap != nil {
 			server = wrap(i, server, opened)
 		}
 		go func(server net.Conn) {
-			svc := transport.NewService(transport.ServiceOptions{Workers: 1, Obs: obs.NewRegistry()})
+			svc := transport.NewService(transport.ServiceOptions{Workers: 1, Obs: srv})
 			_ = svc.ServeConn(context.Background(), server)
 		}(server)
 		conns[i] = client
 		addrs[i] = fmt.Sprintf("worker-%d", i)
 	}
-	copts.Addrs = addrs
-	sess, err := transport.NewSession(context.Background(), conns, farmHello, copts)
+	f, err := New(context.Background(), addrs, conns, hello, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sess.Close() })
+	t.Cleanup(func() { f.Close() })
 	opened.Store(true)
-	f, err := New(sess, fopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return f, srv
 }
 
 // farmHello is the session every test farm opens: farmSrc on Zaatar with
@@ -133,9 +129,7 @@ func checkOutputs(t *testing.T, batch [][]*big.Int, res *transport.SessionResult
 // would produce.
 func TestFarmShardedMatchesSingleProver(t *testing.T) {
 	reg := obs.NewRegistry()
-	f := newTestFarm(t, 2,
-		transport.ClientOptions{Seed: []byte("farm"), Obs: reg},
-		Options{Seed: []byte("farm"), Obs: reg}, nil)
+	f, _ := newTestFarm(t, 2, farmHello, Options{Seed: []byte("farm"), Obs: reg}, nil)
 	batch := intBatch(8)
 	res, err := f.RunBatch(context.Background(), batch)
 	if err != nil {
@@ -165,9 +159,7 @@ func TestFarmShardedMatchesSingleProver(t *testing.T) {
 func TestFarmWorkerDeathRequeues(t *testing.T) {
 	reg := obs.NewRegistry()
 	died := make(chan struct{})
-	f := newTestFarm(t, 2,
-		transport.ClientOptions{Seed: []byte("kill"), Obs: reg},
-		Options{Seed: []byte("kill"), Obs: reg},
+	f, _ := newTestFarm(t, 2, farmHello, Options{Seed: []byte("kill"), Obs: reg},
 		func(i int, conn net.Conn, opened *atomic.Bool) net.Conn {
 			if i == 1 {
 				return &dieAfterOpen{Conn: conn, opened: opened, died: died}
@@ -192,24 +184,29 @@ func TestFarmWorkerDeathRequeues(t *testing.T) {
 }
 
 // TestFarmAllWorkersDead: when every worker dies the batch fails with a
-// *transport.FarmError naming a worker, never a bare I/O error.
+// *transport.FarmError naming a worker, never a bare I/O error. A farm of
+// one has no survivor to requeue onto, so it counts no requeue.
 func TestFarmAllWorkersDead(t *testing.T) {
-	f := newTestFarm(t, 2,
-		transport.ClientOptions{Seed: []byte("dead")},
-		Options{Seed: []byte("dead"), Obs: obs.NewRegistry()},
-		func(i int, conn net.Conn, opened *atomic.Bool) net.Conn {
-			return &dieAfterOpen{Conn: conn, opened: opened}
-		})
-	_, err := f.RunBatch(context.Background(), intBatch(4))
-	if err == nil {
-		t.Fatal("batch succeeded with every worker dead")
-	}
-	var fe *transport.FarmError
-	if !errors.As(err, &fe) {
-		t.Fatalf("want *transport.FarmError, got %T: %v", err, err)
-	}
-	if fe.Addr != "worker-0" && fe.Addr != "worker-1" {
-		t.Fatalf("FarmError does not name a worker: %q", fe.Addr)
+	for _, n := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		f, _ := newTestFarm(t, n, farmHello, Options{Seed: []byte("dead"), Obs: reg},
+			func(i int, conn net.Conn, opened *atomic.Bool) net.Conn {
+				return &dieAfterOpen{Conn: conn, opened: opened}
+			})
+		_, err := f.RunBatch(context.Background(), intBatch(4))
+		if err == nil {
+			t.Fatalf("%d workers: batch succeeded with every worker dead", n)
+		}
+		var fe *transport.FarmError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%d workers: want *transport.FarmError, got %T: %v", n, err, err)
+		}
+		if fe.Addr != "worker-0" && fe.Addr != "worker-1" {
+			t.Fatalf("%d workers: FarmError does not name a worker: %q", n, fe.Addr)
+		}
+		if got := reg.Counter(MetricShardRequeued).Value(); n == 1 && got != 0 {
+			t.Fatalf("farm of one: farm.shard.requeued = %d, want 0", got)
+		}
 	}
 }
 
@@ -218,9 +215,7 @@ func TestFarmAllWorkersDead(t *testing.T) {
 // shared result (the CI race job runs this package).
 func TestFarmConcurrentShards(t *testing.T) {
 	reg := obs.NewRegistry()
-	f := newTestFarm(t, 3,
-		transport.ClientOptions{Seed: []byte("race"), Obs: reg},
-		Options{Seed: []byte("race"), ShardSize: 1, Obs: reg}, nil)
+	f, _ := newTestFarm(t, 3, farmHello, Options{Seed: []byte("race"), ShardSize: 1, Obs: reg}, nil)
 	batch := intBatch(9)
 	res, err := f.RunBatch(context.Background(), batch)
 	if err != nil {

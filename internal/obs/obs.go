@@ -7,9 +7,9 @@
 //
 // Everything is safe for concurrent use and allocation-free on the hot
 // paths (Counter.Add, Histogram.Observe, Span.End), so instruments can sit
-// inside the prover's worker pool without distorting what they measure. A
-// pluggable Sink receives every completed span for callers that want to
-// stream events (logs, traces) instead of polling aggregates.
+// inside the prover's worker pool without distorting what they measure.
+// Streamed events are the trace package's (internal/obs/trace) and the
+// structured logs' (slog.go); a registry only aggregates.
 package obs
 
 import (
@@ -167,22 +167,9 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return s.Max
 }
 
-// Sink receives every completed span. Implementations must be safe for
-// concurrent use; a nil sink (the default) drops events.
-type Sink interface {
-	// Span is called once per Span.End with the span's name and duration.
-	Span(name string, d time.Duration)
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(name string, d time.Duration)
-
-// Span calls f.
-func (f SinkFunc) Span(name string, d time.Duration) { f(name, d) }
-
 // Registry is a named collection of counters, histograms, labeled metric
-// vectors (labels.go), and scrape-time gauges, with an optional event
-// sink. The zero value is not usable; call NewRegistry.
+// vectors (labels.go), and scrape-time gauges. The zero value is not
+// usable; call NewRegistry.
 type Registry struct {
 	mu        sync.RWMutex
 	counters  map[string]*Counter
@@ -191,10 +178,7 @@ type Registry struct {
 	hvecs     map[string]*HistogramVec
 	gauges    map[string]func() float64
 	maxSeries int
-	sink      atomic.Value // sinkHolder
 }
-
-type sinkHolder struct{ s Sink }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -213,15 +197,6 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide registry, used when a component is not
 // given an explicit one.
 func Default() *Registry { return defaultRegistry }
-
-// SetSink installs s as the registry's span sink (nil disables).
-func (r *Registry) SetSink(s Sink) { r.sink.Store(sinkHolder{s}) }
-
-func (r *Registry) emit(name string, d time.Duration) {
-	if h, ok := r.sink.Load().(sinkHolder); ok && h.s != nil {
-		h.s.Span(name, d)
-	}
-}
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
@@ -259,23 +234,20 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Span is a started named timer. End it exactly once.
 type Span struct {
-	r     *Registry
 	h     *Histogram
-	name  string
 	start time.Time
 }
 
 // StartSpan starts a timer whose End records into the histogram of the
-// same name and notifies the registry's sink.
+// same name.
 func (r *Registry) StartSpan(name string) Span {
-	return Span{r: r, h: r.Histogram(name), name: name, start: time.Now()}
+	return Span{h: r.Histogram(name), start: time.Now()}
 }
 
 // End stops the span, records its duration, and returns it.
 func (s Span) End() time.Duration {
 	d := time.Since(s.start)
 	s.h.Observe(d)
-	s.r.emit(s.name, d)
 	return d
 }
 

@@ -25,7 +25,7 @@ type cacheKey struct {
 }
 
 func keyOf(h Hello, backend string) cacheKey {
-	key := cacheKey{field: h.fieldOf().Name(), backend: backend}
+	key := cacheKey{field: h.Field().Name(), backend: backend}
 	if h.hashFirst() {
 		// Hash-first hello: the client sent only the digest. validate
 		// guarantees that when both fields are present they agree, so keying
@@ -131,7 +131,7 @@ func (e *cacheEntry) finish(prog *compiler.Program, pre *vc.Precomputation, err 
 func (e *cacheEntry) build(ctx context.Context, h Hello, backend string) {
 	defer close(e.ready)
 	compileTr := trace.Start(ctx, "prover.compile")
-	e.prog, e.err = compiler.Compile(h.fieldOf(), h.Source)
+	e.prog, e.err = compiler.Compile(h.Field(), h.Source)
 	compileTr.End()
 	if e.err != nil {
 		return

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"math/big"
-	"net"
 	"strings"
 	"testing"
 
@@ -45,7 +44,7 @@ func TestNegotiateSumcheck(t *testing.T) {
 		Rho:      2,
 		Backends: []string{pcp.BackendSumcheck, pcp.BackendZaatar},
 	}
-	sess, err := NewSession(context.Background(), []net.Conn{conn}, hello, ClientOptions{Seed: []byte("neg")})
+	sess, err := openSession(context.Background(), conn, hello, clientOpts{Seed: []byte("neg")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func TestNegotiateDegrade(t *testing.T) {
 		NoCommitment: true,
 		Backends:     []string{pcp.BackendSumcheck, pcp.BackendZaatar},
 	}
-	sess, err := NewSession(context.Background(), []net.Conn{conn}, hello, ClientOptions{Seed: []byte("deg")})
+	sess, err := openSession(context.Background(), conn, hello, clientOpts{Seed: []byte("deg")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func TestNegotiateDegrade(t *testing.T) {
 // receiving it raw refuses it before any compile.
 func TestNegotiateLegacyGingerHello(t *testing.T) {
 	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	if _, err := NewSession(context.Background(), []net.Conn{nil}, hello, ClientOptions{}); !errors.Is(err, ErrMalformedHello) {
+	if _, err := openSession(context.Background(), nil, hello, clientOpts{}); !errors.Is(err, ErrMalformedHello) {
 		t.Fatalf("client: err = %v, want ErrMalformedHello", err)
 	}
 
@@ -153,7 +152,7 @@ func TestNegotiateNoCommonBackend(t *testing.T) {
 	svc, _ := testService(ServiceOptions{Workers: 2, Backends: []string{pcp.BackendGinger}})
 	conn, errCh := servicePipe(svc)
 	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, Backends: []string{pcp.BackendSumcheck}}
-	_, err := NewSession(context.Background(), []net.Conn{conn}, hello, ClientOptions{})
+	_, err := openSession(context.Background(), conn, hello, clientOpts{})
 	if err == nil {
 		t.Fatal("session succeeded with no common backend")
 	}
@@ -168,33 +167,6 @@ func TestNegotiateNoCommonBackend(t *testing.T) {
 	if err := <-errCh; err == nil {
 		t.Fatal("server reported success for a failed negotiation")
 	}
-}
-
-// TestNegotiateDistributedMismatch: a distributed batch needs every leg on
-// the same backend; servers restricted to disjoint picks must fail the
-// session at negotiation time.
-func TestNegotiateDistributedMismatch(t *testing.T) {
-	svcA, _ := testService(ServiceOptions{Workers: 2}) // picks sumcheck
-	svcB, _ := testService(ServiceOptions{Workers: 2, Backends: []string{pcp.BackendZaatar}})
-	connA, errA := servicePipe(svcA)
-	connB, errB := servicePipe(svcB)
-	hello := Hello{
-		Source:   sessionSrc,
-		RhoLin:   1,
-		Rho:      1,
-		Backends: []string{pcp.BackendSumcheck, pcp.BackendZaatar},
-	}
-	_, err := NewSession(context.Background(), []net.Conn{connA, connB}, hello, ClientOptions{})
-	if err == nil {
-		t.Fatal("session succeeded with disagreeing legs")
-	}
-	if !errors.Is(err, ErrNoCommonBackend) {
-		t.Fatalf("err = %v, want ErrNoCommonBackend", err)
-	}
-	connA.Close()
-	connB.Close()
-	<-errA
-	<-errB
 }
 
 // TestHelloBackendsValidation: oversized or malformed offers are rejected
@@ -242,7 +214,7 @@ func TestCacheKeyedByBackend(t *testing.T) {
 	} {
 		conn, errCh := servicePipe(svc)
 		hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true, Backends: offer}
-		sess, err := NewSession(context.Background(), []net.Conn{conn}, hello, ClientOptions{Seed: []byte("ck")})
+		sess, err := openSession(context.Background(), conn, hello, clientOpts{Seed: []byte("ck")})
 		if err != nil {
 			t.Fatalf("%v: %v", offer, err)
 		}

@@ -456,7 +456,7 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 		return refuse(err)
 	}
 	prog := entry.prog
-	prover, err := vc.NewProverPre(prog, hello.config(workers, nil, backend), entry.pre)
+	prover, err := vc.NewProverPre(prog, hello.Config(workers, nil, backend), entry.pre)
 	if err != nil {
 		return refuse(err)
 	}

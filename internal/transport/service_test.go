@@ -64,7 +64,7 @@ func TestKeepAliveMultiBatch(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2})
 	client, errCh := servicePipe(svc)
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("ka")})
+	sess, err := openSession(context.Background(), client, hello, clientOpts{Seed: []byte("ka")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func acceptHello(dec *gob.Decoder, enc *gob.Encoder) (Hello, *compiler.Program, 
 		return h, nil, err
 	}
 	h.Source = src.Source
-	prog, err := compiler.Compile(h.fieldOf(), h.Source)
+	prog, err := compiler.Compile(h.Field(), h.Source)
 	if err != nil {
 		return h, nil, err
 	}
@@ -126,7 +126,7 @@ func recordingProver(server net.Conn, onBatch func(BatchMsg), onDecommit func(De
 	if err != nil {
 		return err
 	}
-	prover, err := vc.NewProver(prog, h.config(1, nil, h.Backends[0]))
+	prover, err := vc.NewProver(prog, h.Config(1, nil, h.Backends[0]))
 	if err != nil {
 		return err
 	}
@@ -188,11 +188,11 @@ func TestServiceRejectsMaliciousCommitRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1}
-	prog, err := compiler.Compile(hello.fieldOf(), hello.Source)
+	prog, err := compiler.Compile(hello.Field(), hello.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := hello.config(1, []byte("mal-seed"), pcp.BackendZaatar)
+	cfg := hello.Config(1, []byte("mal-seed"), pcp.BackendZaatar)
 	cfg.Group = g
 	ver, err := vc.NewVerifier(prog, cfg)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestServiceRejectsMaliciousCommitRequest(t *testing.T) {
 
 	// The same service still runs an honest committed session end to end.
 	client2, errCh2 := servicePipe(svc)
-	sess, err := NewSession(context.Background(), []net.Conn{client2}, hello, ClientOptions{Seed: []byte("ok"), Group: g})
+	sess, err := openSession(context.Background(), client2, hello, clientOpts{Seed: []byte("ok"), Group: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,116 +251,35 @@ func TestServiceRejectsMaliciousCommitRequest(t *testing.T) {
 	}
 }
 
-// TestKeepAliveRekeysPerBatch runs two committed batches on one kept-alive
-// session and records each BatchMsg: every batch must carry its own commit
-// request with fresh key material. Reusing r across batches is a soundness
-// bug, not an optimization — the prover could subtract the two revealed
-// consistency points t = r + Σ αᵢqᵢ and solve for r.
-func TestKeepAliveRekeysPerBatch(t *testing.T) {
-	g, err := elgamal.GenerateGroup(field.F128().Modulus(), 320, prg.NewFromSeed([]byte("kg"), 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var reqs []*vc.CommitRequest
-	client, server := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		done <- recordingProver(server, func(b BatchMsg) {
-			mu.Lock()
-			reqs = append(reqs, b.Req)
-			mu.Unlock()
-		}, nil)
-	}()
-	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("kc"), Group: g})
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup := sess.SetupDuration()
-	for b, xs := range [][]int64{{5}, {7, 9}} {
-		res, err := sess.RunBatch(context.Background(), instances(xs...))
-		if err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
-		checkBatch(t, res, xs)
-	}
-	if setup != sess.SetupDuration() {
-		t.Fatal("keep-alive batches must not repeat session setup")
-	}
-	sess.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	if len(reqs) != 2 || reqs[0] == nil || reqs[1] == nil {
-		t.Fatalf("recorded %d commit requests (nil included?), want one per batch", len(reqs))
-	}
-	if reqs[0].PK.H.Cmp(reqs[1].PK.H) == 0 {
-		t.Fatal("ElGamal key reused across keep-alive batches")
-	}
-	if reqs[0].EncR1[0].A.Cmp(reqs[1].EncR1[0].A) == 0 {
-		t.Fatal("commitment vector Enc(r) reused across keep-alive batches")
-	}
-}
-
-// TestKeepAliveFreshSeeds checks the per-batch reseed actually changes the
-// queries: two batches on a fixed client seed decommit different seeds on
-// the wire.
-func TestKeepAliveFreshSeeds(t *testing.T) {
-	var mu sync.Mutex
-	var seeds [][]byte
-	client, server := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		done <- recordingProver(server, nil, func(d DecommitMsg) {
-			mu.Lock()
-			seeds = append(seeds, append([]byte(nil), d.Req.Seed...))
-			mu.Unlock()
-		})
-	}()
-	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("fs")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < 2; b++ {
-		if res, err := sess.RunBatch(context.Background(), instances(4)); err != nil || !res.AllAccepted() {
-			t.Fatalf("batch %d: %v %v", b, err, res)
-		}
-	}
-	sess.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	if len(seeds) != 2 {
-		t.Fatalf("recorded %d seeds, want 2", len(seeds))
-	}
-	if string(seeds[0]) == string(seeds[1]) {
-		t.Fatal("keep-alive batches reused the query seed — binding would break")
-	}
-}
-
-// TestDistributedLateLegActivation keeps a second prover leg idle through
-// the first shard and activates it on the second, under a reseeded
-// verifier: its first BatchMsg arrives after the other leg's, and must
-// carry its own commit request like every batch.
+// TestDistributedLateLegActivation keeps a second prover's Conn idle
+// through the first shard and activates it on the second, under a
+// reseeded verifier: its first BatchMsg arrives after the other
+// connection's, and must carry its own commit request like every batch.
 func TestDistributedLateLegActivation(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2})
 	c1, errCh1 := servicePipe(svc)
 	c2, errCh2 := servicePipe(svc)
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	ctx := context.Background()
-	sess, err := NewSession(ctx, []net.Conn{c1, c2}, hello, ClientOptions{Seed: []byte("ll")})
+	stamped, err := hello.Stamp()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := sess.Verifier()
-	checkBatch(t, proveShard(t, sess, v, 0, instances(5)), []int64{5})
+	conns := make([]*Conn, 2)
+	for i, c := range []net.Conn{c1, c2} {
+		if conns[i], err = Open(ctx, c, stamped, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := newVerifier(t, hello, []byte("ll"))
+	checkBatch(t, proveShard(t, conns[0], v, instances(5)), []int64{5})
 	if err := v.Reseed(ctx, []byte("ll-2")); err != nil {
 		t.Fatal(err)
 	}
-	checkBatch(t, proveShard(t, sess, v, 1, instances(1, 2, 3)), []int64{1, 2, 3})
-	sess.Close()
+	checkBatch(t, proveShard(t, conns[1], v, instances(1, 2, 3)), []int64{1, 2, 3})
+	for _, c := range conns {
+		c.Close()
+	}
 	if err := <-errCh1; err != nil {
 		t.Fatalf("leg 1 server: %v", err)
 	}
@@ -380,11 +299,11 @@ func TestBatchWithoutCommitRequestRefused(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 1})
 	client, errCh := servicePipe(svc)
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-	prog, err := compiler.Compile(hello.fieldOf(), hello.Source)
+	prog, err := compiler.Compile(hello.Field(), hello.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := vc.NewVerifier(prog, hello.config(1, []byte("nr"), pcp.BackendZaatar))
+	v, err := vc.NewVerifier(prog, hello.Config(1, []byte("nr"), pcp.BackendZaatar))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +361,7 @@ func TestIdleTimeoutReapsConnection(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 1, IdleTimeout: 200 * time.Millisecond})
 	client, errCh := servicePipe(svc)
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("id")})
+	sess, err := openSession(context.Background(), client, hello, clientOpts{Seed: []byte("id")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +406,7 @@ func TestMaxConnsRefusesExcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-	sess, err := NewSession(context.Background(), []net.Conn{conn1}, hello, ClientOptions{Seed: []byte("mc")})
+	sess, err := openSession(context.Background(), conn1, hello, clientOpts{Seed: []byte("mc")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +416,7 @@ func TestMaxConnsRefusesExcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSession(context.Background(), []net.Conn{conn2}, hello, ClientOptions{}); err == nil {
+	if _, err := openSession(context.Background(), conn2, hello, clientOpts{}); err == nil {
 		t.Fatal("session over the MaxConns cap succeeded")
 	}
 	conn2.Close()
@@ -527,7 +446,7 @@ func TestMidFrameHangupIsError(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 1})
 	client, errCh := servicePipe(svc)
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("mf")})
+	sess, err := openSession(context.Background(), client, hello, clientOpts{Seed: []byte("mf")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +567,7 @@ func TestV2ClientLegacyServer(t *testing.T) {
 			ack.Version, ack.Backend = c.version, c.backend
 			go func() { _ = ackingServer(server, ack) }()
 			hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-			_, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{})
+			_, err := openSession(context.Background(), client, hello, clientOpts{})
 			var vErr *ProtocolVersionError
 			if c.version != MaxProtocolVersion {
 				if !errors.As(err, &vErr) || vErr.Version != c.version || vErr.Max != MaxProtocolVersion {
@@ -697,7 +616,7 @@ func TestProtocolVersionErrorTyped(t *testing.T) {
 	// The same service still opens a v3 session.
 	client2, errCh2 := servicePipe(svc)
 	if _, err := oneBatch(context.Background(), client2, Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true},
-		ClientOptions{}, instances(3)); err != nil {
+		clientOpts{}, instances(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh2; err != nil {
@@ -717,7 +636,7 @@ func TestCacheHitSkipsCompile(t *testing.T) {
 		tc := trace.New(trace.NewRecorder(4096), "verifier")
 		ctx := trace.NewContext(context.Background(), tc)
 		client, errCh := servicePipe(svc)
-		res, err := oneBatch(ctx, client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(4))
+		res, err := oneBatch(ctx, client, hello, clientOpts{Seed: []byte{byte(i)}}, instances(4))
 		client.Close()
 		if serr := <-errCh; serr != nil {
 			t.Fatalf("session %d server: %v", i, serr)
@@ -759,7 +678,7 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 			prog := i % 4
 			hello := Hello{Source: cacheTestSrc(prog), Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 			client, errCh := servicePipe(svc)
-			res, err := oneBatch(context.Background(), client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i)))
+			res, err := oneBatch(context.Background(), client, hello, clientOpts{Seed: []byte{byte(i)}}, instances(int64(i)))
 			client.Close()
 			if serr := <-errCh; serr != nil {
 				errs <- fmt.Errorf("session %d server: %w", i, serr)
@@ -804,7 +723,7 @@ func TestAdmissionConcurrentSessions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
-			res, err := oneBatch(context.Background(), client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i), int64(i)+1))
+			res, err := oneBatch(context.Background(), client, hello, clientOpts{Seed: []byte{byte(i)}}, instances(int64(i), int64(i)+1))
 			client.Close()
 			if serr := <-errCh; serr != nil {
 				errs <- fmt.Errorf("session %d server: %w", i, serr)
@@ -852,7 +771,7 @@ func TestServeDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-	res, err := oneBatch(context.Background(), conn, hello, ClientOptions{Seed: []byte("sv")}, instances(12))
+	res, err := oneBatch(context.Background(), conn, hello, clientOpts{Seed: []byte("sv")}, instances(12))
 	conn.Close()
 	if err != nil || !res.AllAccepted() {
 		t.Fatalf("session over Serve: %v %v", err, res)
@@ -874,7 +793,7 @@ func TestCloseFrameBeforeAnyBatch(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 1})
 	client, errCh := servicePipe(svc)
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{})
+	sess, err := openSession(context.Background(), client, hello, clientOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	svc1, reg1 := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client1, errCh1 := servicePipe(svc1)
 	res, err := oneBatch(context.Background(), client1, hello,
-		ClientOptions{Seed: []byte("w1")}, instances(10))
+		clientOpts{Seed: []byte("w1")}, instances(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	ctx2, tc2 := tracedContext(t)
 	client2, errCh2 := servicePipe(svc2)
 	res, err = oneBatch(ctx2, client2, hello,
-		ClientOptions{Seed: []byte("w2")}, instances(7))
+		clientOpts{Seed: []byte("w2")}, instances(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestHashFirstMemoryWarm(t *testing.T) {
 	for i, want := range []int64{0, 1} {
 		client, errCh := servicePipe(svc)
 		res, err := oneBatch(context.Background(), client, hello,
-			ClientOptions{Seed: []byte{byte(i)}}, instances(5))
+			clientOpts{Seed: []byte{byte(i)}}, instances(5))
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -148,7 +148,7 @@ func TestHashFirstDowngradeInterop(t *testing.T) {
 		_ = enc.Encode(HelloAck{Err: "transport: malformed hello: empty source", Version: 2})
 	}()
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
-	_, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{})
+	_, err := openSession(context.Background(), client, hello, clientOpts{})
 	var rErr *RemoteError
 	if !errors.As(err, &rErr) || rErr.Phase != "hello" {
 		t.Fatalf("err = %v, want a hello-phase RemoteError", err)
@@ -204,7 +204,7 @@ func TestConcurrentColdCompileSingleflight(t *testing.T) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
 			res, err := oneBatch(context.Background(), client, hello,
-				ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i+1)))
+				clientOpts{Seed: []byte{byte(i)}}, instances(int64(i+1)))
 			if err == nil && !res.AllAccepted() {
 				err = errors.New("batch rejected")
 			}
@@ -241,7 +241,7 @@ func TestConcurrentColdDiskLoadSingleflight(t *testing.T) {
 	seed, _ := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client0, errCh0 := servicePipe(seed)
 	if _, err := oneBatch(context.Background(), client0, hello,
-		ClientOptions{Seed: []byte("s")}, instances(3)); err != nil {
+		clientOpts{Seed: []byte("s")}, instances(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh0; err != nil {
@@ -259,7 +259,7 @@ func TestConcurrentColdDiskLoadSingleflight(t *testing.T) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
 			res, err := oneBatch(context.Background(), client, hello,
-				ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i+1)))
+				clientOpts{Seed: []byte{byte(i)}}, instances(int64(i+1)))
 			if err == nil && !res.AllAccepted() {
 				err = errors.New("batch rejected")
 			}
@@ -297,7 +297,7 @@ func TestStoreCorruptBundleRecompiles(t *testing.T) {
 	seed, _ := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client0, errCh0 := servicePipe(seed)
 	if _, err := oneBatch(context.Background(), client0, hello,
-		ClientOptions{Seed: []byte("s")}, instances(3)); err != nil {
+		clientOpts{Seed: []byte("s")}, instances(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh0; err != nil {
@@ -318,7 +318,7 @@ func TestStoreCorruptBundleRecompiles(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2, Store: st})
 	client, errCh := servicePipe(svc)
 	res, err := oneBatch(context.Background(), client, hello,
-		ClientOptions{Seed: []byte("c")}, instances(9))
+		clientOpts{Seed: []byte("c")}, instances(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestStoreParentFormatBundleRecompiles(t *testing.T) {
 			ctx, tc := tracedContext(t)
 			client, errCh := servicePipe(svc)
 			res, err := oneBatch(ctx, client, Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true},
-				ClientOptions{Seed: []byte(code)}, instances(5))
+				clientOpts{Seed: []byte(code)}, instances(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -422,7 +422,7 @@ func TestMaxSourceBytes(t *testing.T) {
 	t.Run("upload", func(t *testing.T) {
 		svc, _ := testService(ServiceOptions{Workers: 1, MaxSourceBytes: 16})
 		client, errCh := servicePipe(svc)
-		_, err := oneBatch(context.Background(), client, hello, ClientOptions{}, instances(2))
+		_, err := oneBatch(context.Background(), client, hello, clientOpts{}, instances(2))
 		var rErr *RemoteError
 		if !errors.As(err, &rErr) || rErr.Phase != "hello" {
 			t.Fatalf("client err = %v, want hello-phase RemoteError", err)

@@ -54,7 +54,7 @@ func TestTracePropagation(t *testing.T) {
 	go func() { errCh <- serve(context.Background(), server, ServiceOptions{Workers: 2}) }()
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	batch := [][]*big.Int{{big.NewInt(10)}, {big.NewInt(3)}}
-	res, err := oneBatch(ctx, client, hello, ClientOptions{Seed: []byte("tr")}, batch)
+	res, err := oneBatch(ctx, client, hello, clientOpts{Seed: []byte("tr")}, batch)
 	client.Close()
 	if serr := <-errCh; serr != nil {
 		t.Fatalf("server: %v", serr)
@@ -123,7 +123,7 @@ func TestTraceLegacyPeer(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() { errCh <- ackingServer(server, HelloAck{NumInputs: 1, NumOutputs: 2}) }()
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-	_, err := oneBatch(ctx, client, hello, ClientOptions{Seed: []byte("lg")}, [][]*big.Int{{big.NewInt(8)}})
+	_, err := oneBatch(ctx, client, hello, clientOpts{Seed: []byte("lg")}, [][]*big.Int{{big.NewInt(8)}})
 	client.Close()
 	if serr := <-errCh; serr != nil {
 		t.Fatalf("legacy server: %v", serr)
@@ -161,7 +161,7 @@ func TestTraceDisconnectNoOrphans(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		prover, err := vc.NewProver(prog, h.config(1, nil, h.Backends[0]))
+		prover, err := vc.NewProver(prog, h.Config(1, nil, h.Backends[0]))
 		if err != nil {
 			t.Error(err)
 			return
@@ -186,7 +186,7 @@ func TestTraceDisconnectNoOrphans(t *testing.T) {
 		// Hang up instead of answering the decommit.
 	}()
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-	_, err := oneBatch(ctx, client, hello, ClientOptions{Seed: []byte("dc")}, [][]*big.Int{{big.NewInt(2)}})
+	_, err := oneBatch(ctx, client, hello, clientOpts{Seed: []byte("dc")}, [][]*big.Int{{big.NewInt(2)}})
 	client.Close()
 	<-done
 	if err == nil {

@@ -21,11 +21,12 @@
 // The prover side is a long-lived multi-tenant Service: compiled programs
 // and their prover precomputations live in an LRU shared across sessions,
 // and a service-wide admission semaphore bounds how many sessions compute
-// concurrently. The verifier side is a Session (NewSession / RunBatch /
-// Close) over one prover connection; RunBatch is vc.Drive over that
-// connection's link. A session over several connections belongs to the
-// farm (internal/farm), which drives each leg's link (Session.Leg) the
-// same way.
+// concurrently. The verifier side keeps only the per-connection half: a
+// Conn (Open / Commit / Respond / Close) is one handshaken prover
+// connection and the vc.ProverLink for one batch at a time. The verifier
+// client that owns the connections — compiling once, building and
+// re-keying the verifiers, sharding batches, attributing failures — is the
+// farm (internal/farm), over one connection or many.
 //
 // Both ends are context-aware: cancelling the context closes the
 // connection, unblocking any in-flight read or write, and per-message I/O
@@ -72,7 +73,7 @@ var (
 	// ErrMalformedHello reports a session-opening message that fails
 	// validation (empty or oversized source, out-of-range parameters).
 	ErrMalformedHello = errors.New("transport: malformed hello")
-	// ErrSessionClosed reports a RunBatch on a closed Session.
+	// ErrSessionClosed reports a batch on a closed Conn or client.
 	ErrSessionClosed = errors.New("transport: session closed")
 	// ErrNoCommonBackend reports a hello whose offered proof backends share
 	// no member with the server's supported set.
@@ -214,6 +215,19 @@ func (h Hello) hashFirst() bool {
 	return h.Source == "" && len(h.SourceHash) == sha256.Size
 }
 
+// Stamp completes a client's hello for the wire and validates it: the
+// protocol version, and the source digest that lets a warm prover open the
+// session without the source (an empty source is left for validation to
+// refuse). The caller adds its trace position (Trace, TraceParent).
+func (h Hello) Stamp() (Hello, error) {
+	h.Version = MaxProtocolVersion
+	if strings.TrimSpace(h.Source) != "" {
+		sum := sha256.Sum256([]byte(h.Source))
+		h.SourceHash = sum[:]
+	}
+	return h, h.validate(0)
+}
+
 // validate checks the hello against maxSource (0 means
 // DefaultMaxSourceBytes).
 func (h Hello) validate(maxSource int) error {
@@ -312,18 +326,19 @@ type ResponsesMsg struct {
 // vc.Drive returns on every link.
 type SessionResult = vc.Verdict
 
-func (h Hello) fieldOf() *field.Field {
+// Field is the prime field the hello's program is compiled over.
+func (h Hello) Field() *field.Field {
 	if h.Field220 {
 		return field.F220()
 	}
 	return field.F128()
 }
 
-// config builds the vc configuration for the session's negotiated backend.
+// Config builds the vc configuration for the session's negotiated backend.
 // The backend is resolved exactly once per session — by negotiateBackend on
-// the server, from the acks on the client — and passed through here, so no
-// later stage re-derives it from the hello.
-func (h Hello) config(workers int, seed []byte, backend string) vc.Config {
+// the server, from the acks on the client (internal/farm) — and passed
+// through here, so no later stage re-derives it from the hello.
+func (h Hello) Config(workers int, seed []byte, backend string) vc.Config {
 	return vc.Config{
 		Backend:      backend,
 		Params:       pcp.Params{RhoLin: h.RhoLin, Rho: h.Rho},

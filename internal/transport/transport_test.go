@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"zaatar/internal/compiler"
 	"zaatar/internal/elgamal"
 	"zaatar/internal/field"
 	"zaatar/internal/obs"
+	"zaatar/internal/obs/trace"
 	"zaatar/internal/pcp"
 	"zaatar/internal/prg"
 	"zaatar/internal/vc"
@@ -35,10 +37,77 @@ func serve(ctx context.Context, server net.Conn, opts ServiceOptions) error {
 	return svc.ServeConn(ctx, server)
 }
 
+// clientOpts configures the test verifier built around a Conn.
+type clientOpts struct {
+	Seed      []byte
+	Group     *elgamal.Group
+	Workers   int
+	IOTimeout time.Duration
+	Obs       *obs.Registry
+}
+
+// session is a test's verifier side over one Conn: a transport.session
+// trace root, the hello exchanged once, and each batch driven by vc.Drive
+// under a verifier of its own, seeded vc.DeriveSeed(Seed, batch index).
+type session struct {
+	*Conn
+	prog    *compiler.Program
+	cfg     vc.Config
+	workers int
+	tc      *trace.Ctx
+	root    *trace.Span
+	batches int
+}
+
+// openSession stamps and validates hello, compiles it (so a bad program
+// fails before conn is touched) and opens conn under the session's trace
+// root.
+func openSession(ctx context.Context, conn net.Conn, hello Hello, opts clientOpts) (*session, error) {
+	hello, err := hello.Stamp()
+	if err != nil {
+		return nil, err
+	}
+	prog, err := compiler.Compile(hello.Field(), hello.Source)
+	if err != nil {
+		return nil, err
+	}
+	root, ctx := trace.Child(ctx, "transport.session")
+	s := &session{prog: prog, workers: opts.Workers, tc: trace.FromContext(ctx), root: root}
+	hello.Trace, hello.TraceParent = s.tc.TraceID(), s.tc.SpanID()
+	if s.Conn, err = Open(ctx, conn, hello, opts.IOTimeout); err != nil {
+		root.End()
+		return nil, err
+	}
+	s.cfg = hello.Config(0, opts.Seed, s.Backend())
+	s.cfg.Group, s.cfg.Obs = opts.Group, opts.Obs
+	return s, nil
+}
+
+func (s *session) Backend() string { return s.Ack().Backend }
+
+// RunBatch drives one batch over the Conn under a fresh verifier.
+func (s *session) RunBatch(ctx context.Context, batch [][]*big.Int) (*SessionResult, error) {
+	ctx = trace.NewContext(ctx, s.tc)
+	cfg := s.cfg
+	cfg.Seed = vc.DeriveSeed(cfg.Seed, s.batches)
+	s.batches++
+	v, err := vc.NewVerifierPre(ctx, s.prog, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return vc.Drive(ctx, v, s.Conn, batch, s.workers)
+}
+
+func (s *session) Close() error {
+	s.Conn.Close()
+	s.root.End()
+	return nil
+}
+
 // oneBatch opens a session over conn, runs one batch and closes the
 // session.
-func oneBatch(ctx context.Context, conn net.Conn, hello Hello, opts ClientOptions, batch [][]*big.Int) (*SessionResult, error) {
-	sess, err := NewSession(ctx, []net.Conn{conn}, hello, opts)
+func oneBatch(ctx context.Context, conn net.Conn, hello Hello, opts clientOpts, batch [][]*big.Int) (*SessionResult, error) {
+	sess, err := openSession(ctx, conn, hello, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -46,14 +115,14 @@ func oneBatch(ctx context.Context, conn net.Conn, hello Hello, opts ClientOption
 	return sess.RunBatch(ctx, batch)
 }
 
-// wireHello stamps the fields NewSession would, for tests that write a
+// wireHello stamps the fields Hello.Stamp would, for tests that write a
 // hello onto the wire by hand.
 func wireHello(h Hello) Hello {
 	h.Version = MaxProtocolVersion
 	return h
 }
 
-func runPipeSession(t *testing.T, hello Hello, opts ClientOptions, batch [][]*big.Int) (*SessionResult, error) {
+func runPipeSession(t *testing.T, hello Hello, opts clientOpts, batch [][]*big.Int) (*SessionResult, error) {
 	t.Helper()
 	client, server := net.Pipe()
 	errCh := make(chan error, 1)
@@ -67,7 +136,7 @@ func runPipeSession(t *testing.T, hello Hello, opts ClientOptions, batch [][]*bi
 func TestSessionNoCrypto(t *testing.T) {
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 	batch := [][]*big.Int{{big.NewInt(10)}, {big.NewInt(-4)}}
-	res, err := runPipeSession(t, hello, ClientOptions{Seed: []byte("t")}, batch)
+	res, err := runPipeSession(t, hello, clientOpts{Seed: []byte("t")}, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +158,7 @@ func TestSessionWithCrypto(t *testing.T) {
 	}
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1}
 	batch := [][]*big.Int{{big.NewInt(5)}}
-	res, err := runPipeSession(t, hello, ClientOptions{Seed: []byte("c"), Group: g}, batch)
+	res, err := runPipeSession(t, hello, clientOpts{Seed: []byte("c"), Group: g}, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +172,7 @@ func TestSessionWithCrypto(t *testing.T) {
 
 func TestSessionGinger(t *testing.T) {
 	hello := Hello{Source: sessionSrc, Backends: []string{pcp.BackendGinger}, RhoLin: 1, Rho: 1, NoCommitment: true}
-	res, err := runPipeSession(t, hello, ClientOptions{Seed: []byte("g")}, [][]*big.Int{{big.NewInt(6)}})
+	res, err := runPipeSession(t, hello, clientOpts{Seed: []byte("g")}, [][]*big.Int{{big.NewInt(6)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +187,7 @@ func TestSessionParallelVerify(t *testing.T) {
 	for i := range batch {
 		batch[i] = []*big.Int{big.NewInt(int64(i))}
 	}
-	res, err := runPipeSession(t, hello, ClientOptions{Seed: []byte("pv"), Workers: 4}, batch)
+	res, err := runPipeSession(t, hello, clientOpts{Seed: []byte("pv"), Workers: 4}, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +205,7 @@ func TestSessionBadProgram(t *testing.T) {
 	hello := Hello{Source: "not a program", Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
 	// The client compiles the program itself before dialing, so it fails
 	// locally without touching the wire.
-	if _, err := NewSession(context.Background(), []net.Conn{nil}, hello, ClientOptions{}); err == nil {
+	if _, err := openSession(context.Background(), nil, hello, clientOpts{}); err == nil {
 		t.Fatal("bad program accepted by client")
 	}
 	// A server fed the same hello raw reports the compile failure in its ack
@@ -167,7 +236,7 @@ func TestSessionOversizedBatch(t *testing.T) {
 	serverErr := make(chan error, 1)
 	go func() { serverErr <- serve(context.Background(), server, ServiceOptions{MaxBatch: 1}) }()
 	batch := [][]*big.Int{{big.NewInt(1)}, {big.NewInt(2)}}
-	_, err := oneBatch(context.Background(), client, hello, ClientOptions{Seed: []byte("x")}, batch)
+	_, err := oneBatch(context.Background(), client, hello, clientOpts{Seed: []byte("x")}, batch)
 	client.Close()
 	// The client sees the rejection as a typed commit-phase failure naming
 	// the batch bound; the server reports the sentinel and survives.
@@ -195,7 +264,7 @@ func TestSessionMalformedHello(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Client-side validation rejects before anything hits the wire.
-			if _, err := NewSession(context.Background(), []net.Conn{nil}, tc.hello, ClientOptions{}); !errors.Is(err, ErrMalformedHello) {
+			if _, err := openSession(context.Background(), nil, tc.hello, clientOpts{}); !errors.Is(err, ErrMalformedHello) {
 				t.Fatalf("client validation err = %v, want ErrMalformedHello", err)
 			}
 			// A server receiving it raw reports the sentinel and survives.
@@ -262,7 +331,7 @@ func TestServerSurvivesMidSessionDisconnect(t *testing.T) {
 		t.Fatalf("%s = %d, want 1", MetricSessionErrors, got)
 	}
 	// The server is still able to run a fresh, complete session.
-	res, err := runPipeSession(t, hello, ClientOptions{Seed: []byte("again")}, [][]*big.Int{{big.NewInt(9)}})
+	res, err := runPipeSession(t, hello, clientOpts{Seed: []byte("again")}, [][]*big.Int{{big.NewInt(9)}})
 	if err != nil || !res.AllAccepted() {
 		t.Fatalf("follow-up session failed: %v", err)
 	}
@@ -375,7 +444,7 @@ func TestRunSessionContextCancel(t *testing.T) {
 	clientErr := make(chan error, 1)
 	go func() {
 		hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
-		_, err := oneBatch(ctx, client, hello, ClientOptions{Seed: []byte("cc")}, [][]*big.Int{{big.NewInt(1)}})
+		_, err := oneBatch(ctx, client, hello, clientOpts{Seed: []byte("cc")}, [][]*big.Int{{big.NewInt(1)}})
 		clientErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -390,52 +459,67 @@ func TestRunSessionContextCancel(t *testing.T) {
 	}
 }
 
-// TestDistributedProvers: a session over three provers is the farm's to
-// drive. RunBatch refuses it before touching the wire, and every leg still
-// serves a shard of the batch through its Leg link afterwards.
+// TestDistributedProvers: three provers, each behind its own Conn, serve
+// one shard each of a batch under forks of one verifier — the per-worker
+// wire link the farm drives.
 func TestDistributedProvers(t *testing.T) {
 	const nProvers = 3
-	conns := make([]net.Conn, nProvers)
-	for i := range conns {
-		client, server := net.Pipe()
-		conns[i] = client
-		go func() { _ = serve(context.Background(), server, ServiceOptions{}) }()
-	}
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
 	ctx := context.Background()
-	sess, err := NewSession(ctx, conns, hello, ClientOptions{Seed: []byte("d")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if _, err := sess.RunBatch(ctx, instances(1, 2, 3)); !errors.Is(err, errMultiLeg) {
-		t.Fatalf("RunBatch on %d legs: err = %v, want the multi-leg refusal", nProvers, err)
-	}
-	for leg := 0; leg < nProvers; leg++ {
-		v, err := sess.Verifier().Fork(ctx, []byte{byte(leg)})
+	conns := openConns(t, hello, nProvers)
+	v := newVerifier(t, hello, []byte("d"))
+	for leg, conn := range conns {
+		fork, err := v.Fork(ctx, []byte{byte(leg)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		xs := []int64{int64(leg), int64(leg) + 10}
-		res := proveShard(t, sess, v, leg, instances(xs...))
-		checkBatch(t, res, xs)
+		checkBatch(t, proveShard(t, conn, fork, instances(xs...)), xs)
 	}
 }
 
-// proveShard runs one shard on leg i under verifier v and verifies it.
-func proveShard(t *testing.T, sess *Session, v *vc.Verifier, i int, batch [][]*big.Int) *SessionResult {
+// openConns opens n Conns on hello, each to a fresh service over a pipe,
+// closed at the end of the test.
+func openConns(t *testing.T, hello Hello, n int) []*Conn {
 	t.Helper()
-	res, err := vc.Drive(context.Background(), v, sess.Leg(i), batch, 1)
+	hello, err := hello.Stamp()
 	if err != nil {
-		t.Fatalf("leg %d: %v", i, err)
+		t.Fatal(err)
+	}
+	conns := make([]*Conn, n)
+	for i := range conns {
+		client, server := net.Pipe()
+		go func() { _ = serve(context.Background(), server, ServiceOptions{}) }()
+		if conns[i], err = Open(context.Background(), client, hello, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(conns[i].Close)
+	}
+	return conns
+}
+
+// newVerifier builds a Zaatar verifier for hello's program.
+func newVerifier(t *testing.T, hello Hello, seed []byte) *vc.Verifier {
+	t.Helper()
+	prog, err := compiler.Compile(hello.Field(), hello.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := vc.NewVerifier(prog, hello.Config(0, seed, pcp.BackendZaatar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// proveShard runs one shard over conn under verifier v and verifies it.
+func proveShard(t *testing.T, conn *Conn, v *vc.Verifier, batch [][]*big.Int) *SessionResult {
+	t.Helper()
+	res, err := vc.Drive(context.Background(), v, conn, batch, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return res
-}
-
-func TestDistributedNoConns(t *testing.T) {
-	if _, err := NewSession(context.Background(), nil, Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}, ClientOptions{}); err == nil {
-		t.Fatal("no connections accepted")
-	}
 }
 
 func TestSessionOverTCP(t *testing.T) {
@@ -457,7 +541,7 @@ func TestSessionOverTCP(t *testing.T) {
 	}
 	defer conn.Close()
 	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
-	res, err := oneBatch(context.Background(), conn, hello, ClientOptions{Seed: []byte("tcp"), IOTimeout: 30 * time.Second}, [][]*big.Int{{big.NewInt(8)}})
+	res, err := oneBatch(context.Background(), conn, hello, clientOpts{Seed: []byte("tcp"), IOTimeout: 30 * time.Second}, [][]*big.Int{{big.NewInt(8)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,10 @@ import (
 )
 
 // ProverLink carries one batch's two verifier messages to a prover and its
-// replies back: in process (RunBatch's local link), over one wire
-// connection (transport.Session), or over one farm worker's leg. It is the
-// single prove/verify seam every batch crosses; Drive sequences the
-// protocol around it.
+// replies back: in process (RunBatch's local link) or over one farm
+// worker's wire connection (transport.Conn). It is the single
+// prove/verify seam every batch crosses; Drive sequences the protocol
+// around it.
 type ProverLink interface {
 	// Commit opens the batch with req and returns one commitment per
 	// instance, index-aligned with inputs.
@@ -36,7 +36,7 @@ type Verdict struct {
 	Outputs  [][]*big.Int
 
 	// Metrics holds the per-phase measurements of the Drive that produced
-	// the verdict. A farm batch runs one Drive per shard and leaves it zero.
+	// the verdict; a farm batch of several shards leaves it zero.
 	Metrics BatchMetrics
 }
 
@@ -201,7 +201,7 @@ func (p phaseTimer) end() time.Duration {
 	return d
 }
 
-// DeriveSeed gives the n-th re-key of a kept-alive session or farm its own
+// DeriveSeed gives the n-th re-key or fork of a farm session its own
 // deterministic query seed from a fixed base; an empty base stays empty
 // (fresh randomness every time).
 func DeriveSeed(base []byte, n int) []byte {

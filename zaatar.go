@@ -29,7 +29,8 @@
 // service on a listener, and Dial connects a verifier-side Client to one
 // prover, pushing many batches over one kept-alive connection (wire
 // protocol v3, the only dialect spoken). DialFarm returns the same Client
-// over several provers, sharding each batch across them.
+// over several provers, sharding each batch across them; a Dial'ed Client
+// is the same farm over one prover.
 // cmd/zaatar-server and cmd/zaatar-client are thin wrappers over these
 // calls. Lower still, NewVerifier and NewProver expose the raw phases,
 // moving the exported message types (CommitRequest, Commitment,
@@ -102,8 +103,7 @@ type options struct {
 	ioTo     time.Duration
 	logger   *slog.Logger
 
-	// farm scheduling (DialFarm only)
-	farmRouting  FarmRouting
+	// farm scheduling (Dial ignores shardSize)
 	shardRetries int
 	shardSize    int
 }
