@@ -15,7 +15,7 @@ import (
 	"testing"
 )
 
-var updateAPI = flag.Bool("update", false, "rewrite api/zaatar.txt from the current exported surface")
+var update = flag.Bool("update", false, "rewrite the golden files: api/zaatar.txt and testdata/metrics_surface.golden")
 
 const apiGoldenPath = "api/zaatar.txt"
 
@@ -85,7 +85,7 @@ func exportedAPI(t *testing.T) string {
 //	go test -run TestAPIGolden -update .
 func TestAPIGolden(t *testing.T) {
 	got := exportedAPI(t)
-	if *updateAPI {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(apiGoldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}

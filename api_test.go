@@ -65,7 +65,7 @@ func TestServeAndDial(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after cancel")
 	}
-	if got := reg.Counter(transport.MetricServedBatches).Value(); got != 2 {
+	if got := reg.CounterVec(transport.MetricServedBatches, transport.LabelBackend, transport.LabelProgramHash).Total(); got != 2 {
 		t.Fatalf("server batches = %d, want 2", got)
 	}
 }
@@ -130,10 +130,10 @@ func TestServeWithStoreWarmRestart(t *testing.T) {
 	addr, stop = serve(reg2)
 	runOnce(addr, "warm")
 	stop(t)
-	if got := reg2.Counter(transport.MetricStoreHits).Value(); got != 1 {
+	if got := reg2.CounterVec(transport.MetricStoreHits, transport.LabelBackend, transport.LabelProgramHash).Total(); got != 1 {
 		t.Fatalf("restart store hits = %d, want 1", got)
 	}
-	if got := reg2.Counter(transport.MetricHelloSourceSkipped).Value(); got != 1 {
+	if got := reg2.CounterVec(transport.MetricHelloSourceSkipped, transport.LabelProgramHash).Total(); got != 1 {
 		t.Fatalf("restart source uploads skipped = %d, want 1", got)
 	}
 	if got := reg2.Counter(transport.MetricStoreBytesSaved).Value(); got != int64(len(src)) {

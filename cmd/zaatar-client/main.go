@@ -50,7 +50,7 @@ func main() {
 		batches  = flag.Int("batches", 1, "how many times to run the batch over the kept-alive session")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file covering both sides of the session")
 		pprofOn  = flag.String("pprof", "", "address to serve net/http/pprof on for the session's lifetime (empty disables)")
-		metrics  = flag.String("metrics", "", "address for the HTTP metrics endpoint for the session's lifetime: /metrics and /metrics/prometheus (empty disables)")
+		metrics  = flag.String("metrics", "", "address for the HTTP metrics endpoint for the session's lifetime: /metrics in the Prometheus text format (empty disables)")
 		logFmt   = flag.String("log-format", "", "emit structured session logs to stderr: text or json (empty disables)")
 
 		shardSize  = flag.Int("shard-size", 0, "farm: instances per shard (0 = auto-size to about two shards per worker)")
@@ -69,7 +69,6 @@ func main() {
 	if *metrics != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", zaatar.Metrics().Handler())
-		mux.Handle("/metrics/prometheus", zaatar.Metrics().PrometheusHandler())
 		go func() {
 			if err := http.ListenAndServe(*metrics, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "zaatar-client: metrics endpoint:", err)

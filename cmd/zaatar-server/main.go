@@ -11,14 +11,13 @@
 // The server installs a per-message I/O deadline on every connection
 // (-timeout), drains in-flight sessions on SIGINT/SIGTERM before exiting,
 // and can expose its metrics registry over HTTP (-metrics): /metrics is the
-// expvar-style text form, /metrics/prometheus the Prometheus exposition
-// format (including the per-tenant labeled series), /healthz liveness, and
-// -pprof
-// additionally mounts net/http/pprof under /debug/pprof/ on the same
-// address. The server logs to stderr in -log-format (text by default, or
-// json): one structured record per session negotiation/batch/close or
-// failure, carrying the session id, backend, program hash, and trace
-// correlation ids, plus refused connections and artifact-store errors.
+// Prometheus text exposition format (including the per-tenant labeled
+// series), /healthz liveness, and -pprof additionally mounts net/http/pprof
+// under /debug/pprof/ on the same address. The server logs to stderr in
+// -log-format (text by default, or json): one structured record per
+// session negotiation/batch/close or failure, carrying the session id,
+// backend, program hash, and trace correlation ids, plus refused
+// connections and artifact-store errors.
 //
 // Usage:
 //
@@ -101,7 +100,6 @@ func main() {
 	if *metrics != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/metrics/prometheus", reg.PrometheusHandler())
 		mux.Handle("/healthz", obs.HealthHandler())
 		if *pprofOn {
 			mux.HandleFunc("/debug/pprof/", httppprof.Index)
@@ -116,7 +114,7 @@ func main() {
 				log.Printf("zaatar-server: metrics endpoint: %v", err)
 			}
 		}()
-		log.Printf("zaatar-server: metrics on http://%s/metrics (Prometheus form at /metrics/prometheus)", *metrics)
+		log.Printf("zaatar-server: Prometheus metrics on http://%s/metrics", *metrics)
 	}
 
 	ln, err := net.Listen("tcp", *listen)

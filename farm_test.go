@@ -94,10 +94,10 @@ func TestDialFarmShardsBatch(t *testing.T) {
 	}
 	checkFarmOutputs(t, batch, res)
 	var text strings.Builder
-	if err := sreg.WriteText(&text); err != nil {
+	if err := sreg.WritePrometheus(&text); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text.String(), "farm.worker.up 1\n") {
+	if !strings.Contains(text.String(), "\nzaatar_farm_worker_up 1\n") {
 		t.Fatalf("farm.worker.up is not 1:\n%s", text.String())
 	}
 }

@@ -23,7 +23,8 @@ import (
 // (obs.Default()) under the metric names below, documented in
 // docs/PROTOCOL.md.
 const (
-	// MetricMultiExpCalls counts multi-exponentiation kernel invocations.
+	// MetricMultiExpCalls counts multi-exponentiation kernel invocations,
+	// labeled by entry point (op).
 	MetricMultiExpCalls = "elgamal.multiexp.calls"
 	// MetricMultiExpBases counts total (base, exponent) pairs processed.
 	MetricMultiExpBases = "elgamal.multiexp.bases"
@@ -287,13 +288,11 @@ func (k *kernels) run(mb []uint64, n int, sc *scalars, algo multiExpAlgo, t []ui
 	return k.pippenger(mb, n, sc, uw, t)
 }
 
-// recordMultiExp counts one kernel invocation: the plain counters stay the
-// aggregate view, while the labeled vector breaks calls out by entry point
+// recordMultiExp counts one kernel invocation, broken out by entry point
 // (op ∈ auto, straus, pippenger, signed, parallel, inner_product,
 // prepared) so an operator can see which code path drives the kernel load.
 func recordMultiExp(op string, n int) obs.Span {
 	reg := obs.Default()
-	reg.Counter(MetricMultiExpCalls).Inc()
 	reg.Counter(MetricMultiExpBases).Add(int64(n))
 	reg.CounterVec(MetricMultiExpCalls, "op").With(op).Inc()
 	return reg.StartSpan(MetricMultiExpSpan)

@@ -209,7 +209,7 @@ func RunStore(o Options, beta int) (*StoreResult, error) {
 			res.DiskAcquireMs += float64(r.Dur) / 1e6
 		}
 	}
-	res.StoreHits = reg.Counter(transport.MetricStoreHits).Value()
+	res.StoreHits = reg.CounterVec(transport.MetricStoreHits, transport.LabelBackend, transport.LabelProgramHash).Total()
 	res.StoreMisses = reg.Counter(transport.MetricStoreMisses).Value()
 	if res.DiskWarmOpenMs > 0 {
 		res.ColdVsDiskSpeedup = res.ColdOpenMs / res.DiskWarmOpenMs

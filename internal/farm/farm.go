@@ -60,8 +60,8 @@ const (
 	// MetricWorkerUp is the gauge a worker process sets to 1 while serving
 	// (zaatar.ServeWorker registers it).
 	MetricWorkerUp = "farm.worker.up"
-	// MetricBatchWall / MetricShardWall time one farm batch / one shard.
-	MetricBatchWall = "farm.batch"
+	// MetricShardWall times one shard; a whole batch is
+	// vc.phase{phase="batch"}, as in process.
 	MetricShardWall = "farm.shard"
 	// LabelWorker is the worker-address label on MetricShards.
 	LabelWorker = "worker"
@@ -189,7 +189,6 @@ func New(ctx context.Context, addrs []string, conns []net.Conn, hello transport.
 	if reg == nil {
 		reg = obs.Default()
 	}
-	reg.Counter(transport.MetricClientSessions).Inc()
 
 	// Root the session's trace (if the caller attached one) and stamp its
 	// identifiers into the hello so the workers' spans join this trace.
@@ -265,6 +264,9 @@ func New(ctx context.Context, addrs []string, conns []net.Conn, hello transport.
 		return nil, err
 	}
 	f.pool <- f.base
+	for _, name := range []string{MetricShardRequeued, MetricShardStolen, MetricWorkerFailures} {
+		reg.Counter(name) // scraped as 0 until the first event
+	}
 	reg.CounterVec(transport.MetricClientSessions, transport.LabelBackend).With(f.backend).Inc()
 	reg.RegisterGauge(MetricWorkersLive, func() float64 { return float64(f.LiveWorkers()) })
 	f.log = f.log.With(transport.LabelBackend, f.backend)
@@ -426,8 +428,7 @@ func (f *Farm) RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.Ses
 	batchTr, ctx := trace.Child(ctx, "transport.batch")
 	batchTr.WithArg("batch", int64(f.batches)).WithArg("instances", int64(n))
 	defer batchTr.End()
-	sp := f.reg.StartSpan(MetricBatchWall)
-	defer sp.End()
+	start := time.Now()
 	size := f.opts.ShardSize
 	if size <= 0 {
 		size = n
@@ -472,6 +473,7 @@ func (f *Farm) RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.Ses
 			accepted++
 		}
 	}
+	f.reg.HistogramVec(vc.MetricPhase, vc.LabelPhase, vc.LabelBackend).With("batch", f.backend).Observe(time.Since(start))
 	f.log.InfoContext(ctx, "batch verified", "batch", f.batches, "instances", n, "accepted", accepted)
 	f.batches++
 	return out, nil

@@ -189,7 +189,7 @@ func TestOneWorkerBatchIsOneWireBatch(t *testing.T) {
 	// Each RunBatch needs at least one wire batch; a total of one per
 	// RunBatch means exactly one each.
 	<-log.done
-	if got := srv.Counter(transport.MetricServedBatches).Value(); got != batches {
+	if got := srv.CounterVec(transport.MetricServedBatches, transport.LabelBackend, transport.LabelProgramHash).Total(); got != batches {
 		t.Fatalf("server %s = %d after %d batches, want %d", transport.MetricServedBatches, got, batches, batches)
 	}
 	if len(log.reqs) != batches {

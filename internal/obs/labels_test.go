@@ -12,7 +12,7 @@ import (
 func TestCounterVecBasics(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("transport.batches", "backend", "program_hash")
-	if r.CounterVec("transport.batches") != v {
+	if r.CounterVec("transport.batches", "backend", "program_hash") != v {
 		t.Fatal("CounterVec did not return the existing vector")
 	}
 	c := v.With("zaatar", "abc123")
@@ -27,23 +27,23 @@ func TestCounterVecBasics(t *testing.T) {
 	if got := v.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
-	if keys := v.Keys(); len(keys) != 2 || keys[0] != "backend" {
-		t.Fatalf("Keys = %v", keys)
-	}
 
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"transport.batches{backend=zaatar,program_hash=abc123} 2",
-		"transport.batches{backend=ginger,program_hash=abc123} 1",
-		"transport.batches 3", // synthesized unlabeled total
+		`zaatar_transport_batches_total{backend="zaatar",program_hash="abc123"} 2`,
+		`zaatar_transport_batches_total{backend="ginger",program_hash="abc123"} 1`,
 	} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("WriteText missing %q:\n%s", want, out)
+			t.Fatalf("WritePrometheus missing %q:\n%s", want, out)
 		}
+	}
+	// The total is sum() in the scrape: no unlabeled sample is synthesized.
+	if strings.Contains(out, "\nzaatar_transport_batches_total ") {
+		t.Fatalf("WritePrometheus wrote an unlabeled sample for a labeled family:\n%s", out)
 	}
 }
 
@@ -56,11 +56,11 @@ func TestHistogramVecBasics(t *testing.T) {
 		t.Fatalf("series snapshot count = %d, want 2", s.Count)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "vc.phase.count{phase=commit,backend=zaatar} 2") {
-		t.Fatalf("WriteText missing labeled histogram lines:\n%s", buf.String())
+	if !strings.Contains(buf.String(), `zaatar_vc_phase_seconds_count{phase="commit",backend="zaatar"} 2`) {
+		t.Fatalf("WritePrometheus missing labeled histogram lines:\n%s", buf.String())
 	}
 }
 
@@ -70,8 +70,8 @@ func TestHistogramVecBasics(t *testing.T) {
 // program hashes cannot grow the registry without bound.
 func TestSeriesCap(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxSeries(4)
 	v := r.CounterVec("transport.batches", "backend", "program_hash")
+	v.limit = 4
 	for i := 0; i < 7; i++ {
 		v.With("zaatar", fmt.Sprintf("hash%02d", i)).Inc()
 	}
@@ -94,18 +94,18 @@ func TestSeriesCap(t *testing.T) {
 		t.Fatalf("dropped = %d, want %d", got, before+1)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "transport.batches{backend=_overflow,program_hash=_overflow}") {
-		t.Fatalf("WriteText missing overflow series:\n%s", buf.String())
+	if !strings.Contains(buf.String(), `zaatar_transport_batches_total{backend="_overflow",program_hash="_overflow"} 4`) {
+		t.Fatalf("WritePrometheus missing overflow series:\n%s", buf.String())
 	}
 }
 
 func TestSeriesCapHistogramVec(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxSeries(2)
 	v := r.HistogramVec("vc.phase", "phase")
+	v.limit = 2
 	for _, p := range []string{"commit", "decommit", "verify", "respond"} {
 		v.With(p).Observe(time.Microsecond)
 	}
@@ -127,6 +127,10 @@ func TestLabeledLookupAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { cv.With("zaatar", "abc123").Inc() }); n != 0 {
 		t.Fatalf("CounterVec.With on existing series allocates %v allocs/op, want 0", n)
 	}
+	// Looking the vector up by name, as the kernels do per call, is free too.
+	if n := testing.AllocsPerRun(1000, func() { r.CounterVec("hot.counter", "backend", "program_hash").With("zaatar", "abc123").Inc() }); n != 0 {
+		t.Fatalf("Registry.CounterVec lookup allocates %v allocs/op, want 0", n)
+	}
 	hv := r.HistogramVec("hot.hist", "phase")
 	hv.With("commit").Observe(time.Microsecond)
 	if n := testing.AllocsPerRun(1000, func() { hv.With("commit").Observe(time.Microsecond) }); n != 0 {
@@ -139,7 +143,9 @@ func TestLabeledLookupAllocs(t *testing.T) {
 // registry's synchronization end to end.
 func TestRegistryConcurrentStress(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxSeries(16) // force the overflow path under contention too
+	// A cap of 16 forces the overflow path under contention too.
+	r.CounterVec("vec.c", "k").limit = 16
+	r.HistogramVec("vec.h", "k").limit = 16
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -154,10 +160,6 @@ func TestRegistryConcurrentStress(t *testing.T) {
 				r.RegisterGauge("g", func() float64 { return float64(w) })
 				if i%100 == 0 {
 					var buf bytes.Buffer
-					if err := r.WriteText(&buf); err != nil {
-						t.Error(err)
-						return
-					}
 					if err := r.WritePrometheus(&buf); err != nil {
 						t.Error(err)
 						return
@@ -181,20 +183,13 @@ func TestGauges(t *testing.T) {
 	// Re-registering replaces the function (idempotent wiring).
 	r.RegisterGauge("farm.workers.live", func() float64 { return 0.5 })
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if out := buf.String(); !strings.Contains(out, "farm.workers.live 0.5") || strings.Contains(out, "0.25") {
-		t.Fatalf("WriteText gauge not replaced:\n%s", out)
-	}
-	buf.Reset()
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "# TYPE zaatar_farm_workers_live gauge") ||
-		!strings.Contains(out, "zaatar_farm_workers_live 0.5") {
-		t.Fatalf("WritePrometheus missing gauge:\n%s", out)
+		!strings.Contains(out, "zaatar_farm_workers_live 0.5") || strings.Contains(out, "0.25") {
+		t.Fatalf("WritePrometheus gauge missing or not replaced:\n%s", out)
 	}
 }
 
@@ -211,24 +206,35 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestPrometheusMergedTypeBlock(t *testing.T) {
+// TestFamilyConflictPanics pins one family per name: asking for an
+// existing name as another kind, or with other label keys, is a
+// programming error.
+func TestFamilyConflictPanics(t *testing.T) {
+	cases := []struct {
+		name string
+		make func(r *Registry)
+	}{
+		{"counter-then-histogram", func(r *Registry) { r.Counter("m"); r.Histogram("m") }},
+		{"unlabeled-then-labeled", func(r *Registry) { r.Counter("m"); r.CounterVec("m", "backend") }},
+		{"labeled-then-unlabeled", func(r *Registry) { r.CounterVec("m", "backend"); r.Counter("m") }},
+		{"other-keys", func(r *Registry) { r.HistogramVec("m", "phase"); r.HistogramVec("m", "phase", "backend") }},
+		{"gauge-over-counter", func(r *Registry) { r.Counter("m"); r.RegisterGauge("m", func() float64 { return 0 }) }},
+		{"counter-over-gauge", func(r *Registry) { r.RegisterGauge("m", func() float64 { return 0 }); r.Counter("m") }},
+		{"too-many-keys", func(r *Registry) { r.CounterVec("m", "a", "b", "c", "d") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			tc.make(NewRegistry())
+		})
+	}
+	// The same kind and keys return the same family.
 	r := NewRegistry()
-	r.Counter("transport.batches").Add(5)
-	r.CounterVec("transport.batches", "backend").With("zaatar").Add(3)
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if strings.Count(out, "# TYPE zaatar_transport_batches_total counter") != 1 {
-		t.Fatalf("want exactly one TYPE header for the shared name:\n%s", out)
-	}
-	for _, want := range []string{
-		"zaatar_transport_batches_total 5",
-		`zaatar_transport_batches_total{backend="zaatar"} 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q:\n%s", want, out)
-		}
+	if r.CounterVec("m", "backend") != r.CounterVec("m", "backend") {
+		t.Fatal("CounterVec did not return the existing vector")
 	}
 }

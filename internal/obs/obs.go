@@ -1,31 +1,37 @@
 // Package obs is the system's observability substrate: atomic counters,
-// log-scale latency histograms, and named span timers, collected in a
-// Registry and rendered as expvar-style text (one "name value" pair per
-// line). The protocol driver (internal/vc), the wire layer
-// (internal/transport), and the cmd/ binaries all record into a registry;
-// cmd/zaatar-server optionally serves its registry over HTTP.
+// log-scale latency histograms, named span timers and scrape-time gauges,
+// collected in a Registry and rendered in the Prometheus text exposition
+// format (prometheus.go). The protocol driver (internal/vc), the wire layer
+// (internal/transport), the farm and the kernels all record into a
+// registry; cmd/zaatar-server and cmd/zaatar-client serve theirs over HTTP.
+//
+// A registry holds one family per metric name: one kind (counter,
+// histogram or gauge) and one set of label keys, so every fact is recorded
+// once, under one name. Asking for a name as another kind or with other
+// keys panics.
 //
 // Everything is safe for concurrent use and allocation-free on the hot
-// paths (Counter.Add, Histogram.Observe, Span.End), so instruments can sit
-// inside the prover's worker pool without distorting what they measure.
-// Streamed events are the trace package's (internal/obs/trace) and the
-// structured logs' (slog.go); a registry only aggregates.
+// paths (Counter.Add, Histogram.Observe, Span.End, and With on an existing
+// series), so instruments can sit inside the prover's worker pool without
+// distorting what they measure. Streamed events are the trace package's
+// (internal/obs/trace) and the structured logs' (slog.go); a registry only
+// aggregates.
 package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Counter is a monotonic (or gauge-style, with negative deltas) atomic
-// 64-bit counter.
+// Counter is a monotonic atomic 64-bit counter. A value that goes down is
+// a gauge (Registry.RegisterGauge), not a counter.
 type Counter struct {
 	v atomic.Int64
 }
@@ -167,29 +173,43 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return s.Max
 }
 
-// Registry is a named collection of counters, histograms, labeled metric
-// vectors (labels.go), and scrape-time gauges. The zero value is not
-// usable; call NewRegistry.
-type Registry struct {
-	mu        sync.RWMutex
-	counters  map[string]*Counter
-	hists     map[string]*Histogram
-	cvecs     map[string]*CounterVec
-	hvecs     map[string]*HistogramVec
-	gauges    map[string]func() float64
-	maxSeries int
+// kind is a family's metric type, named as the exposition's # TYPE line
+// names it.
+type kind uint8
+
+const (
+	kindCounter kind = iota
+	kindHistogram
+	kindGauge
+)
+
+func (k kind) String() string { return [...]string{"counter", "histogram", "gauge"}[k] }
+
+// family is every series recorded under one metric name: one kind, one
+// set of label keys. An unlabeled counter or histogram is the family with
+// no keys, holding exactly one series.
+type family struct {
+	kind  kind
+	keys  []string
+	cv    *CounterVec    // kindCounter
+	hv    *HistogramVec  // kindHistogram
+	gauge func() float64 // kindGauge
 }
 
-// NewRegistry returns an empty registry.
+// Registry is a named collection of metric families: counters, histograms
+// and scrape-time gauges, each optionally labeled (labels.go). The zero
+// value is not usable; call NewRegistry.
+type Registry struct {
+	mu      sync.RWMutex
+	fams    map[string]*family
+	dropped *Counter // MetricSeriesDropped
+}
+
+// NewRegistry returns a registry holding only MetricSeriesDropped.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:  make(map[string]*Counter),
-		hists:     make(map[string]*Histogram),
-		cvecs:     make(map[string]*CounterVec),
-		hvecs:     make(map[string]*HistogramVec),
-		gauges:    make(map[string]func() float64),
-		maxSeries: DefaultMaxSeries,
-	}
+	r := &Registry{fams: make(map[string]*family)}
+	r.dropped = r.Counter(MetricSeriesDropped)
+	return r
 }
 
 var defaultRegistry = NewRegistry()
@@ -198,38 +218,74 @@ var defaultRegistry = NewRegistry()
 // given an explicit one.
 func Default() *Registry { return defaultRegistry }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// family returns name's family, creating it on first use. One name is one
+// fact: asking for an existing name as another kind or with other label
+// keys is a programming error and panics.
+func (r *Registry) family(name string, k kind, keys []string) *family {
 	r.mu.RLock()
-	c, ok := r.counters[name]
+	f := r.fams[name]
 	r.mu.RUnlock()
-	if ok {
-		return c
+	if f == nil {
+		if len(keys) > maxLabels {
+			panic(fmt.Sprintf("obs: metric %q declares %d label keys (max %d)", name, len(keys), maxLabels))
+		}
+		r.mu.Lock()
+		if f = r.fams[name]; f == nil {
+			f = &family{kind: k, keys: append([]string(nil), keys...)}
+			if k == kindCounter {
+				f.cv = new(CounterVec)
+				f.cv.init(f.keys, r.dropped, func() *Counter { return &Counter{} })
+			} else {
+				f.hv = new(HistogramVec)
+				f.hv.init(f.keys, r.dropped, newHistogram)
+			}
+			r.fams[name] = f
+		}
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	if f.kind != k || !slices.Equal(f.keys, keys) {
+		panic(conflict(name, f, k, keys))
 	}
-	return c
+	return f
 }
 
-// Histogram returns the named histogram, creating it on first use.
+func conflict(name string, f *family, k kind, keys []string) string {
+	return fmt.Sprintf("obs: metric %q is a %s{%s}, not a %s{%s}",
+		name, f.kind, strings.Join(f.keys, ","), k, strings.Join(keys, ","))
+}
+
+// Counter returns the named unlabeled counter, creating it on first use.
+func (r *Registry) Counter(name string) *Counter { return r.family(name, kindCounter, nil).cv.solo }
+
+// Histogram returns the named unlabeled histogram, creating it on first
+// use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
+	return r.family(name, kindHistogram, nil).hv.solo
+}
+
+// CounterVec returns the named counter vector with the given label keys
+// (at most three), creating it on first use.
+func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
+	return r.family(name, kindCounter, keys).cv
+}
+
+// HistogramVec returns the named histogram vector with the given label
+// keys (at most three), creating it on first use.
+func (r *Registry) HistogramVec(name string, keys ...string) *HistogramVec {
+	return r.family(name, kindHistogram, keys).hv
+}
+
+// RegisterGauge installs a named gauge computed at scrape time.
+// Re-registering a name replaces the function — idempotent wiring for
+// components constructed repeatedly against one registry. fn must be safe
+// to call from any goroutine.
+func (r *Registry) RegisterGauge(name string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; !ok {
-		h = newHistogram()
-		r.hists[name] = h
+	if f := r.fams[name]; f != nil && f.kind != kindGauge {
+		panic(conflict(name, f, kindGauge, nil))
 	}
-	return h
+	r.fams[name] = &family{kind: kindGauge, gauge: fn}
 }
 
 // Span is a started named timer. End it exactly once.
@@ -251,83 +307,6 @@ func (s Span) End() time.Duration {
 	return d
 }
 
-// histLines renders one histogram snapshot's expvar-style lines; suffix
-// (the text-form label set, or "") follows each sub-metric name.
-func histLines(lines []string, name, suffix string, s HistogramSnapshot) []string {
-	return append(lines,
-		fmt.Sprintf("%s.count%s %d", name, suffix, s.Count),
-		fmt.Sprintf("%s.sum_ns%s %d", name, suffix, int64(s.Sum)),
-		fmt.Sprintf("%s.min_ns%s %d", name, suffix, int64(s.Min)),
-		fmt.Sprintf("%s.max_ns%s %d", name, suffix, int64(s.Max)),
-		fmt.Sprintf("%s.avg_ns%s %d", name, suffix, int64(s.Mean())),
-		fmt.Sprintf("%s.p50_ns%s %d", name, suffix, int64(s.Quantile(0.50))),
-		fmt.Sprintf("%s.p90_ns%s %d", name, suffix, int64(s.Quantile(0.90))),
-		fmt.Sprintf("%s.p99_ns%s %d", name, suffix, int64(s.Quantile(0.99))),
-	)
-}
-
-// WriteText renders every metric as expvar-style "name value" lines,
-// sorted by name. Counters render as a single line; each histogram renders
-// count, sum, min, max, avg, and approximate p50/p90/p99 (nanoseconds).
-// Labeled vectors render one line (or histogram block) per series with a
-// `{k=v,...}` suffix plus an unlabeled total line for counter vectors;
-// registered gauges render as "name value" with a float value.
-func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	cvecs := make(map[string]*CounterVec, len(r.cvecs))
-	for k, v := range r.cvecs {
-		cvecs[k] = v
-	}
-	hvecs := make(map[string]*HistogramVec, len(r.hvecs))
-	for k, v := range r.hvecs {
-		hvecs[k] = v
-	}
-	gauges := make(map[string]func() float64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	r.mu.RUnlock()
-
-	lines := make([]string, 0, len(counters)+8*len(hists))
-	for name, c := range counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, c.Value()))
-	}
-	for name, h := range hists {
-		lines = histLines(lines, name, "", h.Snapshot())
-	}
-	for name, v := range cvecs {
-		for _, s := range v.snapshot() {
-			lines = append(lines, fmt.Sprintf("%s%s %d", name, labelString(v.keys, s.vals), s.t.Value()))
-		}
-		if _, dup := counters[name]; !dup && v.Len() > 0 {
-			lines = append(lines, fmt.Sprintf("%s %d", name, v.Total()))
-		}
-	}
-	for name, v := range hvecs {
-		for _, s := range v.snapshot() {
-			lines = histLines(lines, name, labelString(v.keys, s.vals), s.t.Snapshot())
-		}
-	}
-	for name, fn := range gauges {
-		lines = append(lines, fmt.Sprintf("%s %g", name, fn()))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // HealthHandler answers liveness probes: 200 as long as the process can
 // serve HTTP at all.
 func HealthHandler() http.Handler {
@@ -338,11 +317,11 @@ func HealthHandler() http.Handler {
 	})
 }
 
-// Handler serves the registry as text/plain — the body behind
-// zaatar-server's -metrics endpoint.
+// Handler serves the registry in the Prometheus text exposition format —
+// the body behind the binaries' /metrics endpoints.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = r.WriteText(w)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = r.WritePrometheus(w)
 	})
 }

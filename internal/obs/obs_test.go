@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,35 +127,6 @@ func TestSpan(t *testing.T) {
 	}
 	if s := r.Histogram("phase.commit").Snapshot(); s.Count != 1 {
 		t.Fatalf("span not recorded: %+v", s)
-	}
-}
-
-func TestWriteTextAndHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("vc.batches").Add(2)
-	r.Histogram("vc.verify").Observe(time.Millisecond)
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"vc.batches 2", "vc.verify.count 1", "vc.verify.p99_ns"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("WriteText output missing %q:\n%s", want, out)
-		}
-	}
-	// Lines are sorted for diff-friendly scraping.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] > lines[i] {
-			t.Fatalf("output not sorted: %q > %q", lines[i-1], lines[i])
-		}
-	}
-
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "vc.batches 2") {
-		t.Fatalf("handler response %d %q", rec.Code, rec.Body.String())
 	}
 }
 

@@ -1,9 +1,9 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,9 +13,9 @@ import (
 // prometheus counters (name_total), histograms map to prometheus
 // histograms in seconds with cumulative `le` buckets derived from the
 // power-of-two nanosecond buckets, labeled vectors render one series per
-// label set with escaped label values, and registered gauges render as
-// prometheus gauges. Metric names are prefixed with "zaatar_" and dots
-// become underscores, so `vc.verify` renders as
+// label set with escaped label values, and gauges render as prometheus
+// gauges. Metric names are prefixed with "zaatar_" and dots become
+// underscores, so `vc.verify` renders as
 // `zaatar_vc_verify_seconds_bucket{le="..."}` lines plus _sum and _count.
 
 // promName sanitizes a registry metric name into a prometheus one.
@@ -45,9 +45,6 @@ var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // promLabels renders `k1="v1",k2="v2"` (no braces) for a series' label
 // values, escaped. Empty key set renders as "".
 func promLabels(keys []string, vals labelKey) string {
-	if len(keys) == 0 {
-		return ""
-	}
 	var b strings.Builder
 	for i, k := range keys {
 		if i > 0 {
@@ -61,10 +58,18 @@ func promLabels(keys []string, vals labelKey) string {
 	return b.String()
 }
 
+// braced wraps a non-empty label list in braces.
+func braced(labels string) string {
+	if labels == "" {
+		return ""
+	}
+	return "{" + labels + "}"
+}
+
 // writePromHist renders one histogram's bucket/sum/count lines. labels is
 // the pre-rendered, escaped `k="v",...` pair list (or "") shared by every
 // line of the series.
-func writePromHist(w io.Writer, pn, labels string, s HistogramSnapshot) error {
+func writePromHist(w io.Writer, pn, labels string, s HistogramSnapshot) {
 	sep := ""
 	if labels != "" {
 		sep = ","
@@ -76,127 +81,57 @@ func writePromHist(w io.Writer, pn, labels string, s HistogramSnapshot) error {
 	for i := 0; i < numBuckets-1; i++ {
 		cum += s.Buckets[i]
 		le := float64(int64(1)<<uint(i)-1) / 1e9
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", pn, labels, sep, promFloat(le), cum); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", pn, labels, sep, promFloat(le), cum)
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", pn, labels, sep, s.Count); err != nil {
-		return err
-	}
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	_, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n", pn, suffix, promFloat(s.Sum.Seconds()), pn, suffix, s.Count)
-	return err
+	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", pn, labels, sep, s.Count)
+	suffix := braced(labels)
+	fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n", pn, suffix, promFloat(s.Sum.Seconds()), pn, suffix, s.Count)
 }
 
-// WritePrometheus renders every metric in the prometheus text exposition
+// WritePrometheus renders every family in the prometheus text exposition
 // format (version 0.0.4), sorted by name for stable scrapes and golden
-// tests. When a plain metric and a labeled vector share a name, the two
-// render under a single # TYPE header: the unlabeled aggregate first, then
-// the labeled series.
+// tests: one # TYPE line per family, then its series. A family with no
+// series writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
+	names := make([]string, 0, len(r.fams))
+	for name := range r.fams {
+		names = append(names, name)
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	cvecs := make(map[string]*CounterVec, len(r.cvecs))
-	for k, v := range r.cvecs {
-		cvecs[k] = v
-	}
-	hvecs := make(map[string]*HistogramVec, len(r.hvecs))
-	for k, v := range r.hvecs {
-		hvecs[k] = v
-	}
-	gauges := make(map[string]func() float64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
+	sort.Strings(names)
+	fams := make([]*family, len(names))
+	for i, name := range names {
+		fams[i] = r.fams[name]
 	}
 	r.mu.RUnlock()
 
-	names := make([]string, 0, len(counters)+len(cvecs))
-	for name := range counters {
-		names = append(names, name)
-	}
-	for name := range cvecs {
-		if _, dup := counters[name]; !dup {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pn := promName(name) + "_total"
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", pn); err != nil {
-			return err
-		}
-		if c, ok := counters[name]; ok {
-			if _, err := fmt.Fprintf(w, "%s %d\n", pn, c.Value()); err != nil {
-				return err
+	bw := bufio.NewWriter(w)
+	for i, f := range fams {
+		pn := promName(names[i])
+		switch f.kind {
+		case kindCounter:
+			series := f.cv.snapshot()
+			if len(series) == 0 {
+				continue
 			}
-		}
-		if v, ok := cvecs[name]; ok {
-			for _, s := range v.snapshot() {
-				if _, err := fmt.Fprintf(w, "%s{%s} %d\n", pn, promLabels(v.keys, s.vals), s.t.Value()); err != nil {
-					return err
-				}
+			pn += "_total"
+			fmt.Fprintf(bw, "# TYPE %s counter\n", pn)
+			for _, s := range series {
+				fmt.Fprintf(bw, "%s%s %d\n", pn, braced(promLabels(f.keys, s.vals)), s.t.Value())
 			}
-		}
-	}
-
-	names = names[:0]
-	for name := range hists {
-		names = append(names, name)
-	}
-	for name := range hvecs {
-		if _, dup := hists[name]; !dup {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pn := promName(name) + "_seconds"
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
-			return err
-		}
-		if h, ok := hists[name]; ok {
-			if err := writePromHist(w, pn, "", h.Snapshot()); err != nil {
-				return err
+		case kindHistogram:
+			series := f.hv.snapshot()
+			if len(series) == 0 {
+				continue
 			}
-		}
-		if v, ok := hvecs[name]; ok {
-			for _, s := range v.snapshot() {
-				if err := writePromHist(w, pn, promLabels(v.keys, s.vals), s.t.Snapshot()); err != nil {
-					return err
-				}
+			pn += "_seconds"
+			fmt.Fprintf(bw, "# TYPE %s histogram\n", pn)
+			for _, s := range series {
+				writePromHist(bw, pn, promLabels(f.keys, s.vals), s.t.Snapshot())
 			}
+		case kindGauge:
+			fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(f.gauge()))
 		}
 	}
-
-	names = names[:0]
-	for name := range gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pn := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(gauges[name]())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PrometheusHandler serves the registry in the prometheus text exposition
-// format — the body behind zaatar-server's /metrics/prometheus endpoint.
-func (r *Registry) PrometheusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
-	})
+	return bw.Flush()
 }

@@ -24,9 +24,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	for _, d := range []time.Duration{0, time.Nanosecond, time.Microsecond, 2 * time.Microsecond, time.Millisecond} {
 		h.Observe(d)
 	}
-	// A plain counter and a vector sharing one name must merge under a
-	// single # TYPE block: the unlabeled aggregate then the labeled series.
-	r.Counter("transport.batches").Add(5)
 	bv := r.CounterVec("transport.batches", "backend", "program_hash")
 	bv.With("zaatar", "a1b2c3d4e5f6").Add(3)
 	bv.With("ginger", "ffeeddccbbaa").Add(2)
@@ -35,6 +32,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	pv := r.HistogramVec("vc.phase", "phase", "backend")
 	pv.With("commit", "zaatar").Observe(2 * time.Microsecond)
 	r.RegisterGauge("farm.workers.live", func() float64 { return 2 })
+	// A family with no series writes nothing.
+	r.CounterVec("transport.store.hits", "backend")
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -82,23 +81,9 @@ func TestWritePrometheusSemantics(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	r.PrometheusHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/prometheus", nil))
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "zaatar_vc_verify_seconds_count 1") {
 		t.Fatalf("handler response %d %q", rec.Code, rec.Body.String())
-	}
-}
-
-func TestWriteTextPercentiles(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("vc.verify").Observe(time.Millisecond)
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"vc.verify.p50_ns", "vc.verify.p90_ns", "vc.verify.p99_ns"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("WriteText missing %q:\n%s", want, buf.String())
-		}
 	}
 }
 
@@ -106,7 +91,7 @@ func TestWriteTextPercentiles(t *testing.T) {
 // instruments that sit inside the prover's worker pool.
 func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hot")
+	c := r.Counter("hot.count")
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
 		t.Fatalf("Counter.Add allocates %v allocs/op, want 0", n)
 	}

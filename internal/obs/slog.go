@@ -17,9 +17,6 @@ import (
 // *slog.Logger and fall back to NopLogger when given nil, keeping logging
 // optional exactly like tracing.
 
-// LogFormats lists the accepted -log-format flag values.
-const LogFormats = "text|json"
-
 // NewLogger returns a logger writing to w. format selects the handler:
 // "json" emits one JSON object per record; anything else emits the slog
 // text form. Records logged with a context carrying a trace position gain

@@ -13,8 +13,8 @@ import (
 
 // Registered backend names. These identifiers travel on the wire
 // (Hello.Backends / HelloAck.Backend), key the transport program cache and
-// vc.Precomputation, and name the pcp.backend.* metric series, so they are
-// stable protocol constants rather than display strings.
+// vc.Precomputation, and are the values of the backend metric label, so
+// they are stable protocol constants rather than display strings.
 const (
 	// BackendZaatar is the QAP-based linear PCP (§3); commitment-based.
 	BackendZaatar = "zaatar"

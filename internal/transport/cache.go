@@ -93,13 +93,11 @@ func (c *programCache) lookup(key cacheKey) (*cacheEntry, bool) {
 	c.reg.Counter(MetricCacheMisses).Inc()
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries[key] = c.order.PushFront(&lruItem{key: key, entry: e})
-	c.reg.Counter(MetricCacheEntries).Inc()
 	for c.order.Len() > c.max {
 		back := c.order.Back()
 		c.order.Remove(back)
 		delete(c.entries, back.Value.(*lruItem).key)
 		c.reg.Counter(MetricCacheEvictions).Inc()
-		c.reg.Counter(MetricCacheEntries).Add(-1)
 	}
 	return e, true
 }
@@ -111,7 +109,6 @@ func (c *programCache) drop(key cacheKey, e *cacheEntry) {
 	if el, ok := c.entries[key]; ok && el.Value.(*lruItem).entry == e {
 		c.order.Remove(el)
 		delete(c.entries, key)
-		c.reg.Counter(MetricCacheEntries).Add(-1)
 	}
 }
 

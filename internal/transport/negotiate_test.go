@@ -66,8 +66,8 @@ func TestNegotiateSumcheck(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	if got := reg.Counter(MetricBackendSessions + pcp.BackendSumcheck).Value(); got != 1 {
-		t.Fatalf("pcp.backend.sessions.sumcheck = %d, want 1", got)
+	if got := reg.CounterVec(MetricSessions, LabelBackend).With(pcp.BackendSumcheck).Value(); got != 1 {
+		t.Fatalf("transport.sessions{backend=sumcheck} = %d, want 1", got)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestNegotiateDegrade(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	if got := reg.Counter(MetricBackendSessions + pcp.BackendZaatar).Value(); got != 1 {
-		t.Fatalf("pcp.backend.sessions.zaatar = %d, want 1", got)
+	if got := reg.CounterVec(MetricSessions, LabelBackend).With(pcp.BackendZaatar).Value(); got != 1 {
+		t.Fatalf("transport.sessions{backend=zaatar} = %d, want 1", got)
 	}
 }
 

@@ -108,8 +108,7 @@ type Service struct {
 	conns   atomic.Int64
 	sessSeq atomic.Int64
 
-	// Labeled (per-tenant) views of the session/batch/instance counters;
-	// the plain counters of the same names remain the unlabeled aggregates.
+	// The per-tenant counters, each recorded only under its labels.
 	sessionsVec  *obs.CounterVec
 	batchesVec   *obs.CounterVec
 	instancesVec *obs.CounterVec
@@ -165,7 +164,7 @@ func NewService(opts ServiceOptions) *Service {
 	if maxSource <= 0 {
 		maxSource = DefaultMaxSourceBytes
 	}
-	return &Service{
+	s := &Service{
 		workers:      workers,
 		maxSessions:  maxSessions,
 		maxBatch:     maxBatch,
@@ -185,6 +184,14 @@ func NewService(opts ServiceOptions) *Service {
 		skippedVec:   reg.CounterVec(MetricHelloSourceSkipped, LabelProgramHash),
 		cache:        newProgramCache(cacheSize, reg),
 	}
+	reg.RegisterGauge(MetricConnsOpen, func() float64 { return float64(s.conns.Load()) })
+	reg.RegisterGauge(MetricAdmissionActive, func() float64 { return float64(s.active.Load()) })
+	reg.RegisterGauge(MetricCacheEntries, func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(s.cache.order.Len())
+	})
+	return s
 }
 
 // Serve accepts connections on ln and serves each in its own goroutine
@@ -205,21 +212,17 @@ func (s *Service) Serve(ctx context.Context, ln net.Listener) error {
 			}
 			return err
 		}
-		if s.maxConns > 0 && s.conns.Add(1) > int64(s.maxConns) {
+		if n := s.conns.Add(1); s.maxConns > 0 && n > int64(s.maxConns) {
 			s.conns.Add(-1)
 			s.reg.Counter(MetricConnsRejected).Inc()
 			s.log.Warn("connection refused", "remote", fmt.Sprint(conn.RemoteAddr()), "max_conns", s.maxConns)
 			_ = conn.Close()
 			continue
 		}
-		s.reg.Counter(MetricConnsOpen).Inc()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				s.conns.Add(-1)
-				s.reg.Counter(MetricConnsOpen).Add(-1)
-			}()
+			defer s.conns.Add(-1)
 			_ = s.ServeConn(ctx, conn) // ServeConn logs its own failure
 		}()
 	}
@@ -241,7 +244,6 @@ func (s *Service) admit(ctx context.Context) (int, error) {
 	tr.End()
 	span.End()
 	active := int(s.active.Add(1))
-	s.reg.Counter(MetricAdmissionActive).Inc()
 	w := s.workers / active
 	if w < 1 {
 		w = 1
@@ -251,7 +253,6 @@ func (s *Service) admit(ctx context.Context) (int, error) {
 
 func (s *Service) releaseSlot() {
 	s.active.Add(-1)
-	s.reg.Counter(MetricAdmissionActive).Add(-1)
 	<-s.sem
 }
 
@@ -297,7 +298,6 @@ func (s *Service) buildEntry(ctx context.Context, cc *timedCodec, hello *Hello, 
 		b, err := s.store.Load(storeKeyOf(key))
 		loadTr.End()
 		if err == nil {
-			s.reg.Counter(MetricStoreHits).Inc()
 			s.storeHitsVec.With(backend, key.labelHash()).Inc()
 			entry.finish(b.Prog, b.Pre, nil)
 			return
@@ -388,7 +388,6 @@ func idleExpired(err error) bool {
 func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 	defer conn.Close()
 	defer watch(ctx, conn)()
-	s.reg.Counter(MetricSessions).Inc()
 	logger := s.log.With("session", s.sessSeq.Add(1), "remote", fmt.Sprint(conn.RemoteAddr()))
 	span := s.reg.StartSpan(MetricSpanSession)
 	defer func() {
@@ -464,11 +463,9 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 		// The session opened without the source ever crossing the wire:
 		// both tiers knew the program (or another session's singleflight
 		// build supplied it).
-		s.reg.Counter(MetricHelloSourceSkipped).Inc()
 		s.skippedVec.With(key.labelHash()).Inc()
 		s.reg.Counter(MetricStoreBytesSaved).Add(int64(len(prog.Source)))
 	}
-	s.reg.Counter(MetricBackendSessions + backend).Inc()
 	phash := key.labelHash()
 	s.sessionsVec.With(backend).Inc()
 	logger = logger.With(LabelBackend, backend, LabelProgramHash, phash)
@@ -539,8 +536,6 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 			return err
 		}
 		dur := time.Since(t0)
-		s.reg.Counter(MetricServedBatches).Inc()
-		s.reg.Counter(MetricServedInstance).Add(int64(n))
 		s.batchesVec.With(backend, phash).Inc()
 		s.instancesVec.With(backend, phash).Add(int64(n))
 		logger.InfoContext(ctx, "batch served", "batch", batches, "instances", n, "dur_ms", dur.Milliseconds())

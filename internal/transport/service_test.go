@@ -81,13 +81,13 @@ func TestKeepAliveMultiBatch(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	if got := reg.Counter(MetricSessions).Value(); got != 1 {
+	if got := reg.CounterVec(MetricSessions, LabelBackend).Total(); got != 1 {
 		t.Fatalf("sessions = %d, want 1", got)
 	}
-	if got := reg.Counter(MetricServedBatches).Value(); got != 3 {
+	if got := reg.CounterVec(MetricServedBatches, LabelBackend, LabelProgramHash).Total(); got != 3 {
 		t.Fatalf("batches = %d, want 3", got)
 	}
-	if got := reg.Counter(MetricServedInstance).Value(); got != 6 {
+	if got := reg.CounterVec(MetricServedInstance, LabelBackend, LabelProgramHash).Total(); got != 6 {
 		t.Fatalf("instances = %d, want 6", got)
 	}
 }
@@ -349,7 +349,7 @@ func TestBatchWithoutCommitRequestRefused(t *testing.T) {
 	if err := <-errCh; err == nil {
 		t.Fatal("server reported success for a batch without a commit request")
 	}
-	if got := reg.Counter(MetricServedBatches).Value(); got != 1 {
+	if got := reg.CounterVec(MetricServedBatches, LabelBackend, LabelProgramHash).Total(); got != 1 {
 		t.Fatalf("batches = %d, want 1", got)
 	}
 }
@@ -433,7 +433,7 @@ func TestMaxConnsRefusesExcess(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not drain after cancel")
 	}
-	if got := reg.Counter(MetricConnsOpen).Value(); got != 0 {
+	if got := int64(gaugeValue(t, reg, MetricConnsOpen)); got != 0 {
 		t.Fatalf("conns.open = %d after drain, want 0", got)
 	}
 }
@@ -490,7 +490,7 @@ func TestV1PeerSingleBatch(t *testing.T) {
 	if err := <-errCh; !errors.As(err, &vErr) || vErr.Version != 1 || vErr.Max != MaxProtocolVersion {
 		t.Fatalf("server err = %v, want *ProtocolVersionError{1, %d}", err, MaxProtocolVersion)
 	}
-	if got := reg.Counter(MetricServedBatches).Value(); got != 0 {
+	if got := reg.CounterVec(MetricServedBatches, LabelBackend, LabelProgramHash).Total(); got != 0 {
 		t.Fatalf("batches = %d, want 0", got)
 	}
 }
@@ -702,7 +702,7 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := reg.Counter(MetricCacheEntries).Value(); got > 2 {
+	if got := int64(gaugeValue(t, reg, MetricCacheEntries)); got > 2 {
 		t.Fatalf("cache entries = %d, want ≤ 2", got)
 	}
 	if reg.Counter(MetricCacheEvictions).Value() == 0 {
@@ -743,13 +743,13 @@ func TestAdmissionConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := reg.Counter(MetricSessions).Value(); got != 8 {
+	if got := reg.CounterVec(MetricSessions, LabelBackend).Total(); got != 8 {
 		t.Fatalf("sessions = %d, want 8", got)
 	}
 	if got := reg.Counter(MetricCacheMisses).Value(); got != 1 {
 		t.Fatalf("cache misses = %d, want 1 (singleflight)", got)
 	}
-	if got := reg.Counter(MetricAdmissionActive).Value(); got != 0 {
+	if got := int64(gaugeValue(t, reg, MetricAdmissionActive)); got != 0 {
 		t.Fatalf("admission.active = %d after drain, want 0", got)
 	}
 }
@@ -787,6 +787,56 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
+// TestUncappedConnsCount runs Serve with no MaxConns cap: every accepted
+// connection is counted, so once N connections have closed and Serve has
+// drained, the count behind the transport.conns.open gauge is back at 0
+// rather than −N.
+func TestUncappedConnsCount(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, reg := testService(ServiceOptions{Workers: 1, MaxConns: -1})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- svc.Serve(ctx, ln) }()
+	const n = 3
+	for i := 0; i < n; i++ {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+	// Serve accepts serially, so a connection dialed after the n closed
+	// ones has been accepted only after all of them were.
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 1, Rho: 1, NoCommitment: true}
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := openSession(context.Background(), conn, hello, clientOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not drain after cancel")
+	}
+	if got := svc.conns.Load(); got != 0 {
+		t.Fatalf("conns = %d after %d connections closed, want 0", got, n+1)
+	}
+	if got := gaugeValue(t, reg, MetricConnsOpen); got != 0 {
+		t.Fatalf("conns.open = %v after drain, want 0", got)
+	}
+}
+
 // TestCloseFrameBeforeAnyBatch opens a session and closes it immediately:
 // the goodbye frame must end the server side cleanly with zero batches.
 func TestCloseFrameBeforeAnyBatch(t *testing.T) {
@@ -803,7 +853,7 @@ func TestCloseFrameBeforeAnyBatch(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	if got := reg.Counter(MetricServedBatches).Value(); got != 0 {
+	if got := reg.CounterVec(MetricServedBatches, LabelBackend, LabelProgramHash).Total(); got != 0 {
 		t.Fatalf("batches = %d, want 0", got)
 	}
 	if _, err := sess.RunBatch(context.Background(), instances(1)); !errors.Is(err, ErrSessionClosed) {

@@ -50,7 +50,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	if got := reg1.Counter(MetricStoreMisses).Value(); got != 1 {
 		t.Fatalf("cold store misses = %d, want 1", got)
 	}
-	if got := reg1.Counter(MetricHelloSourceSkipped).Value(); got != 0 {
+	if got := reg1.CounterVec(MetricHelloSourceSkipped, LabelProgramHash).Total(); got != 0 {
 		t.Fatalf("cold run skipped %d uploads, want 0 (server had to ask)", got)
 	}
 	key := store.KeyFor(sessionSrc, "F128", pcp.BackendZaatar)
@@ -74,13 +74,13 @@ func TestStoreWarmRestart(t *testing.T) {
 	if err := <-errCh2; err != nil {
 		t.Fatalf("warm server: %v", err)
 	}
-	if got := reg2.Counter(MetricStoreHits).Value(); got != 1 {
+	if got := reg2.CounterVec(MetricStoreHits, LabelBackend, LabelProgramHash).Total(); got != 1 {
 		t.Fatalf("store hits = %d, want 1", got)
 	}
 	if got := reg2.Counter(MetricStoreMisses).Value(); got != 0 {
 		t.Fatalf("store misses = %d, want 0", got)
 	}
-	if got := reg2.Counter(MetricHelloSourceSkipped).Value(); got != 1 {
+	if got := reg2.CounterVec(MetricHelloSourceSkipped, LabelProgramHash).Total(); got != 1 {
 		t.Fatalf("source uploads skipped = %d, want 1", got)
 	}
 	if got := reg2.Counter(MetricStoreBytesSaved).Value(); got != int64(len(sessionSrc)) {
@@ -119,7 +119,7 @@ func TestHashFirstMemoryWarm(t *testing.T) {
 		if err := <-errCh; err != nil {
 			t.Fatalf("server %d: %v", i, err)
 		}
-		if got := reg.Counter(MetricHelloSourceSkipped).Value(); got != want {
+		if got := reg.CounterVec(MetricHelloSourceSkipped, LabelProgramHash).Total(); got != want {
 			t.Fatalf("after session %d: skipped = %d, want %d", i, got, want)
 		}
 	}
@@ -226,7 +226,7 @@ func TestConcurrentColdCompileSingleflight(t *testing.T) {
 	if got := reg.Counter(MetricCacheHits).Value(); got != n-1 {
 		t.Fatalf("cache hits = %d, want %d", got, n-1)
 	}
-	if got := reg.Counter(MetricHelloSourceSkipped).Value(); got != n-1 {
+	if got := reg.CounterVec(MetricHelloSourceSkipped, LabelProgramHash).Total(); got != n-1 {
 		t.Fatalf("skipped uploads = %d, want %d (only the singleflight winner uploads)", got, n-1)
 	}
 }
@@ -275,13 +275,13 @@ func TestConcurrentColdDiskLoadSingleflight(t *testing.T) {
 			t.Fatalf("session %d: %v", i, err)
 		}
 	}
-	if got := reg.Counter(MetricStoreHits).Value(); got != 1 {
+	if got := reg.CounterVec(MetricStoreHits, LabelBackend, LabelProgramHash).Total(); got != 1 {
 		t.Fatalf("store hits = %d, want 1 (one load for %d sessions)", got, n)
 	}
 	if got := reg.Counter(MetricStoreMisses).Value(); got != 0 {
 		t.Fatalf("store misses = %d, want 0", got)
 	}
-	if got := reg.Counter(MetricHelloSourceSkipped).Value(); got != n {
+	if got := reg.CounterVec(MetricHelloSourceSkipped, LabelProgramHash).Total(); got != n {
 		t.Fatalf("skipped uploads = %d, want %d", got, n)
 	}
 }
@@ -374,7 +374,7 @@ func TestStoreParentFormatBundleRecompiles(t *testing.T) {
 			if err := <-errCh; err != nil {
 				t.Fatalf("server: %v", err)
 			}
-			if hits, misses := reg.Counter(MetricStoreHits).Value(), reg.Counter(MetricStoreMisses).Value(); hits != 0 || misses != 1 {
+			if hits, misses := reg.CounterVec(MetricStoreHits, LabelBackend, LabelProgramHash).Total(), reg.Counter(MetricStoreMisses).Value(); hits != 0 || misses != 1 {
 				t.Fatalf("store hits/misses = %d/%d, want 0/1", hits, misses)
 			}
 			recs := tc.Recorder().Snapshot()

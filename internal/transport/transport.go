@@ -107,14 +107,18 @@ func (e *ProtocolVersionError) Error() string {
 	return fmt.Sprintf("transport: unsupported wire protocol version %d (max supported %d)", e.Version, e.Max)
 }
 
-// Metric names recorded into the obs registry by the transport layer.
+// Metric names recorded into the obs registry by the transport layer. Each
+// is one family of one kind (docs/PROTOCOL.md §6.1, §7): the sessions,
+// batches, instances, store-hit, source-skip and client-session counters
+// exist only as the labeled vectors keyed by the labels below — a total is
+// sum() in the scrape, or CounterVec.Total in Go.
 const (
-	MetricSessions       = "transport.sessions"        // counter: server sessions opened
+	MetricSessions       = "transport.sessions"        // counter{backend}: server sessions negotiated
 	MetricSessionErrors  = "transport.session.errors"  // counter: server sessions failed
-	MetricServedInstance = "transport.instances"       // counter: instances served
-	MetricServedBatches  = "transport.batches"         // counter: batches served (≥ sessions under keep-alive)
+	MetricServedInstance = "transport.instances"       // counter{backend,program_hash}: instances served
+	MetricServedBatches  = "transport.batches"         // counter{backend,program_hash}: batches served (≥ sessions under keep-alive)
 	MetricSpanSession    = "transport.session"         // histogram: server session wall
-	MetricClientSessions = "transport.client.sessions" // counter: client sessions run
+	MetricClientSessions = "transport.client.sessions" // counter{backend}: client sessions negotiated
 	MetricSpanClient     = "transport.client.session"  // histogram: client session wall
 
 	MetricCacheHits      = "transport.cache.hits"      // counter: program-cache hits
@@ -129,24 +133,17 @@ const (
 	MetricConnsRejected = "transport.conns.rejected" // counter: connections refused at the MaxConns cap
 	MetricIdleClosed    = "transport.idle.closed"    // counter: idle keep-alive connections reaped
 
-	MetricStoreHits        = "transport.store.hits"         // counter: programs served from the disk artifact store
+	MetricStoreHits        = "transport.store.hits"         // counter{backend,program_hash}: programs served from the disk artifact store
 	MetricStoreMisses      = "transport.store.misses"       // counter: store lookups that fell through to a compile
 	MetricStoreBytesSaved  = "transport.store.bytes_saved"  // counter: source bytes never sent thanks to hash-first hellos
 	MetricStoreWriteErrors = "transport.store.write_errors" // counter: failed bundle write-backs (service keeps running)
 
-	MetricHelloSourceSkipped = "transport.hello.source_skipped" // counter: sessions opened without a source upload
-
-	// MetricBackendSessions prefixes a per-backend session counter; the
-	// full series name is the prefix plus the negotiated backend name,
-	// e.g. "pcp.backend.sessions.sumcheck".
-	MetricBackendSessions = "pcp.backend.sessions."
+	MetricHelloSourceSkipped = "transport.hello.source_skipped" // counter{program_hash}: sessions opened without a source upload
 )
 
-// Label keys for the labeled (per-tenant) views of the transport metrics.
-// transport.sessions breaks out by {backend}; transport.batches and
-// transport.instances by {backend, program_hash}. The label schema —
-// allowed keys, cardinality bounds, and the program-hash truncation rule —
-// is documented in docs/PROTOCOL.md §7.1.
+// Label keys of the labeled transport metrics. The label schema — allowed
+// keys, cardinality bounds, and the program-hash truncation rule — is
+// documented in docs/PROTOCOL.md §7.1.
 const (
 	LabelBackend     = "backend"
 	LabelProgramHash = "program_hash"

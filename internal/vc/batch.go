@@ -48,20 +48,17 @@ type BatchMetrics struct {
 // Metric names exported to the obs registry by Drive (and RunBatch),
 // documented in docs/PROTOCOL.md §7.
 const (
-	MetricBatches   = "vc.batches"   // counter: batches driven (a farm shard counts as one)
+	MetricBatches   = "vc.batches"   // counter{backend}: batches driven (a farm shard counts as one)
 	MetricInstances = "vc.instances" // counter: instances proved
 	MetricRejected  = "vc.rejected"  // counter: instances rejected
 	// MetricPhase is the labeled per-phase histogram vector: one series per
 	// {phase, backend} pair, phase ∈ {setup, commit, decommit, respond,
 	// verify, batch}; verify is per instance, the rest per batch.
 	MetricPhase = "vc.phase"
-	// MetricBackendBatches prefixes a per-backend batch counter; the full
-	// series name is the prefix plus the backend name, e.g.
-	// "pcp.backend.batches.sumcheck".
-	MetricBackendBatches = "pcp.backend.batches."
 )
 
-// Label keys of the MetricPhase vector (see docs/PROTOCOL.md §7.1).
+// Label keys of the MetricPhase and MetricBatches vectors (see
+// docs/PROTOCOL.md §7.1).
 const (
 	LabelPhase   = "phase"
 	LabelBackend = "backend"

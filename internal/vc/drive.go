@@ -160,8 +160,7 @@ func Drive(ctx context.Context, v *Verifier, link ProverLink, inputs [][]*big.In
 	}
 
 	reg := v.Cfg.registry()
-	reg.Counter(MetricBatches).Inc()
-	reg.Counter(MetricBackendBatches + v.Backend()).Inc()
+	reg.CounterVec(MetricBatches, LabelBackend).With(v.Backend()).Inc()
 	reg.Counter(MetricInstances).Add(int64(beta))
 	for _, ok := range out.Accepted {
 		if !ok {

@@ -164,7 +164,7 @@ func TestRejectionsCountedOnEveryLink(t *testing.T) {
 		if got := run.reg.Counter(vc.MetricInstances).Value(); got != int64(len(batch)) {
 			t.Errorf("%s: %s = %d, want %d", run.name, vc.MetricInstances, got, len(batch))
 		}
-		if got := run.reg.Counter(vc.MetricBatches).Value(); got != wantBatches[run.name] {
+		if got := run.reg.CounterVec(vc.MetricBatches, vc.LabelBackend).Total(); got != wantBatches[run.name] {
 			t.Errorf("%s: %s = %d, want %d", run.name, vc.MetricBatches, got, wantBatches[run.name])
 		}
 	}

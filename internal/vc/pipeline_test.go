@@ -114,7 +114,7 @@ func TestRunBatchObservability(t *testing.T) {
 	if _, err := RunBatch(context.Background(), prog, cfg, batch); err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.Obs.Counter(MetricBatches).Value(); got != 1 {
+	if got := cfg.Obs.CounterVec(MetricBatches, LabelBackend).Total(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricBatches, got)
 	}
 	if got := cfg.Obs.Counter(MetricInstances).Value(); got != 3 {

@@ -242,8 +242,8 @@ func WithLogger(l *slog.Logger) RunOption {
 }
 
 // Metrics returns the process-wide metrics registry that protocol runs
-// record into unless WithMetrics overrides it. Its WriteText/Handler render
-// the counters and histograms in an expvar-style text form.
+// record into unless WithMetrics overrides it. Its WritePrometheus and
+// Handler render it in the Prometheus text exposition format.
 func Metrics() *obs.Registry { return obs.Default() }
 
 // DefaultParams returns the production PCP parameters (ρ_lin = 20, ρ = 8).

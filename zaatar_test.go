@@ -163,8 +163,10 @@ func TestWithMetrics(t *testing.T) {
 		t.Fatalf("%s = %d, want 2", vc.MetricInstances, got)
 	}
 	var buf strings.Builder
-	reg.WriteText(&buf)
-	if want := vc.MetricPhase + ".count{phase=batch,backend=zaatar} 1"; !strings.Contains(buf.String(), want) {
-		t.Fatalf("metrics text missing %s:\n%s", want, buf.String())
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `zaatar_vc_phase_seconds_count{phase="batch",backend="zaatar"} 1`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("metrics missing %s:\n%s", want, buf.String())
 	}
 }
