@@ -9,9 +9,16 @@
 //	zaatar-bench -exp fig8 -nocrypto      # scaling shape without ElGamal
 //	zaatar-bench -exp fig6 -beta 16 -workers 1,2,4,8
 //
-// The bench-regression gate diffs two -exp baseline -json snapshots with
-// per-metric noise thresholds and exits nonzero if anything degraded beyond
-// them (the CI mode; see docs/PROTOCOL.md §7.1 for reading the report):
+// Two experiments go beyond the paper's figures. -exp backend proves one
+// layered matmul-chain batch under the Zaatar and sum-check lanes and
+// reports the per-instance prover gap. -exp baseline snapshots what the
+// bench-regression gate compares: the §5.1 calibration constants, each §5
+// benchmark's phase walls, the phase histograms and the multiexp kernel
+// (-json writes it as BENCH_<date>.json).
+//
+// The gate diffs two such snapshots with per-metric noise thresholds and
+// exits nonzero if anything degraded beyond them (the CI mode; see
+// docs/PROTOCOL.md §7.1 for reading the report):
 //
 //	zaatar-bench -compare BENCH_old.json bench-new.json
 //	zaatar-bench -threshold 2.0 -compare BENCH_old.json bench-new.json
@@ -36,7 +43,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: micro, model, fig4, fig5, fig6, fig7, fig8, fig9, cache, backend, scaling, store, farm, baseline, all")
+		exp     = flag.String("exp", "all", "experiment: micro, model, fig4, fig5, fig6, fig7, fig8, fig9, backend, baseline, all")
 		scale   = flag.String("scale", "default", "instance sizes: small, default, paper")
 		rhoLin  = flag.Int("rholin", 0, "linearity test iterations (0 = paper's 20)")
 		rho     = flag.Int("rho", 0, "PCP repetitions (0 = paper's 8)")
@@ -128,34 +135,12 @@ func main() {
 				}
 				check(b.WriteJSON(w))
 			}
-		case "cache":
-			co := o
-			co.Workers = workerCounts[0]
-			r, err := experiments.RunCache(co, *beta)
-			check(err)
-			experiments.RenderCache(os.Stdout, r)
 		case "backend":
 			bo := o
 			bo.Workers = workerCounts[0]
 			r, err := experiments.RunBackend(bo, *beta)
 			check(err)
 			experiments.RenderBackend(os.Stdout, r)
-		case "store":
-			so := o
-			so.Workers = workerCounts[0]
-			r, err := experiments.RunStore(so, *beta)
-			check(err)
-			experiments.RenderStore(os.Stdout, r)
-		case "farm":
-			fo := o
-			fo.Workers = workerCounts[0]
-			r, err := experiments.RunFarm(fo, *beta)
-			check(err)
-			experiments.RenderFarm(os.Stdout, r)
-		case "scaling":
-			r, err := experiments.RunScaling(o, workerCounts)
-			check(err)
-			experiments.RenderScaling(os.Stdout, r)
 		case "micro":
 			experiments.RenderMicro(os.Stdout, experiments.RunMicro(o))
 		case "model":

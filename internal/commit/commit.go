@@ -68,12 +68,6 @@ func Commit(group *elgamal.Group, f *field.Field, encR []elgamal.Ciphertext, u [
 	return group.InnerProduct(encR, f, u)
 }
 
-// CommitParallel is Commit with the homomorphic inner product sharded over
-// workers goroutines; the result is identical for every worker count.
-func CommitParallel(group *elgamal.Group, f *field.Field, encR []elgamal.Ciphertext, u []field.Element, workers int) (Commitment, error) {
-	return group.InnerProductParallel(encR, f, u, workers)
-}
-
 // Prepare caches the Montgomery-domain conversion and batch inverses of
 // Enc(r) for a batch: every instance commits against the same encrypted
 // vector, so a prover that prepares once and calls CommitPrepared per
@@ -83,8 +77,9 @@ func Prepare(group *elgamal.Group, encR []elgamal.Ciphertext) *elgamal.PreparedV
 	return group.Prepare(encR)
 }
 
-// CommitPrepared is CommitParallel against a prepared Enc(r); results are
-// identical to Commit for any worker count.
+// CommitPrepared is Commit against a prepared Enc(r), with the inner
+// product sharded over workers goroutines; results are identical to Commit
+// for any worker count.
 func CommitPrepared(group *elgamal.Group, f *field.Field, pv *elgamal.PreparedVector, u []field.Element, workers int) (Commitment, error) {
 	return group.InnerProductPrepared(pv, f, u, workers)
 }

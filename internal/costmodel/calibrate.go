@@ -43,6 +43,11 @@ func Calibrate(f *field.Field, group *elgamal.Group, reps int) OpCosts {
 	if divReps < 8 {
 		divReps = 8
 	}
+	// Run the loop once untimed first, as E warms its tables: at the
+	// smallest rep counts the first, cold inversions dominate the mean.
+	for i := 0; i < divReps; i++ {
+		b = f.Inv(b)
+	}
 	start = time.Now()
 	for i := 0; i < divReps; i++ {
 		b = f.Inv(b)

@@ -10,22 +10,19 @@ import (
 	"time"
 
 	"zaatar/internal/costmodel"
+	"zaatar/internal/elgamal"
 	"zaatar/internal/obs"
 	"zaatar/internal/pcp"
 	"zaatar/internal/vc"
 )
 
 // BaselineSchema versions the BENCH_<date>.json layout; bump it when the
-// shape changes so downstream comparisons can tell files apart. Schema 2
-// added the cache-amortization section (cold vs warm session setup and the
-// batches-per-connection curve); schema 3 added the backend-comparison
-// section (Zaatar commitment lane vs sum-check transcript lane on the
-// layered matmul-chain workload); schema 4 added the commit-throughput
-// scaling curve (workers → commits/s); schema 5 added the artifact-store
-// section (cold vs disk-warm-restart vs memory-warm session open, and the
-// hash-first hello's wire savings); schema 6 added the prover-farm section
-// (coordinator overhead vs a single-prover reference, with shard counters).
-const BaselineSchema = 6
+// shape changes so downstream comparisons can tell files apart. Schemas 2–6
+// carried cache, backend, scaling, store and farm sections that the gate
+// never compared; schema 7 drops them, so a snapshot holds exactly what
+// CompareBaselines reads (calibration, benchmarks, phases, kernels). Those
+// facts are measured by the bench/ metrics and -exp backend instead.
+const BaselineSchema = 7
 
 // Baseline is the machine-readable benchmark snapshot zaatar-bench -json
 // emits: per-phase wall times and latency percentiles for each §5
@@ -53,30 +50,6 @@ type Baseline struct {
 	// vc.<phase> (phaseKeys).
 	Phases  map[string]PhaseQuantile `json:"phases"`
 	Kernels map[string]KernelStats   `json:"kernels"`
-
-	// Cache is the program-cache / keep-alive amortization experiment
-	// (schema ≥ 2): cold vs warm session setup against a transport.Service
-	// and the batches-per-connection curve.
-	Cache *CacheResult `json:"cache,omitempty"`
-
-	// Backend is the proof-backend comparison (schema ≥ 3): the layered
-	// matmul-chain batch proved under the Zaatar and sum-check lanes.
-	Backend *BackendResult `json:"backend,omitempty"`
-
-	// Scaling is the commit-throughput curve over kernel worker counts
-	// (schema ≥ 4). Interpret it against NumCPU: workers beyond the
-	// visible cores measure sharding overhead, not speedup.
-	Scaling *ScalingResult `json:"scaling,omitempty"`
-
-	// Store is the artifact-store experiment (schema ≥ 5): session-open
-	// latency across the cold / disk-warm-restart / memory-warm tiers and
-	// the hash-first hello's wire savings.
-	Store *StoreResult `json:"store,omitempty"`
-
-	// Farm is the prover-farm experiment (schema ≥ 6): the same batch
-	// through a single prover and a two-worker farm coordinator, isolating
-	// the coordinator's overhead on core-starved hosts.
-	Farm *FarmResult `json:"farm,omitempty"`
 }
 
 // BaselineBench is one benchmark's measured batch.
@@ -188,8 +161,8 @@ func RunBaseline(o Options, beta int) (*Baseline, error) {
 	for _, name := range phaseKeys {
 		b.Phases[name] = quantile(phases.With(strings.TrimPrefix(name, "vc."), pcp.BackendZaatar).Snapshot())
 	}
-	if me := reg.Histogram("elgamal.multiexp").Snapshot(); me.Count > 0 {
-		items := reg.Counter("elgamal.multiexp.bases").Value()
+	if me := reg.Histogram(elgamal.MetricMultiExpSpan).Snapshot(); me.Count > 0 {
+		items := reg.Counter(elgamal.MetricMultiExpBases).Value()
 		ks := KernelStats{
 			Calls:         me.Count,
 			Items:         items,
@@ -197,45 +170,13 @@ func RunBaseline(o Options, beta int) (*Baseline, error) {
 			P90CallMs:     msOf(me.Quantile(0.90)),
 			TotalSeconds:  me.Sum.Seconds(),
 			ItemsPerCall:  float64(items) / float64(me.Count),
-			TablesBuilt:   reg.Counter("elgamal.fixedbase.tables").Value(),
-			FixedBaseExps: reg.Counter("elgamal.fixedbase.exps").Value(),
+			TablesBuilt:   reg.Counter(elgamal.MetricFixedBaseTables).Value(),
+			FixedBaseExps: reg.Counter(elgamal.MetricFixedBaseExps).Value(),
 		}
 		if s := me.Sum.Seconds(); s > 0 {
 			ks.ItemsPerSec = float64(items) / s
 		}
-		b.Kernels["elgamal.multiexp"] = ks
-	}
-
-	cache, err := RunCache(o, beta)
-	if err != nil {
-		return nil, err
-	}
-	b.Cache = cache
-
-	backend, err := RunBackend(o, beta)
-	if err != nil {
-		return nil, err
-	}
-	b.Backend = backend
-
-	storeRes, err := RunStore(o, beta)
-	if err != nil {
-		return nil, err
-	}
-	b.Store = storeRes
-
-	farmRes, err := RunFarm(o, beta)
-	if err != nil {
-		return nil, err
-	}
-	b.Farm = farmRes
-
-	if o.Crypto {
-		scaling, err := RunScaling(o, nil)
-		if err != nil {
-			return nil, err
-		}
-		b.Scaling = scaling
+		b.Kernels[elgamal.MetricMultiExpSpan] = ks
 	}
 	return b, nil
 }
@@ -273,25 +214,5 @@ func RenderBaseline(w io.Writer, b *Baseline) {
 	for name, k := range b.Kernels {
 		fmt.Fprintf(w, "\nkernel %s: %d calls, %d items, %.0f items/s, avg call %.2fms (p90 %.2fms)\n",
 			name, k.Calls, k.Items, k.ItemsPerSec, k.AvgCallMs, k.P90CallMs)
-	}
-	if b.Cache != nil {
-		fmt.Fprintln(w)
-		RenderCache(w, b.Cache)
-	}
-	if b.Backend != nil {
-		fmt.Fprintln(w)
-		RenderBackend(w, b.Backend)
-	}
-	if b.Store != nil {
-		fmt.Fprintln(w)
-		RenderStore(w, b.Store)
-	}
-	if b.Scaling != nil {
-		fmt.Fprintln(w)
-		RenderScaling(w, b.Scaling)
-	}
-	if b.Farm != nil {
-		fmt.Fprintln(w)
-		RenderFarm(w, b.Farm)
 	}
 }

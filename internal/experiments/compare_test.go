@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -223,6 +224,47 @@ func TestRenderCompare(t *testing.T) {
 	for _, want := range []string{"REGRESSED", "vc.verify/p99", "1 regressed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// The checked-in snapshots are the CI gate's reference: a current-schema
+// smoke baseline compared against each still yields all seven calibration
+// rows, with the schema and config differences noted rather than failed.
+func TestCompareAgainstCheckedInSnapshots(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_2026-08-0*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 2 {
+		t.Fatalf("found %d checked-in snapshots, want 2: %v", len(paths), paths)
+	}
+	want := []string{"e_encrypt", "d_decrypt", "h_cipher_op", "f_field_op", "f_lazy_op", "f_div_op", "c_commit_op"}
+	for _, path := range paths {
+		old, err := LoadBaseline(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old.Schema >= BaselineSchema {
+			t.Fatalf("%s: schema %d, want older than %d", path, old.Schema, BaselineSchema)
+		}
+		cur := testBaseline()
+		cur.Calibration = old.Calibration
+		r := CompareBaselines(old, cur, CompareOptions{})
+		if len(r.Rows) != len(want) {
+			t.Fatalf("%s: compared %d rows, want the %d calibration rows: %+v", path, len(r.Rows), len(want), r.Rows)
+		}
+		for i, row := range r.Rows {
+			if row.Section != "calibration" || row.Name != want[i] || row.Ratio != 1 {
+				t.Errorf("%s: row %d = %+v, want calibration %s at ratio 1", path, i, row, want[i])
+			}
+		}
+		if r.Regressions != 0 {
+			t.Errorf("%s: %d regressions on identical calibration", path, r.Regressions)
+		}
+		schemaNote := fmt.Sprintf("schema differs (%d vs %d)", old.Schema, BaselineSchema)
+		if len(r.Notes) != 2 || !strings.HasPrefix(r.Notes[0], schemaNote) || !strings.Contains(r.Notes[1], "configs differ") {
+			t.Errorf("%s: notes = %q, want the schema note then the config note", path, r.Notes)
 		}
 	}
 }

@@ -211,78 +211,6 @@ func TestRunModel(t *testing.T) {
 	}
 }
 
-func TestRunCache(t *testing.T) {
-	r, err := RunCache(quickOptions(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheMisses != 1 {
-		t.Errorf("cache misses = %d, want 1 (one compile for the whole experiment)", r.CacheMisses)
-	}
-	if r.CacheHits < 5 {
-		t.Errorf("cache hits = %d, want ≥ 5 (every session after the first)", r.CacheHits)
-	}
-	if r.ColdSetupMs <= 0 || r.WarmSetupMs <= 0 {
-		t.Errorf("setup walls not measured: cold %v warm %v", r.ColdSetupMs, r.WarmSetupMs)
-	}
-	if len(r.Curve) != 4 {
-		t.Fatalf("curve has %d points, want 4", len(r.Curve))
-	}
-	for _, pt := range r.Curve {
-		if pt.AmortizedMs <= 0 || pt.FirstBatchMs <= 0 {
-			t.Errorf("batches=%d: missing walls: %+v", pt.Batches, pt)
-		}
-		if pt.Batches > 1 && pt.MeanLaterMs <= 0 {
-			t.Errorf("batches=%d: later-batch mean not measured", pt.Batches)
-		}
-	}
-	var buf bytes.Buffer
-	RenderCache(&buf, r)
-	if !strings.Contains(buf.String(), "batches/conn") || !strings.Contains(buf.String(), "LRU hit") {
-		t.Error("render missing amortization table")
-	}
-}
-
-func TestRunScaling(t *testing.T) {
-	if _, err := RunScaling(quickOptions(), []int{1, 2}); err == nil {
-		t.Fatal("scaling accepted crypto=false")
-	}
-	o := quickOptions()
-	o.Crypto = true
-	r, err := RunScaling(o, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.N != scalingN(ScaleSmall) || len(r.Points) != 2 {
-		t.Fatalf("unexpected shape: n=%d points=%d", r.N, len(r.Points))
-	}
-	for i, pt := range r.Points {
-		if pt.CommitMs <= 0 || pt.CommitsPerSec <= 0 || pt.SpeedupX <= 0 {
-			t.Errorf("point %d not measured: %+v", i, pt)
-		}
-	}
-	if r.Points[0].Workers != 1 || r.Points[0].SpeedupX != 1 {
-		t.Errorf("first point must be the 1-worker reference: %+v", r.Points[0])
-	}
-	// Worker lists that don't lead with 1 get the reference prepended, so
-	// SpeedupX stays anchored to serial commits rather than the first entry.
-	r2, err := RunScaling(o, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r2.Points) != 2 || r2.Points[0].Workers != 1 || r2.Points[1].Workers != 2 {
-		t.Fatalf("1-worker reference not prepended: %+v", r2.Points)
-	}
-	if r2.Points[0].SpeedupX != 1 {
-		t.Errorf("reference point speedup = %v, want 1", r2.Points[0].SpeedupX)
-	}
-	var buf bytes.Buffer
-	RenderScaling(&buf, r)
-	if !strings.Contains(buf.String(), "commits/s") {
-		t.Error("render missing throughput column")
-	}
-}
-
 func TestScales(t *testing.T) {
 	for _, s := range []Scale{ScaleSmall, ScaleDefault, ScalePaper} {
 		if got := len(Benchmarks(s)); got != 5 {
