@@ -115,7 +115,7 @@ func BenchmarkTableMicroEncrypt(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := f.Rand(rnd)
-	// Warm up the G and H fixed-base tables; e is the steady-state cost.
+	// Build the generator table first; e is the steady-state cost.
 	if _, err := sk.Encrypt(f, m, rnd); err != nil {
 		b.Fatal(err)
 	}
@@ -129,8 +129,8 @@ func BenchmarkTableMicroEncrypt(b *testing.B) {
 
 // BenchmarkTableMicroCiphertextOp measures h two ways: "naive" is one
 // isolated Add + ScalarMul (how the seed measured it); "kernel" is the
-// per-term cost of the multi-exponentiation-backed InnerProduct that the
-// prover actually pays, amortized over a proof-sized vector.
+// per-term cost of the prepared inner product that the prover actually
+// pays, amortized over a proof-sized vector.
 func BenchmarkTableMicroCiphertextOp(b *testing.B) {
 	f := field.F128()
 	g := elgamal.GroupF128()
@@ -152,9 +152,10 @@ func BenchmarkTableMicroCiphertextOp(b *testing.B) {
 			cts[i] = ct
 		}
 		u := f.RandVector(n, rnd)
+		pv := g.Prepare(cts)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := g.InnerProduct(cts, f, u); err != nil {
+			if _, err := g.InnerProductPrepared(pv, f, u, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -453,70 +454,53 @@ func BenchmarkAblationCommitment(b *testing.B) {
 	}
 }
 
-// multiexpInputs caches the shared ablation fixture: n subgroup elements
-// and exponents for the production F128 group (generating 4096 bases costs
-// thousands of modexps; do it once across sub-benchmarks).
-var multiexpInputs = struct {
-	sync.Mutex
-	bases, exps map[int][]*big.Int
-}{bases: map[int][]*big.Int{}, exps: map[int][]*big.Int{}}
-
-func multiexpFixture(b *testing.B, n int) ([]*big.Int, []*big.Int) {
-	b.Helper()
-	multiexpInputs.Lock()
-	defer multiexpInputs.Unlock()
-	if bs, ok := multiexpInputs.bases[n]; ok {
-		return bs, multiexpInputs.exps[n]
-	}
-	g := elgamal.GroupF128()
-	f := field.F128()
-	rnd := prg.NewFromSeed([]byte("multiexp-ablation"), uint64(n))
-	bases := make([]*big.Int, n)
-	exps := make([]*big.Int, n)
-	for i := range bases {
-		bases[i] = new(big.Int).Exp(g.G, f.ToBig(f.Rand(rnd)), g.P)
-		exps[i] = f.ToBig(f.Rand(rnd))
-	}
-	multiexpInputs.bases[n] = bases
-	multiexpInputs.exps[n] = exps
-	return bases, exps
-}
-
 // BenchmarkAblationMultiexp compares the homomorphic inner product's
-// engine room across algorithms and sizes: naive exp-and-multiply (one
-// full-width modexp per base — the seed's ScalarMul+Add path), Straus
-// interleaved windows, Pippenger buckets, and the sharded parallel kernel.
+// engine room across sizes: naive exp-and-multiply (one full-width modexp
+// per ciphertext component — the seed's ScalarMul+Add path) against the
+// prepared kernel the prover runs, InnerProductPrepared on an Enc(r)
+// prepared once per batch.
 func BenchmarkAblationMultiexp(b *testing.B) {
 	g := elgamal.GroupF128()
-	algos := []struct {
-		name string
-		run  func(bases, exps []*big.Int) *big.Int
-	}{
-		{"naive", g.MultiExpNaive},
-		{"straus", g.MultiExpStraus},
-		{"pippenger", g.MultiExpPippenger},
-		{"pippenger-signed", g.MultiExpSigned},
-		{"parallel", func(bases, exps []*big.Int) *big.Int {
-			return g.MultiExpParallel(bases, exps, 4)
-		}},
+	f := field.F128()
+	rnd := prg.NewFromSeed([]byte("multiexp-ablation"), 0)
+	sk, err := g.GenerateKey(rnd)
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, n := range []int{64, 256, 1024, 4096} {
-		bases, exps := multiexpFixture(b, n)
-		for _, algo := range algos {
-			b.Run(fmt.Sprintf("%s/n=%d", algo.name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_ = algo.run(bases, exps)
-				}
-			})
+		cts, err := sk.EncryptVector(f, f.RandVector(n, rnd), rnd)
+		if err != nil {
+			b.Fatal(err)
 		}
+		u := f.RandVector(n, rnd)
+		as, bs, exps := make([]*big.Int, n), make([]*big.Int, n), make([]*big.Int, n)
+		for i, ct := range cts {
+			as[i], bs[i], exps[i] = ct.A, ct.B, f.ToBig(u[i])
+		}
+		b.Run(fmt.Sprintf("naive/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = g.MultiExpNaive(as, exps)
+				_ = g.MultiExpNaive(bs, exps)
+			}
+		})
+		b.Run(fmt.Sprintf("prepared/n=%d", n), func(b *testing.B) {
+			pv := g.Prepare(cts)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.InnerProductPrepared(pv, f, u, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkPreparedInnerProduct compares the commit phase's homomorphic
-// inner product with and without a PreparedVector: prepared bases skip the
-// per-call Montgomery conversion and get signed-digit windows with their
-// batch inversion already paid, which is how the cost amortizes across the
-// β instances of a batch that all commit against the same Enc(r).
+// inner product with Enc(r) prepared per call (InnerProduct) and once per
+// batch: a prepared vector has its Montgomery conversion and the batch
+// inversion behind signed-digit windows already paid, which is how the
+// cost amortizes across the β instances of a batch that all commit against
+// the same Enc(r).
 func BenchmarkPreparedInnerProduct(b *testing.B) {
 	g := elgamal.GroupF128()
 	f := field.F128()

@@ -39,14 +39,10 @@ type Key struct {
 	EncR []elgamal.Ciphertext // Enc(R), shipped to the prover
 }
 
-// NewKey draws a fresh secret vector of length n and encrypts it.
-func NewKey(f *field.Field, group *elgamal.Group, sk *elgamal.SecretKey, n int, rnd io.Reader) (*Key, error) {
-	return NewKeyParallel(f, group, sk, n, rnd, 1)
-}
-
-// NewKeyParallel is NewKey with the Enc(r) setup sharded over workers
-// goroutines. The random stream is consumed in element order regardless of
-// worker count, so the key is deterministic for a seeded rnd.
+// NewKeyParallel draws a fresh secret vector of length n and encrypts it
+// with sk, the Enc(r) setup sharded over workers goroutines. The random
+// stream is consumed in element order regardless of worker count, so the
+// key is deterministic for a seeded rnd.
 func NewKeyParallel(f *field.Field, group *elgamal.Group, sk *elgamal.SecretKey, n int, rnd io.Reader, workers int) (*Key, error) {
 	if group.Q.Cmp(f.Modulus()) != 0 {
 		return nil, errors.New("commit: group order does not match field modulus")
@@ -62,24 +58,18 @@ func NewKeyParallel(f *field.Field, group *elgamal.Group, sk *elgamal.SecretKey,
 // Commitment is the prover's response to the commit phase: Enc(π(r)).
 type Commitment = elgamal.Ciphertext
 
-// Commit is the prover side of the commit phase: it evaluates the linear
-// function defined by u on the encrypted vector.
-func Commit(group *elgamal.Group, f *field.Field, encR []elgamal.Ciphertext, u []field.Element) (Commitment, error) {
-	return group.InnerProduct(encR, f, u)
-}
-
 // Prepare caches the Montgomery-domain conversion and batch inverses of
 // Enc(r) for a batch: every instance commits against the same encrypted
-// vector, so a prover that prepares once and calls CommitPrepared per
-// instance skips the per-call base conversion and gets signed-digit
-// multiexp windows at no inversion cost.
+// vector, so the prover prepares once and calls CommitPrepared per
+// instance. Enc(r) from the wire must pass Group.CheckCiphertexts first.
 func Prepare(group *elgamal.Group, encR []elgamal.Ciphertext) *elgamal.PreparedVector {
 	return group.Prepare(encR)
 }
 
-// CommitPrepared is Commit against a prepared Enc(r), with the inner
-// product sharded over workers goroutines; results are identical to Commit
-// for any worker count.
+// CommitPrepared is the prover side of the commit phase: it evaluates the
+// linear function defined by u on the prepared Enc(r), with the inner
+// product sharded over workers goroutines; results are identical for any
+// worker count.
 func CommitPrepared(group *elgamal.Group, f *field.Field, pv *elgamal.PreparedVector, u []field.Element, workers int) (Commitment, error) {
 	return group.InnerProductPrepared(pv, f, u, workers)
 }
@@ -163,9 +153,10 @@ func Respond(f *field.Field, u []field.Element, d Decommit) (Response, error) {
 // VerifyConsistency runs the verifier's consistency test against the
 // commitment received in the commit phase. A false result means the prover's
 // revealed answers are not explained by any single committed linear
-// function, and the instance must be rejected.
+// function, or the commitment is not a ciphertext at all (a nil, zero or
+// out-of-range component), and the instance must be rejected.
 func (k *Key) VerifyConsistency(c Commitment, s Secrets, resp Response) bool {
-	if len(resp.Answers) != len(s.Alphas) {
+	if len(resp.Answers) != len(s.Alphas) || k.Group.CheckCiphertexts([]elgamal.Ciphertext{c}) != nil {
 		return false
 	}
 	// s = Σ α_i · a_i in the field; check g^{aT} == g^{π(r)}·g^{s}.

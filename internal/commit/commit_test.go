@@ -3,6 +3,7 @@ package commit
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math/big"
 	"testing"
 
 	"zaatar/internal/elgamal"
@@ -22,18 +23,23 @@ func setup(t *testing.T, n int) (*field.Field, *elgamal.Group, *Key, *prg.ChaCha
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := NewKey(f, g, sk, n, rnd)
+	k, err := NewKeyParallel(f, g, sk, n, rnd, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f, g, k, rnd
 }
 
+// commitTo is the prover's commit phase for one instance against k's Enc(r).
+func commitTo(g *elgamal.Group, f *field.Field, k *Key, u []field.Element) (Commitment, error) {
+	return CommitPrepared(g, f, Prepare(g, k.EncR), u, 1)
+}
+
 func TestHonestProverPasses(t *testing.T) {
 	f, g, k, rnd := setup(t, 24)
 	u := f.RandVector(24, rnd)
 
-	c, err := Commit(g, f, k.EncR, u)
+	c, err := commitTo(g, f, k, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +66,7 @@ func TestHonestProverPasses(t *testing.T) {
 func TestLyingProverCaught(t *testing.T) {
 	f, g, k, rnd := setup(t, 16)
 	u := f.RandVector(16, rnd)
-	c, _ := Commit(g, f, k.EncR, u)
+	c, _ := commitTo(g, f, k, u)
 	queries := [][]field.Element{f.RandVector(16, rnd), f.RandVector(16, rnd)}
 	d, secrets, _ := k.BuildDecommit(queries, rnd)
 
@@ -77,7 +83,7 @@ func TestSwitchedFunctionCaught(t *testing.T) {
 	f, g, k, rnd := setup(t, 16)
 	u := f.RandVector(16, rnd)
 	u2 := f.RandVector(16, rnd)
-	c, _ := Commit(g, f, k.EncR, u)
+	c, _ := commitTo(g, f, k, u)
 	queries := [][]field.Element{f.RandVector(16, rnd)}
 	d, secrets, _ := k.BuildDecommit(queries, rnd)
 	resp, _ := Respond(f, u2, d)
@@ -89,12 +95,36 @@ func TestSwitchedFunctionCaught(t *testing.T) {
 func TestTamperedConsistencyAnswerCaught(t *testing.T) {
 	f, g, k, rnd := setup(t, 8)
 	u := f.RandVector(8, rnd)
-	c, _ := Commit(g, f, k.EncR, u)
+	c, _ := commitTo(g, f, k, u)
 	d, secrets, _ := k.BuildDecommit([][]field.Element{f.RandVector(8, rnd)}, rnd)
 	resp, _ := Respond(f, u, d)
 	resp.AT = f.Add(resp.AT, f.One())
 	if k.VerifyConsistency(c, secrets, resp) {
 		t.Fatal("tampered consistency answer accepted")
+	}
+}
+
+// A commitment that is not a ciphertext — a component missing, as a gob
+// message that omits the field decodes, or zero or out of range — is
+// rejected, not decrypted.
+func TestMalformedCommitmentRejected(t *testing.T) {
+	f, g, k, rnd := setup(t, 8)
+	u := f.RandVector(8, rnd)
+	c, _ := commitTo(g, f, k, u)
+	d, secrets, _ := k.BuildDecommit([][]field.Element{f.RandVector(8, rnd)}, rnd)
+	resp, _ := Respond(f, u, d)
+	for name, bad := range map[string]Commitment{
+		"nil A":  {B: c.B},
+		"nil B":  {A: c.A},
+		"zero A": {A: new(big.Int), B: c.B},
+		"B ≥ P":  {A: c.A, B: new(big.Int).Add(c.B, g.P)},
+	} {
+		if k.VerifyConsistency(bad, secrets, resp) {
+			t.Errorf("%s: commitment accepted", name)
+		}
+	}
+	if !k.VerifyConsistency(c, secrets, resp) {
+		t.Fatal("honest commitment rejected")
 	}
 }
 
@@ -112,7 +142,7 @@ func TestQueryLengthMismatch(t *testing.T) {
 func TestZeroQueries(t *testing.T) {
 	f, g, k, rnd := setup(t, 8)
 	u := f.RandVector(8, rnd)
-	c, _ := Commit(g, f, k.EncR, u)
+	c, _ := commitTo(g, f, k, u)
 	d, secrets, err := k.BuildDecommit(nil, rnd)
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +161,8 @@ func TestKeyRejectsMismatchedGroup(t *testing.T) {
 	rnd := prg.NewFromSeed([]byte("mismatch"), 0)
 	g := elgamal.GroupF128() // order != FTiny modulus
 	sk, _ := g.GenerateKey(rnd)
-	if _, err := NewKey(f, g, sk, 4, rnd); err == nil {
-		t.Error("NewKey accepted mismatched group/field")
+	if _, err := NewKeyParallel(f, g, sk, 4, rnd, 1); err == nil {
+		t.Error("NewKeyParallel accepted mismatched group/field")
 	}
 }
 

@@ -70,37 +70,39 @@ func Calibrate(f *field.Field, group *elgamal.Group, reps int) OpCosts {
 		if cryptoReps < 4 {
 			cryptoReps = 4
 		}
-		m := f.Rand(rnd)
-		// Warm up the fixed-base tables for G and H so E measures the
-		// steady-state (table-backed) cost the protocol actually pays, not
-		// the one-time table build.
-		ct, _ := sk.Encrypt(f, m, rnd)
+		// e: per-element cost of the verifier's Enc(r), through the same
+		// EncryptVector a batch key runs, with the generator table built
+		// first so E is the steady-state cost and not the one-time build.
+		group.GeneratorTable()
+		ms := f.RandVector(cryptoReps, rnd)
 		start = time.Now()
-		for i := 0; i < cryptoReps; i++ {
-			ct, _ = sk.Encrypt(f, m, rnd)
-		}
+		cts, err := sk.EncryptVector(f, ms, rnd)
 		p.E = seconds(start, cryptoReps)
+		if err != nil {
+			panic("costmodel: encryption failed: " + err.Error())
+		}
 
 		start = time.Now()
 		for i := 0; i < cryptoReps; i++ {
-			_ = sk.DecryptExp(ct)
+			_ = sk.DecryptExp(cts[i])
 		}
 		p.D = seconds(start, cryptoReps)
 
-		// h: amortized per-term cost of the homomorphic inner product. The
-		// prover pays this through the multi-exponentiation kernel over the
-		// whole proof vector, so measure the kernel over a representative
-		// length and divide — not one isolated Add+ScalarMul.
+		// h: amortized per-term cost of the homomorphic inner product, on
+		// the prover's path: Enc(r) prepared once per batch, then one
+		// prepared inner product per instance over the whole proof vector —
+		// not one isolated Add+ScalarMul.
 		const hLen = 128
-		cts := make([]elgamal.Ciphertext, hLen)
-		for i := range cts {
-			cts[i] = ct
+		hcts := make([]elgamal.Ciphertext, hLen)
+		for i := range hcts {
+			hcts[i] = cts[i%len(cts)]
 		}
+		pv := group.Prepare(hcts)
 		ws := f.RandVector(hLen, rnd)
 		hReps := cryptoReps/hLen + 1
 		start = time.Now()
 		for i := 0; i < hReps; i++ {
-			if _, err := group.InnerProduct(cts, f, ws); err != nil {
+			if _, err := group.InnerProductPrepared(pv, f, ws, 1); err != nil {
 				panic("costmodel: inner product failed: " + err.Error())
 			}
 		}

@@ -10,6 +10,12 @@
 // Choosing the subgroup order equal to the field modulus makes exponent
 // arithmetic coincide with field arithmetic (the Pepper construction [52]).
 //
+// Each party has one path through the package. The verifier encrypts with
+// its secret key from the generator's fixed-base table (table.go): Encrypt
+// and EncryptVector live on SecretKey. The prover evaluates Enc(π(r))
+// through Prepare and InnerProductPrepared (signed.go), the one entry into
+// the multi-exponentiation kernels (multiexp.go).
+//
 // The paper uses ElGamal with 1024-bit keys (§5.1); the production groups
 // here are 1024-bit primes P = k·q + 1 for each field, generated offline and
 // verified by the package tests.
@@ -31,10 +37,10 @@ import (
 // Group describes a prime-order subgroup of Z_P*.
 //
 // A Group also owns lazily-built kernel state (a Montgomery context for P
-// and a fixed-base table cache; see multiexp.go and table.go). The state is
-// unexported, so gob-transported Groups (transport.Hello carries one inside
-// the commit request's public key) arrive empty and rebuild it on first
-// use. Groups must not be copied by value once in use.
+// and the generator's fixed-base table; see multiexp.go and table.go). The
+// state is unexported, so gob-transported Groups (transport.Hello carries
+// one inside the commit request's public key) arrive empty and rebuild it
+// on first use. Groups must not be copied by value once in use.
 type Group struct {
 	P *big.Int // group prime modulus
 	G *big.Int // generator of the order-q subgroup
@@ -73,8 +79,9 @@ func (g *Group) Validate() error {
 // has no inverse for the signed-digit windows (Prepare would panic in the
 // batch inversion), and an out-of-range value overflows the fixed-width limb
 // encoding. Honest Encrypt output always passes; servers call this on
-// wire-supplied vectors before Prepare so a malicious ciphertext surfaces as
-// a protocol error instead of a panic.
+// wire-supplied vectors before Prepare, and the verifier on each received
+// commitment before decrypting it, so a malicious ciphertext surfaces as a
+// protocol error or a rejection instead of a panic.
 func (g *Group) CheckCiphertexts(cts []Ciphertext) error {
 	for i := range cts {
 		for _, c := range [...]*big.Int{cts[i].A, cts[i].B} {
@@ -86,7 +93,8 @@ func (g *Group) CheckCiphertexts(cts []Ciphertext) error {
 	return nil
 }
 
-// PublicKey is an ElGamal public key h = g^x.
+// PublicKey is an ElGamal public key h = g^x. It is what the prover
+// receives; only the SecretKey encrypts.
 type PublicKey struct {
 	Group *Group
 	H     *big.Int
@@ -131,103 +139,58 @@ func randExponent(q *big.Int, rnd io.Reader) (*big.Int, error) {
 	}
 }
 
-// Encrypt encrypts the field element m (in the exponent). The three
-// fixed-base powers (g^k, h^k, g^m) run off the shared windowed tables for
-// G and H — the parameter e of Figure 3 is dominated by exactly these.
-func (pk *PublicKey) Encrypt(f *field.Field, m field.Element, rnd io.Reader) (Ciphertext, error) {
-	k, err := randExponent(pk.Group.Q, rnd)
+// Encrypt encrypts the field element m (in the exponent): it is
+// EncryptVector of one element.
+func (sk *SecretKey) Encrypt(f *field.Field, m field.Element, rnd io.Reader) (Ciphertext, error) {
+	cts, err := sk.EncryptVector(f, []field.Element{m}, rnd)
 	if err != nil {
 		return Ciphertext{}, err
 	}
-	P := pk.Group.P
-	tG := pk.Group.FixedBase(pk.Group.G)
-	tH := pk.Group.FixedBase(pk.H)
-	a := tG.Exp(k)
-	b := tH.Exp(k)
-	gm := tG.Exp(f.ToBig(m))
-	b.Mul(b, gm).Mod(b, P)
-	return Ciphertext{A: a, B: b}, nil
+	return cts[0], nil
 }
 
 // EncryptVector encrypts each element of v, serially. It is exactly
 // EncryptVectorParallel with one worker; both consume rnd identically.
-func (pk *PublicKey) EncryptVector(f *field.Field, v []field.Element, rnd io.Reader) ([]Ciphertext, error) {
-	return pk.EncryptVectorParallel(f, v, rnd, 1)
+func (sk *SecretKey) EncryptVector(f *field.Field, v []field.Element, rnd io.Reader) ([]Ciphertext, error) {
+	return sk.EncryptVectorParallel(f, v, rnd, 1)
 }
 
-// EncryptVectorParallel encrypts v over a pool of workers. The encryption
-// exponents are drawn from rnd serially up front (element order, exactly as
-// the serial path consumes the stream), so for a deterministic rnd the
-// output is identical for every worker count; only the fixed-base work is
-// sharded. This is the verifier's per-batch Enc(r) setup — the e·|u| term
-// of Figure 3's "construct queries" row.
-//
-// Unlike per-element Encrypt, the whole vector shares one reduction of all
-// exponents to limbs, per-shard scratch buffers, and a Montgomery-domain
-// combine: B = h^k·g^m is formed by chaining the two table walks into one
-// accumulator, dropping the per-element big.Int multiply-and-mod.
-func (pk *PublicKey) EncryptVectorParallel(f *field.Field, v []field.Element, rnd io.Reader, workers int) ([]Ciphertext, error) {
-	ks := make([]*big.Int, len(v))
-	for i := range ks {
-		k, err := randExponent(pk.Group.Q, rnd)
+// EncryptVectorParallel encrypts v over a pool of workers. This is the
+// verifier's per-batch Enc(r) setup — the e·|u| term of Figure 3's
+// "construct queries" row. The holder of x needs no table for h: the
+// public-key ciphertext (g^k, h^k·g^m) is the group element pair
+// (g^k, g^((x·k + m) mod Q)), so each element costs two walks of the one
+// generator table. The encryption exponents are drawn from rnd serially up
+// front, in element order, so for a deterministic rnd the output is
+// identical for every worker count; only the table walks are sharded.
+func (sk *SecretKey) EncryptVectorParallel(f *field.Field, v []field.Element, rnd io.Reader, workers int) ([]Ciphertext, error) {
+	g := sk.Group
+	// exps interleaves each element's two exponents, k and x·k + m. A field
+	// with p > Q has its m reduced here, as g^m always was.
+	exps := make([]*big.Int, 2*len(v))
+	for i := range v {
+		k, err := randExponent(g.Q, rnd)
 		if err != nil {
 			return nil, err
 		}
-		ks[i] = k
-	}
-	if len(v) == 0 {
-		return []Ciphertext{}, nil
-	}
-	g := pk.Group
-	tG := g.FixedBase(g.G)
-	tH := g.FixedBase(pk.H)
-	m := g.kern().m
-	ql := (g.Q.BitLen() + 63) / 64
-	// One flattened limb reduction for both exponent vectors. randExponent
-	// output is always < Q; field elements usually are too (the production
-	// fields equal the exponent order), but a field with p > Q is reduced
-	// here — exactly as the per-element Exp path always did — rather than
-	// silently encoding an unreduced exponent.
-	klimbs := make([]uint64, len(v)*ql)
-	mlimbs := make([]uint64, len(v)*ql)
-	var tmp big.Int
-	for i := range v {
-		copy(klimbs[i*ql:], limbsFromBig(ks[i], ql))
-		e := f.ToBig(v[i])
-		if e.Sign() < 0 || e.Cmp(g.Q) >= 0 {
-			tmp.Mod(e, g.Q)
-			e = &tmp
-		}
-		copy(mlimbs[i*ql:], limbsFromBig(e, ql))
+		b := new(big.Int).Mul(sk.X, k)
+		b.Add(b, f.ToBig(v[i])).Mod(b, g.Q)
+		exps[2*i], exps[2*i+1] = k, b
 	}
 	out := make([]Ciphertext, len(v))
-	if workers < 1 {
-		workers = 1
+	if len(v) == 0 {
+		return out, nil
 	}
-	if workers > len(v) {
-		workers = len(v)
-	}
+	sc := g.reduceScalars(exps)
+	tb := g.GeneratorTable()
+	workers = max(1, min(workers, len(v)))
 	_ = par.ForEach(context.Background(), workers, workers, func(s int) error {
 		lo, hi := len(v)*s/workers, len(v)*(s+1)/workers
-		if lo == hi {
-			return nil
-		}
-		obs.Default().Counter(MetricFixedBaseExps).Add(int64(3 * (hi - lo)))
-		t := m.scratch()
-		acc := make([]uint64, m.n)
+		obs.Default().Counter(MetricFixedBaseExps).Add(int64(2 * (hi - lo)))
+		t := tb.m.scratch()
+		acc := make([]uint64, tb.m.n)
 		for i := lo; i < hi; i++ {
-			ke := klimbs[i*ql : (i+1)*ql]
-			a := big.NewInt(1)
-			if tG.accMont(acc, ke, false, t) {
-				a = m.fromMont(acc, t)
-			}
-			b := big.NewInt(1)
-			started := tH.accMont(acc, ke, false, t)
-			started = tG.accMont(acc, mlimbs[i*ql:(i+1)*ql], started, t)
-			if started {
-				b = m.fromMont(acc, t)
-			}
-			out[i] = Ciphertext{A: a, B: b}
+			out[i] = Ciphertext{A: tb.exp(&sc, 2*i, acc, t), B: tb.exp(&sc, 2*i+1, acc, t)}
 		}
 		return nil
 	})
@@ -276,20 +239,15 @@ func (g *Group) ScalarMul(c Ciphertext, f *field.Field, s field.Element) Ciphert
 }
 
 // InnerProduct homomorphically computes Enc(Σ u_i·m_i) from Enc(m_i) and
-// plaintext weights u. This is the prover's commitment evaluation — the
-// (h·|u|) term in Figure 3's "Issue responses" row. Zero weights are
-// skipped, which matters for sparse proof vectors. The two component
-// products run on the multi-exponentiation kernel (multiexp.go) over a
-// shared scalar reduction, instead of one Add + ScalarMul (two full-width
-// modexps and four allocations) per element.
+// plaintext weights u. It is InnerProductPrepared on a one-off Prepare of
+// cts, so every component of cts must be a nonzero residue mod P (honest
+// Encrypt output is); a batch that commits many instances against one
+// vector prepares it once instead.
 func (g *Group) InnerProduct(cts []Ciphertext, f *field.Field, u []field.Element) (Ciphertext, error) {
-	return g.innerProduct(cts, f, u, 1)
-}
-
-// InnerProductParallel is InnerProduct sharded over a worker pool; results
-// are identical for every worker count.
-func (g *Group) InnerProductParallel(cts []Ciphertext, f *field.Field, u []field.Element, workers int) (Ciphertext, error) {
-	return g.innerProduct(cts, f, u, workers)
+	if len(cts) != len(u) {
+		return Ciphertext{}, errors.New("elgamal: InnerProduct length mismatch")
+	}
+	return g.InnerProductPrepared(g.Prepare(cts), f, u, 1)
 }
 
 // GenerateGroup searches for a prime P = k·q + 1 with the given bit length

@@ -1,49 +1,44 @@
 package elgamal
 
 import (
-	"context"
-	"errors"
 	"math/big"
 	"sync"
-
-	"zaatar/internal/field"
-	"zaatar/internal/obs"
-	"zaatar/internal/par"
 )
 
-// This file implements the group-arithmetic kernels behind the homomorphic
-// commitment path: Straus and Pippenger multi-exponentiation with automatic
-// window selection, and worker-pool sharding of both. All group
-// multiplications run in the Montgomery domain (mont.go) on preallocated
-// limb slices, so a length-n inner product costs ~2n·(qbits/w) group mults
-// instead of 2n independent full-width modexps — the Figure 3 "e·|u|" term
-// this package exists to shrink.
+// This file implements the group-arithmetic kernels behind the prover's
+// homomorphic commitment: Straus and Pippenger multi-exponentiation with
+// window selection by input size (the signed-digit variant is in signed.go).
+// Their one entry point is InnerProductPrepared. All group multiplications
+// run in the Montgomery domain (mont.go) on preallocated limb slices, so a
+// length-n inner product costs ~2n·(qbits/w) group mults instead of 2n
+// independent full-width modexps — the Figure 3 "h·|u|" term this package
+// exists to shrink.
 //
 // Kernel activity is recorded into the process-wide obs registry
 // (obs.Default()) under the metric names below, documented in
 // docs/PROTOCOL.md.
 const (
-	// MetricMultiExpCalls counts multi-exponentiation kernel invocations,
-	// labeled by entry point (op).
-	MetricMultiExpCalls = "elgamal.multiexp.calls"
 	// MetricMultiExpBases counts total (base, exponent) pairs processed.
 	MetricMultiExpBases = "elgamal.multiexp.bases"
-	// MetricMultiExpSpan is the per-call latency histogram.
+	// MetricMultiExpSpan is the per-call latency histogram; its count is
+	// the number of inner products evaluated.
 	MetricMultiExpSpan = "elgamal.multiexp"
-	// MetricFixedBaseExps counts fixed-base table exponentiations.
+	// MetricFixedBaseExps counts generator-table exponentiations: two per
+	// encrypted element, one per ExpOfField.
 	MetricFixedBaseExps = "elgamal.fixedbase.exps"
-	// MetricFixedBaseTables counts fixed-base table builds.
+	// MetricFixedBaseTables counts generator-table builds (one per Group).
 	MetricFixedBaseTables = "elgamal.fixedbase.tables"
 )
 
 // kernels is a Group's lazily-built kernel state: the Montgomery context
-// for P and the fixed-base table cache. Groups that arrive over the wire
-// (gob decodes only the exported P, G, Q) rebuild it on first use.
+// for P and the generator's fixed-base table. Groups that arrive over the
+// wire (gob decodes only the exported P, G, Q) rebuild it on first use; a
+// prover, which never encrypts, never builds the table.
 type kernels struct {
 	m *montCtx
 
-	mu     sync.Mutex
-	tables []*tableEntry // small MRU cache, see table.go
+	gonce sync.Once
+	gen   *FixedBaseTable // see table.go
 }
 
 // kern returns the Group's kernel state, building it on first use.
@@ -91,7 +86,8 @@ func (sc *scalars) digit(i, pos, w int) uint64 {
 
 // pippengerPlan picks the bucket width minimizing the kernel's mult count
 // t·(n + 2·2^w + w) for n bases and qbits-bit exponents, and returns the
-// minimum so run can weigh it against the signed-digit plan (signed.go).
+// minimum so runPrepared can weigh it against the signed-digit plan
+// (signed.go).
 func pippengerPlan(n, qbits int) (w, cost int) {
 	w, cost = 1, int(^uint(0)>>1)
 	for cand := 1; cand <= 16; cand++ {
@@ -110,16 +106,6 @@ const strausWindow = 4
 // strausMaxBases is the auto-selection crossover: below it the Straus
 // kernel's per-base tables beat Pippenger's bucket collapse overhead.
 const strausMaxBases = 64
-
-// toMontBases converts bases into one flattened Montgomery-domain buffer.
-func (k *kernels) toMontBases(bases []*big.Int, t []uint64) []uint64 {
-	mn := k.m.n
-	out := make([]uint64, len(bases)*mn)
-	for i, b := range bases {
-		k.m.toMont(out[i*mn:(i+1)*mn], b, t)
-	}
-	return out
-}
 
 // pippenger computes Π bases[i]^exps[i] over the Montgomery-domain bases in
 // mb, returning the accumulator in Montgomery form (ok=false: identity).
@@ -243,112 +229,11 @@ func (k *kernels) straus(mb []uint64, n int, sc *scalars, t []uint64) (acc []uin
 	return acc, started
 }
 
-type multiExpAlgo int
-
-const (
-	algoAuto multiExpAlgo = iota
-	algoStraus
-	algoPippenger
-	algoPippengerSigned
-)
-
-// multiExp is the shared serial entry point for the exported variants.
-func (g *Group) multiExp(bases []*big.Int, sc *scalars, algo multiExpAlgo) *big.Int {
-	if len(bases) == 0 {
-		return big.NewInt(1)
-	}
-	k := g.kern()
-	t := k.m.scratch()
-	mb := k.toMontBases(bases, t)
-	acc, ok := k.run(mb, len(bases), sc, algo, t)
-	if !ok {
-		return big.NewInt(1)
-	}
-	return k.m.fromMont(acc, t)
-}
-
-// run dispatches one shard to the selected kernel. Under algoAuto the two
-// Pippenger variants compete on their cost models; with no cached inverses
-// the signed plan carries its batch-inversion surcharge, so it only wins
-// where halved buckets genuinely outweigh ~3n extra mults (prepared vectors
-// drop that surcharge — see runPrepared in signed.go).
-func (k *kernels) run(mb []uint64, n int, sc *scalars, algo multiExpAlgo, t []uint64) ([]uint64, bool) {
-	if algo == algoStraus || (algo == algoAuto && n <= strausMaxBases) {
-		return k.straus(mb, n, sc, t)
-	}
-	if algo == algoPippengerSigned {
-		return k.runSigned(mb, n, sc, t)
-	}
-	uw, ucost := pippengerPlan(n, sc.bits)
-	if algo == algoAuto {
-		if _, scost := pippengerSignedPlan(n, sc.bits, false); scost < ucost {
-			return k.runSigned(mb, n, sc, t)
-		}
-	}
-	return k.pippenger(mb, n, sc, uw, t)
-}
-
-// recordMultiExp counts one kernel invocation, broken out by entry point
-// (op ∈ auto, straus, pippenger, signed, parallel, inner_product,
-// prepared) so an operator can see which code path drives the kernel load.
-func recordMultiExp(op string, n int) obs.Span {
-	reg := obs.Default()
-	reg.Counter(MetricMultiExpBases).Add(int64(n))
-	reg.CounterVec(MetricMultiExpCalls, "op").With(op).Inc()
-	return reg.StartSpan(MetricMultiExpSpan)
-}
-
-// MultiExp returns Π bases[i]^exps[i] mod P, selecting the kernel by input
-// length. Bases must lie in the order-Q subgroup (every ciphertext component
-// and generator power does); exponents may be any non-negative integers and
-// are reduced mod Q. It panics on length mismatch, like the field kernels.
-func (g *Group) MultiExp(bases, exps []*big.Int) *big.Int {
-	if len(bases) != len(exps) {
-		panic("elgamal: MultiExp length mismatch")
-	}
-	defer recordMultiExp("auto", len(bases)).End()
-	sc := g.reduceScalars(exps)
-	return g.multiExp(bases, &sc, algoAuto)
-}
-
-// MultiExpStraus forces the Straus (per-base window table) kernel.
-func (g *Group) MultiExpStraus(bases, exps []*big.Int) *big.Int {
-	if len(bases) != len(exps) {
-		panic("elgamal: MultiExp length mismatch")
-	}
-	defer recordMultiExp("straus", len(bases)).End()
-	sc := g.reduceScalars(exps)
-	return g.multiExp(bases, &sc, algoStraus)
-}
-
-// MultiExpPippenger forces the Pippenger (bucket) kernel.
-func (g *Group) MultiExpPippenger(bases, exps []*big.Int) *big.Int {
-	if len(bases) != len(exps) {
-		panic("elgamal: MultiExp length mismatch")
-	}
-	defer recordMultiExp("pippenger", len(bases)).End()
-	sc := g.reduceScalars(exps)
-	return g.multiExp(bases, &sc, algoPippenger)
-}
-
-// MultiExpSigned forces the signed-digit Pippenger kernel (signed.go),
-// batch-inverting the bases inline. Exists for the ablation benchmark and
-// edge-case tests; production callers reach the signed kernel through auto
-// selection or a PreparedVector.
-func (g *Group) MultiExpSigned(bases, exps []*big.Int) *big.Int {
-	if len(bases) != len(exps) {
-		panic("elgamal: MultiExp length mismatch")
-	}
-	defer recordMultiExp("signed", len(bases)).End()
-	sc := g.reduceScalars(exps)
-	return g.multiExp(bases, &sc, algoPippengerSigned)
-}
-
 // MultiExpNaive is the exp-and-multiply reference the kernels are verified
 // and benchmarked against: one full-width modexp per base.
 func (g *Group) MultiExpNaive(bases, exps []*big.Int) *big.Int {
 	if len(bases) != len(exps) {
-		panic("elgamal: MultiExp length mismatch")
+		panic("elgamal: MultiExpNaive length mismatch")
 	}
 	acc := big.NewInt(1)
 	tmp := new(big.Int)
@@ -359,81 +244,5 @@ func (g *Group) MultiExpNaive(bases, exps []*big.Int) *big.Int {
 	return acc
 }
 
-// MultiExpParallel shards the product across workers goroutines, each
-// running the auto-selected serial kernel on its slice, and folds the
-// partial products. Results are identical to MultiExp for any worker count.
-func (g *Group) MultiExpParallel(bases, exps []*big.Int, workers int) *big.Int {
-	if len(bases) != len(exps) {
-		panic("elgamal: MultiExp length mismatch")
-	}
-	n := len(bases)
-	if workers < 1 {
-		workers = 1
-	}
-	if shards := (n + minShard - 1) / minShard; workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		return g.MultiExp(bases, exps)
-	}
-	defer recordMultiExp("parallel", n).End()
-	sc := g.reduceScalars(exps)
-	k := g.kern()
-	partials := make([][]uint64, workers)
-	_ = par.ForEach(context.Background(), workers, workers, func(s int) error {
-		lo, hi := n*s/workers, n*(s+1)/workers
-		if lo == hi {
-			return nil
-		}
-		t := k.m.scratch()
-		mb := k.toMontBases(bases[lo:hi], t)
-		sub := scalars{limbs: sc.limbs[lo*sc.ql : hi*sc.ql], ql: sc.ql, bits: sc.bits}
-		if acc, ok := k.run(mb, hi-lo, &sub, algoAuto, t); ok {
-			partials[s] = acc
-		}
-		return nil
-	})
-	acc, ok := k.foldPartials(partials)
-	if !ok {
-		return big.NewInt(1)
-	}
-	return k.m.fromMont(acc, k.m.scratch())
-}
-
 // minShard is the smallest per-worker slice worth the goroutine handoff.
 const minShard = 32
-
-// innerProduct gathers the non-zero-weight ciphertext components and runs
-// the two multi-exponentiations (A and B columns) over a shared scalar
-// reduction.
-func (g *Group) innerProduct(cts []Ciphertext, f *field.Field, u []field.Element, workers int) (Ciphertext, error) {
-	if len(cts) != len(u) {
-		return Ciphertext{}, errors.New("elgamal: InnerProduct length mismatch")
-	}
-	as := make([]*big.Int, 0, len(u))
-	bs := make([]*big.Int, 0, len(u))
-	exps := make([]*big.Int, 0, len(u))
-	for i := range u {
-		if f.IsZero(u[i]) {
-			continue
-		}
-		as = append(as, cts[i].A)
-		bs = append(bs, cts[i].B)
-		exps = append(exps, f.ToBig(u[i]))
-	}
-	if len(exps) == 0 {
-		return g.One(), nil
-	}
-	if workers > 1 {
-		return Ciphertext{
-			A: g.MultiExpParallel(as, exps, workers),
-			B: g.MultiExpParallel(bs, exps, workers),
-		}, nil
-	}
-	defer recordMultiExp("inner_product", 2*len(exps)).End()
-	sc := g.reduceScalars(exps)
-	return Ciphertext{
-		A: g.multiExp(as, &sc, algoAuto),
-		B: g.multiExp(bs, &sc, algoAuto),
-	}, nil
-}

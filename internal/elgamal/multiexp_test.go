@@ -2,12 +2,14 @@ package elgamal
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/big"
 	"sync"
 	"testing"
 
 	"zaatar/internal/field"
+	"zaatar/internal/obs"
 	"zaatar/internal/prg"
 )
 
@@ -91,6 +93,48 @@ func multiExpCase(t *testing.T, g *Group, name string) ([]*big.Int, []*big.Int) 
 	return nil, nil
 }
 
+// checkKernels runs every multi-exponentiation kernel on (bases, exps) —
+// Straus, unsigned and signed Pippenger at their planned widths, and the
+// prepared dispatcher at 1, 2, 3 and 8 workers — and fails t unless each
+// equals MultiExpNaive. The bases go in as both components of a prepared
+// ciphertext vector, which supplies their Montgomery forms and inverses.
+func checkKernels(t *testing.T, g *Group, bases, exps []*big.Int) {
+	t.Helper()
+	want := g.MultiExpNaive(bases, exps)
+	n := len(bases)
+	cts := make([]Ciphertext, n)
+	for i, b := range bases {
+		cts[i] = Ciphertext{A: b, B: b}
+	}
+	pv := g.Prepare(cts)
+	k := g.kern()
+	tb := k.m.scratch()
+	sc := g.reduceScalars(exps)
+	check := func(name string, acc []uint64, ok bool) {
+		t.Helper()
+		got := big.NewInt(1)
+		if ok {
+			got = k.m.fromMont(acc, tb)
+		}
+		if got.Cmp(want) != 0 {
+			t.Errorf("%s (n=%d) = %v, want %v", name, n, got, want)
+		}
+	}
+	acc, ok := k.straus(pv.mbA, n, &sc, tb)
+	check("straus", acc, ok)
+	uw, _ := pippengerPlan(n, sc.bits)
+	acc, ok = k.pippenger(pv.mbA, n, &sc, uw, tb)
+	check("pippenger", acc, ok)
+	sw, _ := pippengerSignedPlan(n, sc.bits)
+	digits, nwin := sc.signedDigits(sw)
+	acc, ok = k.pippengerSigned(pv.mbA, pv.invA, n, digits, nwin, sw, tb)
+	check("pippengerSigned", acc, ok)
+	for _, workers := range []int{1, 2, 3, 8} {
+		acc, ok = k.multiExpPrepared(pv.mbA, pv.invA, n, &sc, workers)
+		check(fmt.Sprintf("multiExpPrepared(workers=%d)", workers), acc, ok)
+	}
+}
+
 func TestMultiExpMatchesNaive(t *testing.T) {
 	g, _ := testGroup(t)
 	cases := []string{
@@ -100,36 +144,9 @@ func TestMultiExpMatchesNaive(t *testing.T) {
 	for _, name := range cases {
 		t.Run(name, func(t *testing.T) {
 			bases, exps := multiExpCase(t, g, name)
-			want := g.MultiExpNaive(bases, exps)
-			if got := g.MultiExp(bases, exps); got.Cmp(want) != 0 {
-				t.Errorf("MultiExp = %v, want %v", got, want)
-			}
-			if got := g.MultiExpStraus(bases, exps); got.Cmp(want) != 0 {
-				t.Errorf("MultiExpStraus = %v, want %v", got, want)
-			}
-			if got := g.MultiExpPippenger(bases, exps); got.Cmp(want) != 0 {
-				t.Errorf("MultiExpPippenger = %v, want %v", got, want)
-			}
-			if got := g.MultiExpSigned(bases, exps); got.Cmp(want) != 0 {
-				t.Errorf("MultiExpSigned = %v, want %v", got, want)
-			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				if got := g.MultiExpParallel(bases, exps, workers); got.Cmp(want) != 0 {
-					t.Errorf("MultiExpParallel(workers=%d) = %v, want %v", workers, got, want)
-				}
-			}
+			checkKernels(t, g, bases, exps)
 		})
 	}
-}
-
-func TestMultiExpLengthMismatchPanics(t *testing.T) {
-	g, _ := testGroup(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch did not panic")
-		}
-	}()
-	g.MultiExp(make([]*big.Int, 2), make([]*big.Int, 3))
 }
 
 // fuzzGroup is shared across fuzz iterations; group search is too slow to
@@ -164,61 +181,66 @@ func FuzzMultiExp(f *testing.F) {
 		}
 		rnd := prg.NewFromSeed(append([]byte("fuzz-bases"), byte(n)), 11)
 		bases := subgroupBases(g, n, rnd)
-		want := g.MultiExpNaive(bases, exps)
-		if got := g.MultiExp(bases, exps); got.Cmp(want) != 0 {
-			t.Fatalf("MultiExp = %v, want %v (n=%d)", got, want, n)
-		}
-		if got := g.MultiExpPippenger(bases, exps); got.Cmp(want) != 0 {
-			t.Fatalf("MultiExpPippenger = %v, want %v (n=%d)", got, want, n)
-		}
+		checkKernels(t, g, bases, exps)
 	})
 }
 
 func TestFixedBaseTableExp(t *testing.T) {
 	g, _ := testGroup(t)
 	rnd := prg.NewFromSeed([]byte("fixed-base"), 8)
-	for _, base := range []*big.Int{g.G, subgroupBases(g, 1, rnd)[0]} {
-		tb := g.FixedBase(base)
-		exps := []*big.Int{
-			big.NewInt(0),
-			big.NewInt(1),
-			new(big.Int).Sub(g.Q, big.NewInt(1)),
-			new(big.Int).Set(g.Q),              // reduces to identity
-			new(big.Int).Add(g.Q, big.NewInt(5)), // above the order
-			new(big.Int).Lsh(g.Q, 64),
-		}
-		for i := 0; i < 20; i++ {
-			e, _ := randExponent(g.Q, rnd)
-			exps = append(exps, e)
-		}
-		for _, e := range exps {
-			want := new(big.Int).Exp(base, new(big.Int).Mod(e, g.Q), g.P)
-			if got := tb.Exp(e); got.Cmp(want) != 0 {
-				t.Errorf("FixedBase(%v).Exp(%v) = %v, want %v", base, e, got, want)
-			}
+	tb := g.GeneratorTable()
+	exps := []*big.Int{
+		big.NewInt(0),
+		big.NewInt(1),
+		new(big.Int).Sub(g.Q, big.NewInt(1)),
+		new(big.Int).Set(g.Q),                // reduces to identity
+		new(big.Int).Add(g.Q, big.NewInt(5)), // above the order
+		new(big.Int).Lsh(g.Q, 64),
+	}
+	for i := 0; i < 20; i++ {
+		e, _ := randExponent(g.Q, rnd)
+		exps = append(exps, e)
+	}
+	for _, e := range exps {
+		want := new(big.Int).Exp(g.G, new(big.Int).Mod(e, g.Q), g.P)
+		if got := tb.Exp(e); got.Cmp(want) != 0 {
+			t.Errorf("GeneratorTable().Exp(%v) = %v, want %v", e, got, want)
 		}
 	}
 }
 
-func TestFixedBaseCacheSharing(t *testing.T) {
+// TestGeneratorTableBuiltOnce: concurrent first users of a Group share one
+// generator table and build it once; a value-equal Group (as gob delivers
+// one) builds its own.
+func TestGeneratorTableBuiltOnce(t *testing.T) {
 	g, _ := testGroup(t)
-	if g.FixedBase(g.G) != g.GeneratorTable() {
-		t.Error("repeated FixedBase(G) did not return the cached table")
+	built := obs.Default().Counter(MetricFixedBaseTables)
+	before := built.Value()
+	tabs := make([]*FixedBaseTable, 8)
+	var wg sync.WaitGroup
+	for i := range tabs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tabs[i] = g.GeneratorTable()
+		}()
 	}
-	// A value-equal (not pointer-equal) base must hit the same entry.
-	if g.FixedBase(new(big.Int).Set(g.G)) != g.GeneratorTable() {
-		t.Error("value-equal base missed the cache")
+	wg.Wait()
+	for i, tb := range tabs {
+		if tb != tabs[0] {
+			t.Fatalf("caller %d got a different table", i)
+		}
 	}
-	// Overflow the cache and confirm results stay correct after eviction.
-	rnd := prg.NewFromSeed([]byte("cache-evict"), 9)
-	bases := subgroupBases(g, tableCacheCap+3, rnd)
-	for _, b := range bases {
-		g.FixedBase(b)
+	if got := built.Value() - before; got != 1 {
+		t.Fatalf("%d tables built for one Group, want 1", got)
+	}
+	twin := &Group{P: g.P, G: g.G, Q: g.Q}
+	if twin.GeneratorTable() == tabs[0] {
+		t.Fatal("a second Group shares the first one's table")
 	}
 	e := big.NewInt(4242)
-	want := new(big.Int).Exp(g.G, e, g.P)
-	if got := g.GeneratorTable().Exp(e); got.Cmp(want) != 0 {
-		t.Error("generator table wrong after cache churn")
+	if twin.GeneratorTable().Exp(e).Cmp(g.GeneratorTable().Exp(e)) != 0 {
+		t.Fatal("value-equal Groups disagree")
 	}
 }
 
@@ -319,8 +341,9 @@ func TestInnerProductParallelEquivalence(t *testing.T) {
 	if sk.DecryptExp(want).Cmp(g.ExpOfField(f, f.InnerProduct(m, u))) != 0 {
 		t.Fatal("serial inner product decrypts wrong")
 	}
+	pv := g.Prepare(cts)
 	for _, workers := range []int{2, 3, 16} {
-		got, err := g.InnerProductParallel(cts, f, u, workers)
+		got, err := g.InnerProductPrepared(pv, f, u, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,16 +27,13 @@ const (
 
 // pippengerSignedPlan picks the width minimizing the signed kernel's mult
 // count t·(n + 2·2^(w-1) + w) over t = ⌈qbits/w⌉+1 windows (the +1 is the
-// carry window). When the inverses are not already cached the batch
-// inversion adds 3n mults plus one extended GCD, costed here at 64 mults.
-func pippengerSignedPlan(n, qbits int, haveInv bool) (w, cost int) {
+// carry window). The base inverses come cached in a PreparedVector, so the
+// batch inversion is not charged here.
+func pippengerSignedPlan(n, qbits int) (w, cost int) {
 	w, cost = 1, int(^uint(0)>>1)
 	for cand := 1; cand <= 16; cand++ {
 		t := (qbits+cand-1)/cand + 1
 		c := t * (n + 2*(1<<uint(cand-1)) + cand)
-		if !haveInv {
-			c += 3*n + 64
-		}
 		if c < cost {
 			w, cost = cand, c
 		}
@@ -121,53 +118,23 @@ func (k *kernels) pippengerSigned(mb, inv []uint64, n int, digits []int32, nwin,
 	return acc, started
 }
 
-// runSigned feeds one shard through the signed kernel, batch-inverting the
-// bases inline. The prepared path (runPrepared) skips the inversion. A base
-// ≡ 0 mod P has no inverse, so such shards fall back to the unsigned bucket
-// kernel, which absorbs zeros natively — the exported MultiExp entry points
-// stay total over degenerate bases instead of panicking in batchInv.
-func (k *kernels) runSigned(mb []uint64, n int, sc *scalars, t []uint64) ([]uint64, bool) {
-	mn := k.m.n
-	for i := 0; i < n; i++ {
-		if limbsZero(mb[i*mn : (i+1)*mn]) {
-			w, _ := pippengerPlan(n, sc.bits)
-			return k.pippenger(mb, n, sc, w, t)
-		}
-	}
-	obs.Default().Counter(MetricMultiExpSigned).Inc()
-	inv := make([]uint64, len(mb))
-	k.m.batchInv(inv, mb, t)
-	w, _ := pippengerSignedPlan(n, sc.bits, false)
-	digits, nwin := sc.signedDigits(w)
-	return k.pippengerSigned(mb, inv, n, digits, nwin, w, t)
-}
-
 // runPrepared dispatches one shard whose bases arrive with cached inverses:
-// the signed kernel competes against unsigned Pippenger on bucket count
-// alone, so it wins whenever the window is wide enough to matter.
+// Straus up to strausMaxBases, then whichever Pippenger variant's cost model
+// is lower. Signed wins on bucket count up to large n; unsigned takes over
+// from n = 12,278 on the 128-bit and n = 131,059 on the 220-bit order,
+// where the signed kernel's carry window outweighs its halved buckets.
 func (k *kernels) runPrepared(mb, inv []uint64, n int, sc *scalars, t []uint64) ([]uint64, bool) {
 	if n <= strausMaxBases {
 		return k.straus(mb, n, sc, t)
 	}
 	uw, ucost := pippengerPlan(n, sc.bits)
-	sw, scost := pippengerSignedPlan(n, sc.bits, true)
+	sw, scost := pippengerSignedPlan(n, sc.bits)
 	if scost < ucost {
 		obs.Default().Counter(MetricMultiExpSigned).Inc()
 		digits, nwin := sc.signedDigits(sw)
 		return k.pippengerSigned(mb, inv, n, digits, nwin, sw, t)
 	}
 	return k.pippenger(mb, n, sc, uw, t)
-}
-
-// limbsZero reports whether every limb of a is zero — the (canonical)
-// Montgomery form of 0.
-func limbsZero(a []uint64) bool {
-	for _, v := range a {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // PreparedVector is a ciphertext vector fixed for many inner products: the
@@ -181,9 +148,6 @@ type PreparedVector struct {
 	mbA, mbB   []uint64 // Montgomery-domain A and B components, flattened
 	invA, invB []uint64 // their inverses, for signed-digit windows
 }
-
-// Len returns the number of ciphertexts prepared.
-func (pv *PreparedVector) Len() int { return pv.n }
 
 // Prepare builds the cached Montgomery preparation of cts. Components must
 // be nonzero mod P (every Encrypt output is); it panics otherwise, like the
@@ -208,11 +172,13 @@ func (g *Group) Prepare(cts []Ciphertext) *PreparedVector {
 	return pv
 }
 
-// InnerProductPrepared is InnerProduct against a prepared vector: no
-// per-call Montgomery conversion, and signed-digit windows at no inversion
-// cost. Zero weights are not compacted — their digits are all zero, so the
-// scatter loops skip them — and results match InnerProduct exactly for
-// every worker count.
+// InnerProductPrepared homomorphically computes Enc(Σ u_i·m_i) against a
+// prepared Enc(m): no per-call Montgomery conversion, and signed-digit
+// windows at no inversion cost. This is the prover's commitment evaluation
+// — the h·|u| term in Figure 3's "Issue responses" row — and the one entry
+// into the multi-exponentiation kernels. Zero weights are not compacted —
+// their digits are all zero, so the scatter loops skip them — and results
+// are identical for every worker count.
 func (g *Group) InnerProductPrepared(pv *PreparedVector, f *field.Field, u []field.Element, workers int) (Ciphertext, error) {
 	if pv == nil || pv.g != g {
 		return Ciphertext{}, errors.New("elgamal: prepared vector belongs to a different group")
@@ -223,7 +189,9 @@ func (g *Group) InnerProductPrepared(pv *PreparedVector, f *field.Field, u []fie
 	if pv.n == 0 {
 		return g.One(), nil
 	}
-	defer recordMultiExp("prepared", 2*pv.n).End()
+	reg := obs.Default()
+	reg.Counter(MetricMultiExpBases).Add(int64(2 * pv.n))
+	defer reg.StartSpan(MetricMultiExpSpan).End()
 	exps := make([]*big.Int, len(u))
 	for i := range u {
 		exps[i] = f.ToBig(u[i])
@@ -242,7 +210,7 @@ func (g *Group) InnerProductPrepared(pv *PreparedVector, f *field.Field, u []fie
 }
 
 // multiExpPrepared shards a prepared multi-exponentiation over workers
-// goroutines and folds the partial products, mirroring MultiExpParallel.
+// goroutines and folds the partial products.
 func (k *kernels) multiExpPrepared(mb, inv []uint64, n int, sc *scalars, workers int) ([]uint64, bool) {
 	mn := k.m.n
 	if workers < 1 {

@@ -57,15 +57,17 @@ func TestPippengerSignedAllWindows(t *testing.T) {
 	exps[1] = new(big.Int).Sub(g.Q, big.NewInt(1))
 	want := g.MultiExpNaive(bases, exps)
 
+	cts := make([]Ciphertext, n)
+	for i, b := range bases {
+		cts[i] = Ciphertext{A: b, B: b}
+	}
+	pv := g.Prepare(cts)
 	k := g.kern()
 	tb := k.m.scratch()
-	mb := k.toMontBases(bases, tb)
-	inv := make([]uint64, len(mb))
-	k.m.batchInv(inv, mb, tb)
 	sc := g.reduceScalars(exps)
 	for w := 1; w <= 12; w++ {
 		digits, nwin := sc.signedDigits(w)
-		acc, ok := k.pippengerSigned(mb, inv, n, digits, nwin, w, tb)
+		acc, ok := k.pippengerSigned(pv.mbA, pv.invA, n, digits, nwin, w, tb)
 		if !ok {
 			t.Fatalf("w=%d: signed kernel returned identity", w)
 		}
@@ -75,9 +77,10 @@ func TestPippengerSignedAllWindows(t *testing.T) {
 	}
 }
 
-// TestSignedMatchesUnsigned is the property test of the recoding: the two
-// Pippenger variants must agree on random inputs across sizes spanning the
-// auto-selection crossover.
+// TestSignedMatchesUnsigned is the property test of the recoding: the
+// signed and unsigned Pippenger variants (and the other kernels) must agree
+// with the naive product on random inputs across sizes spanning the Straus
+// crossover.
 func TestSignedMatchesUnsigned(t *testing.T) {
 	g, f := testGroup(t)
 	rnd := prg.NewFromSeed([]byte("signed-vs-unsigned"), 3)
@@ -87,42 +90,7 @@ func TestSignedMatchesUnsigned(t *testing.T) {
 		for i := range exps {
 			exps[i] = f.ToBig(f.Rand(rnd))
 		}
-		u := g.MultiExpPippenger(bases, exps)
-		s := g.MultiExpSigned(bases, exps)
-		if u.Cmp(s) != 0 {
-			t.Fatalf("n=%d: signed %v != unsigned %v", n, s, u)
-		}
-	}
-}
-
-// TestSignedKernelZeroBases: a base ≡ 0 mod P has no inverse, so the signed
-// kernel must fall back to the unsigned buckets (where zeros are absorbed
-// natively and the product collapses to 0) instead of panicking in the batch
-// inversion — the unsigned kernel has always been total over such bases, and
-// auto selection must not change that. Sizes straddle the Straus crossover
-// so both the forced and auto-selected signed paths are hit.
-func TestSignedKernelZeroBases(t *testing.T) {
-	g, f := testGroup(t)
-	rnd := prg.NewFromSeed([]byte("signed-zero"), 6)
-	for _, n := range []int{3, 100} {
-		bases := subgroupBases(g, n, rnd)
-		exps := make([]*big.Int, n)
-		for i := range exps {
-			exps[i] = f.ToBig(f.Rand(rnd))
-		}
-		bases[n/2] = big.NewInt(0)
-		want := g.MultiExpNaive(bases, exps)
-		if got := g.MultiExpSigned(bases, exps); got.Cmp(want) != 0 {
-			t.Fatalf("n=%d: forced signed = %v, want %v", n, got, want)
-		}
-		if got := g.MultiExp(bases, exps); got.Cmp(want) != 0 {
-			t.Fatalf("n=%d: auto = %v, want %v", n, got, want)
-		}
-		// A nonzero multiple of P is the same degenerate class in disguise.
-		bases[n/2] = new(big.Int).Set(g.P)
-		if got := g.MultiExpSigned(bases, exps); got.Cmp(want) != 0 {
-			t.Fatalf("n=%d multiple of P: signed = %v, want %v", n, got, want)
-		}
+		checkKernels(t, g, bases, exps)
 	}
 }
 
@@ -134,10 +102,13 @@ func TestBatchInv(t *testing.T) {
 	tb := k.m.scratch()
 	for _, n := range []int{1, 2, 7, 33} {
 		bases := subgroupBases(g, n, rnd)
-		mb := k.toMontBases(bases, tb)
+		mn := k.m.n
+		mb := make([]uint64, n*mn)
+		for i, b := range bases {
+			k.m.toMont(mb[i*mn:(i+1)*mn], b, tb)
+		}
 		inv := make([]uint64, len(mb))
 		k.m.batchInv(inv, mb, tb)
-		mn := k.m.n
 		for i := 0; i < n; i++ {
 			got := k.m.fromMont(inv[i*mn:(i+1)*mn], tb)
 			want := new(big.Int).ModInverse(bases[i], g.P)
@@ -148,9 +119,9 @@ func TestBatchInv(t *testing.T) {
 	}
 }
 
-// TestInnerProductPrepared checks the prepared path against the unprepared
-// inner product — including zero weights, which Prepare keeps in place
-// while InnerProduct compacts them — for every worker count.
+// TestInnerProductPrepared checks the prepared path against the
+// homomorphic fold Π Add(ScalarMul(ct_i, u_i)) — including zero weights,
+// which Prepare keeps in place — for every worker count.
 func TestInnerProductPrepared(t *testing.T) {
 	g, f := testGroup(t)
 	rnd := prg.NewFromSeed([]byte("prepared-ip"), 5)
@@ -167,13 +138,13 @@ func TestInnerProductPrepared(t *testing.T) {
 	u := f.RandVector(n, rnd)
 	u[0] = f.Zero()
 	u[n/2] = f.Zero()
-	want, err := g.InnerProduct(cts, f, u)
-	if err != nil {
-		t.Fatal(err)
+	want := g.One()
+	for i := range cts {
+		want = g.Add(want, g.ScalarMul(cts[i], f, u[i]))
 	}
 	pv := g.Prepare(cts)
-	if pv.Len() != n {
-		t.Fatalf("Prepare: Len = %d, want %d", pv.Len(), n)
+	if pv.n != n {
+		t.Fatalf("Prepare: n = %d, want %d", pv.n, n)
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		got, err := g.InnerProductPrepared(pv, f, u, workers)

@@ -2,18 +2,19 @@ package elgamal
 
 import (
 	"math/big"
-	"sync"
 
 	"zaatar/internal/obs"
 )
 
 // FixedBaseTable is a windowed precomputation for repeated exponentiation
-// of one fixed base: entries[j][d] = base^(d·2^(w·j)) in Montgomery form,
+// of the group generator: entries[j][d] = G^(d·2^(w·j)) in Montgomery form,
 // for every w-bit digit d and window j. One exponentiation then costs at
 // most ceil(qbits/w) − 1 group mults and no squarings — roughly an order of
-// magnitude under a generic modexp. The verifier's per-batch EncryptVector
-// (three fixed-base powers per element: g^k, h^k, g^m) and the consistency
-// check's g^m evaluations are the consumers.
+// magnitude under a generic modexp. The verifier's EncryptVector (two walks
+// per element: g^k and g^(x·k + m)) and the consistency check's g^m
+// evaluations are the consumers. A Group builds its table once, on first
+// use, and shares it; the verifier never needs a table for its h, because
+// it holds x.
 type FixedBaseTable struct {
 	g       *Group
 	m       *montCtx
@@ -27,67 +28,28 @@ type FixedBaseTable struct {
 // build cost (~2.7k mults) after roughly nine exponentiations.
 const fixedBaseWindow = 6
 
-// tableCacheCap bounds the per-Group table cache. Each batch key brings one
-// fresh H; the generator table is a permanent resident in practice.
-const tableCacheCap = 8
-
-// tableEntry is one MRU cache slot; once guards the build so concurrent
-// encryptors share a single construction.
-type tableEntry struct {
-	base *big.Int
-	once sync.Once
-	tab  *FixedBaseTable
+// GeneratorTable returns the fixed-base table for the group generator G,
+// building it on first use.
+func (g *Group) GeneratorTable() *FixedBaseTable {
+	k := g.kern()
+	k.gonce.Do(func() { k.gen = newFixedBaseTable(g) })
+	return k.gen
 }
 
-// FixedBase returns the (cached) fixed-base table for base, which must lie
-// in the order-Q subgroup. Tables are built once per Group and shared; the
-// cache keeps the most recently used tableCacheCap bases.
-func (g *Group) FixedBase(base *big.Int) *FixedBaseTable {
-	k := g.kern()
-	k.mu.Lock()
-	var e *tableEntry
-	for i, cand := range k.tables {
-		if cand.base.Cmp(base) == 0 {
-			e = cand
-			// Move to front (MRU).
-			copy(k.tables[1:i+1], k.tables[:i])
-			k.tables[0] = e
-			break
-		}
-	}
-	if e == nil {
-		e = &tableEntry{base: new(big.Int).Set(base)}
-		k.tables = append(k.tables, nil)
-		copy(k.tables[1:], k.tables[:len(k.tables)-1])
-		k.tables[0] = e
-		if len(k.tables) > tableCacheCap {
-			k.tables = k.tables[:tableCacheCap]
-		}
-	}
-	k.mu.Unlock()
-	e.once.Do(func() { e.tab = newFixedBaseTable(g, e.base) })
-	return e.tab
-}
-
-// GeneratorTable returns the fixed-base table for the group generator G.
-func (g *Group) GeneratorTable() *FixedBaseTable { return g.FixedBase(g.G) }
-
-// newFixedBaseTable builds the table: within window j the entries are a
-// running product by base^(2^(w·j)), and the next window's base power is
-// one more multiplication ((2^w−1)+1 = 2^w).
-func newFixedBaseTable(g *Group, base *big.Int) *FixedBaseTable {
-	k := g.kern()
-	m := k.m
+// newFixedBaseTable builds the generator's table: within window j the
+// entries are a running product by G^(2^(w·j)), and the next window's base
+// power is one more multiplication ((2^w−1)+1 = 2^w).
+func newFixedBaseTable(g *Group) *FixedBaseTable {
+	m := g.kern().m
 	mn := m.n
 	w := fixedBaseWindow
-	qbits := g.Q.BitLen()
-	nwin := (qbits + w - 1) / w
+	nwin := (g.Q.BitLen() + w - 1) / w
 	tabLen := 1<<uint(w) - 1
 
 	tb := &FixedBaseTable{g: g, m: m, w: w, nwin: nwin, entries: make([]uint64, nwin*tabLen*mn)}
 	t := m.scratch()
 	cur := make([]uint64, mn)
-	m.toMont(cur, new(big.Int).Mod(base, g.P), t)
+	m.toMont(cur, new(big.Int).Mod(g.G, g.P), t)
 	for j := 0; j < nwin; j++ {
 		row := tb.entries[j*tabLen*mn:]
 		copy(row[:mn], cur)
@@ -102,47 +64,37 @@ func newFixedBaseTable(g *Group, base *big.Int) *FixedBaseTable {
 	return tb
 }
 
-// accMont multiplies base^e into dst in Montgomery form, where e is given
-// as reduced little-endian limbs; started reports whether dst already holds
-// a value, and the return value is the updated flag (false: identity so
-// far). Chaining two walks into one accumulator — h^k then g^m — is how
-// batch encryption forms B = h^k·g^m without leaving the Montgomery domain.
-func (tb *FixedBaseTable) accMont(dst, elimbs []uint64, started bool, t []uint64) bool {
+// exp returns G^e mod P for the reduced scalar i of sc, walking the table
+// once in the Montgomery domain; acc (mn limbs) and t are scratch.
+func (tb *FixedBaseTable) exp(sc *scalars, i int, acc, t []uint64) *big.Int {
 	m := tb.m
 	mn := m.n
 	tabLen := 1<<uint(tb.w) - 1
-	s := scalars{limbs: elimbs, ql: len(elimbs), bits: tb.g.Q.BitLen()}
+	started := false
 	for j := 0; j < tb.nwin; j++ {
-		d := int(s.digit(0, j*tb.w, tb.w))
+		d := int(sc.digit(i, j*tb.w, tb.w))
 		if d == 0 {
 			continue
 		}
 		e := tb.entries[(j*tabLen+d-1)*mn : (j*tabLen+d)*mn]
 		if started {
-			m.mul(dst, dst, e, t)
+			m.mul(acc, acc, e, t)
 		} else {
-			copy(dst, e)
+			copy(acc, e)
 			started = true
 		}
 	}
-	return started
-}
-
-// Exp returns base^e mod P. Exponents are reduced mod Q (the base has
-// order Q), so any non-negative e — including values at or above the
-// subgroup order — matches the generic modexp on a subgroup element.
-func (tb *FixedBaseTable) Exp(e *big.Int) *big.Int {
-	obs.Default().Counter(MetricFixedBaseExps).Inc()
-	g := tb.g
-	if e.Sign() < 0 || e.Cmp(g.Q) >= 0 {
-		e = new(big.Int).Mod(e, g.Q)
-	}
-	m := tb.m
-	ql := (g.Q.BitLen() + 63) / 64
-	t := m.scratch()
-	dst := make([]uint64, m.n)
-	if !tb.accMont(dst, limbsFromBig(e, ql), false, t) {
+	if !started {
 		return big.NewInt(1)
 	}
-	return m.fromMont(dst, t)
+	return m.fromMont(acc, t)
+}
+
+// Exp returns G^e mod P. Exponents are reduced mod Q (G has order Q), so
+// any non-negative e — including values at or above the subgroup order —
+// matches the generic modexp.
+func (tb *FixedBaseTable) Exp(e *big.Int) *big.Int {
+	obs.Default().Counter(MetricFixedBaseExps).Inc()
+	sc := tb.g.reduceScalars([]*big.Int{e})
+	return tb.exp(&sc, 0, make([]uint64, tb.m.n), tb.m.scratch())
 }

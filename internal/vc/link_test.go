@@ -170,29 +170,30 @@ func TestRejectionsCountedOnEveryLink(t *testing.T) {
 	}
 }
 
-// The soundness barrier: the decommit (query seed reveal) runs only after
-// every instance's commitment is in, in process and over the wire alike.
-func TestDecommitBarrierAfterAllCommitments(t *testing.T) {
-	const beta = 8
-	batch := linkBatch(beta)
-	opts := []zaatar.RunOption{zaatar.WithParams(2, 2), zaatar.WithWorkers(4)}
+// linkRunner proves one batch over one link.
+type linkRunner struct {
+	name string
+	run  func(batch [][]*big.Int) (*vc.Verdict, error)
+}
+
+// localAndWire returns runners for the in-process link (zaatar.Run) and one
+// wire connection (zaatar.Dial), both with opts.
+func localAndWire(t *testing.T, opts ...zaatar.RunOption) []linkRunner {
+	t.Helper()
 	prog, err := zaatar.Compile(linkSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := startProver(t, zaatar.Serve)
-	for _, link := range []struct {
-		name string
-		run  func() (*vc.Verdict, error)
-	}{
-		{"local", func() (*vc.Verdict, error) {
+	return []linkRunner{
+		{"local", func(batch [][]*big.Int) (*vc.Verdict, error) {
 			res, err := zaatar.Run(prog, batch, opts...)
 			if err != nil {
 				return nil, err
 			}
 			return &res.Verdict, nil
 		}},
-		{"wire", func() (*vc.Verdict, error) {
+		{"wire", func(batch [][]*big.Int) (*vc.Verdict, error) {
 			client, err := zaatar.Dial(context.Background(), addr, linkSrc, opts...)
 			if err != nil {
 				return nil, err
@@ -200,7 +201,15 @@ func TestDecommitBarrierAfterAllCommitments(t *testing.T) {
 			defer client.Close()
 			return client.RunBatch(context.Background(), batch)
 		}},
-	} {
+	}
+}
+
+// The soundness barrier: the decommit (query seed reveal) runs only after
+// every instance's commitment is in, in process and over the wire alike.
+func TestDecommitBarrierAfterAllCommitments(t *testing.T) {
+	const beta = 8
+	batch := linkBatch(beta)
+	for _, link := range localAndWire(t, zaatar.WithParams(2, 2), zaatar.WithWorkers(4)) {
 		t.Run(link.name, func(t *testing.T) {
 			var committed, barrierChecks atomic.Int32
 			defer vc.SetTestHooks(
@@ -211,7 +220,7 @@ func TestDecommitBarrierAfterAllCommitments(t *testing.T) {
 						t.Errorf("decommit reached with %d of %d commitments", c, beta)
 					}
 				})()
-			res, err := link.run()
+			res, err := link.run(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,5 +231,43 @@ func TestDecommitBarrierAfterAllCommitments(t *testing.T) {
 				t.Fatalf("decommit barrier crossed %d times, want 1", barrierChecks.Load())
 			}
 		})
+	}
+}
+
+// A commitment with a component missing — what a gob CommitmentsMsg that
+// omits the field decodes to — rejects its instance with that oracle's
+// consistency reason, on either oracle, in process and over the wire; it
+// must not crash the verifier or touch the other instance.
+func TestNilCommitmentComponentRejected(t *testing.T) {
+	links := localAndWire(t, zaatar.WithParams(2, 2), zaatar.WithSeed([]byte("nil-commitment")))
+	for _, c := range []struct {
+		name, oracle string
+		tamper       func(*vc.Commitment)
+	}{
+		{"C1.A", "oracle 1", func(cm *vc.Commitment) { cm.C1.A = nil }},
+		{"C1.B", "oracle 1", func(cm *vc.Commitment) { cm.C1.B = nil }},
+		{"C2.A", "oracle 2", func(cm *vc.Commitment) { cm.C2.A = nil }},
+		{"C2.B", "oracle 2", func(cm *vc.Commitment) { cm.C2.B = nil }},
+	} {
+		for _, link := range links {
+			t.Run(c.name+"/"+link.name, func(t *testing.T) {
+				defer vc.SetTestHooks(func(i int, cm *vc.Commitment) {
+					if i == 0 {
+						c.tamper(cm)
+					}
+				}, nil)()
+				res, err := link.run(linkBatch(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := "commitment consistency test failed for " + c.oracle
+				if res.Accepted[0] || res.Reasons[0] != want {
+					t.Errorf("tampered instance: (%v, %q), want rejection %q", res.Accepted[0], res.Reasons[0], want)
+				}
+				if !res.Accepted[1] {
+					t.Errorf("untouched instance rejected: %q", res.Reasons[1])
+				}
+			})
+		}
 	}
 }
