@@ -1,9 +1,12 @@
 package pcp
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/big"
 	"testing"
 
+	"zaatar/internal/benchprogs"
 	"zaatar/internal/compiler"
 	"zaatar/internal/constraint"
 	"zaatar/internal/field"
@@ -263,6 +266,97 @@ func TestFoldMLEEquivalence(t *testing.T) {
 					t.Fatalf("size %d, challenge %d: entry %d differs", size, i, k)
 				}
 			}
+		}
+	}
+}
+
+// sumcheckPinSrc has a single output, so the output layer is indexed by
+// b = 0 variables, and layer widths that are not powers of two.
+const sumcheckPinSrc = `
+input w, x, y, z : int32;
+output s : int64;
+s = w * x * y + x * y * z + 5 * w * z - y;
+`
+
+// sumcheckStream compiles src over f, solves it on inputs and returns the
+// layered circuit, the queries, the io vector and Answer's proof stream
+// under the salt drawn from seed.
+func sumcheckStream(tb testing.TB, f *field.Field, src string, inputs []int64, seed string) (*constraint.LayeredCircuit, Queries, []field.Element, []field.Element) {
+	tb.Helper()
+	prog, err := compiler.Compile(f, src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bk, err := Lookup(BackendSumcheck)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pre, err := bk.Precompute(prog)
+	if err != nil {
+		tb.Fatalf("Precompute: %v", err)
+	}
+	in := make([]*big.Int, len(inputs))
+	for i, v := range inputs {
+		in[i] = big.NewInt(v)
+	}
+	outs, witness, err := bk.Solve(pre, prog, in)
+	if err != nil {
+		tb.Fatalf("Solve: %v", err)
+	}
+	proof, err := bk.BuildProof(pre, witness)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q, err := bk.Queries(pre, TestParams(), prg.NewFromSeed([]byte(seed), 0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r1, _, err := q.Answer(proof)
+	if err != nil {
+		tb.Fatalf("Answer: %v", err)
+	}
+	io, err := prog.IOValues(in, outs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pre.(*sumcheckPre).circ, q, io, r1
+}
+
+// TestSumcheckTranscriptPinned holds the sha256 of Answer's proof stream
+// for fixed programs, inputs and salt over both fields, so a rewrite of the
+// prover must reproduce the transcript byte for byte.
+func TestSumcheckTranscriptPinned(t *testing.T) {
+	matmulInputs := func(n int) []int64 {
+		in := make([]int64, 2*n*n)
+		for i := range in {
+			in[i] = int64(i*37%201) - 100
+		}
+		return in
+	}
+	cases := []struct {
+		name   string
+		f      *field.Field
+		src    string
+		inputs []int64
+		want   string
+	}{
+		{"matmul4x3/F128", field.F128(), benchprogs.MatMulChain(4, 3).Source, matmulInputs(4), "57068a14b6aecfc97bc0a383a6f11574884b56432df8502072d4201c3719e0a3"},
+		{"matmul4x3/F220", field.F220(), benchprogs.MatMulChain(4, 3).Source, matmulInputs(4), "c0dc7f02cfaf0a74b7e9b59ac26e6738df801a2614cdaf1d12f9a5fc03c8b97c"},
+		{"matmul8x6/F128", field.F128(), benchprogs.MatMulChain(8, 6).Source, matmulInputs(8), "89f7c396a1afb19586c87a7eea2e1916be96b770dbb46fb8b6fbfef480203d99"},
+		{"single-output/F128", field.F128(), sumcheckPinSrc, []int64{3, -7, 11, 2}, "df51a6f62e155ec4919428cf278677d5d9ec2067bcbe86d2d0e7725b088a9e12"},
+		{"single-output/F220", field.F220(), sumcheckPinSrc, []int64{3, -7, 11, 2}, "f9870690958f60b6366da7b384cc3d6c56ddd21ac3fdf5e71fb366a7b3dafc3c"},
+	}
+	for _, c := range cases {
+		circ, q, io, r1 := sumcheckStream(t, c.f, c.src, c.inputs, "transcript-pin")
+		if res := q.Decide(r1, nil, io); !res.OK {
+			t.Fatalf("%s: honest proof rejected: %s", c.name, res.Reason)
+		}
+		var buf []byte
+		for _, e := range r1 {
+			buf = field.AppendElement(buf, e)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf)); got != c.want {
+			t.Errorf("%s (widths %v): stream sha256 %s, want %s", c.name, circ.Widths(), got, c.want)
 		}
 	}
 }
