@@ -32,19 +32,23 @@ type SumcheckQuantities struct {
 }
 
 // sumcheckProverMults counts the field multiplications of the sum-check
-// prover per instance: the circuit evaluation (two per gate term) plus the
-// per-layer rounds — each of the ≈2·log₂(width) rounds touches every term a
-// constant number of times and folds a table of at most MaxWidth entries.
+// prover per instance: the circuit evaluation and the two tables each layer
+// folds its terms into (two per term each), plus work linear in each layer's
+// width below it — the two product sum-checks, whose halving rounds cover
+// about the live width with five multiplications per pair each, the eq
+// tables for u* and v* and the next layer's gate table. Σ widths is
+// TotalGates.
 func sumcheckProverMults(st constraint.LayerStats) float64 {
-	rounds := 2 * log2ceil(st.MaxWidth)
-	return float64(2*st.TotalTerms) + float64(rounds)*float64(4*st.TotalTerms+st.MaxWidth)
+	return float64(6*st.TotalTerms + 15*st.TotalGates)
 }
 
-// sumcheckVerifierMults counts the verifier's replay: the round-polynomial
-// checks plus the wiring-MLE evaluation per layer.
+// sumcheckVerifierMults counts the verifier's replay: the wiring check
+// (three per term), the eq tables for u* and v* and the next gate table
+// (four per slot), and five per round check, with every layer's 2b rounds
+// bounded by the widest layer's.
 func sumcheckVerifierMults(st constraint.LayerStats) float64 {
-	rounds := 2 * log2ceil(st.MaxWidth)
-	return float64(rounds)*8 + float64(2*log2ceil(st.MaxWidth)*st.TotalTerms)
+	rounds := st.Depth * 2 * log2ceil(st.MaxWidth)
+	return float64(3*st.TotalTerms + 4*st.TotalGates + 5*rounds)
 }
 
 func log2ceil(n int) int {

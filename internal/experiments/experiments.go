@@ -151,19 +151,29 @@ func quantities(prog *compiler.Program, localSeconds float64, params pcp.Params)
 // baseline executes the computation with bignum arithmetic — here the
 // compiled straight-line interpreter over big.Int — rather than raw native
 // integers, which would be unfairly fast against a bignum-based verifier.
+// One untimed execution warms up; the result is the fastest of at least
+// localSamples timed executions, continuing until 50 ms have passed.
 func measureLocal(b *benchprogs.Benchmark, prog *compiler.Program, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	in := b.GenInputs(rng)
-	reps := 0
-	start := time.Now()
-	for time.Since(start) < 50*time.Millisecond {
+	run := func() time.Duration {
+		start := time.Now()
 		if _, err := prog.Execute(in); err != nil {
 			panic("experiments: local execution failed: " + err.Error())
 		}
-		reps++
+		return time.Since(start)
 	}
-	return time.Since(start).Seconds() / float64(reps)
+	run()
+	best := time.Duration(math.MaxInt64)
+	start := time.Now()
+	for n := 0; n < localSamples || time.Since(start) < 50*time.Millisecond; n++ {
+		best = min(best, run())
+	}
+	return best.Seconds()
 }
+
+// localSamples is the least number of timed executions measureLocal takes.
+const localSamples = 5
 
 // vcConfig builds the protocol config for measured runs under the named
 // backend.

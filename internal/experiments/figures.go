@@ -59,7 +59,7 @@ type Fig4Row struct {
 	ZaatarMeasured  float64 // seconds, measured
 	ZaatarModel     float64 // seconds, Figure 3 model
 	GingerEstimated float64 // seconds, Figure 3 model (paper's own method)
-	Local           float64 // seconds, native execution
+	Local           float64 // seconds, bignum local execution (measureLocal)
 	OrdersOfMag     float64 // log10(ginger/zaatar)
 }
 
@@ -286,7 +286,7 @@ func RunFig7(o Options) ([]Fig7Row, error) {
 // RenderFig7 prints the break-even comparison.
 func RenderFig7(w io.Writer, rows []Fig7Row) {
 	fmt.Fprintln(w, "Figure 7: break-even batch sizes at the paper's input sizes (cost model with calibrated parameters):")
-	t := newTable("computation", "local (native)", "Zaatar breakeven", "Ginger breakeven", "orders of magnitude")
+	t := newTable("computation", "local (bignum)", "Zaatar breakeven", "Ginger breakeven", "orders of magnitude")
 	for _, r := range rows {
 		t.add(r.Name, fmtDur(r.LocalPaperScale), fmtCount(r.BreakevenZaatar), fmtCount(r.BreakevenGinger),
 			fmt.Sprintf("%.1f", r.OrdersOfMag))

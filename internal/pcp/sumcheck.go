@@ -145,7 +145,11 @@ func bitsFor(n int) int {
 }
 
 // Answer runs the GKR prover for one instance. proof.U1 is the flattened
-// layer evaluation from Solve/BuildProof.
+// layer evaluation from Solve/BuildProof. A layer costs O(terms + width)
+// (Thaler, "Time-Optimal Interactive Proofs for Circuit Evaluation"): the
+// gate point enters as one eq table, and each half of the layer's
+// sum-check is a product of two tables that halve with every bound
+// variable. The tables are allocated once, at the widest layer.
 func (q *sumcheckQueries) Answer(proof *Proof) ([]field.Element, []field.Element, error) {
 	circ, f := q.pre.circ, q.pre.f
 	if len(proof.U1) != circ.WitnessLen() {
@@ -165,113 +169,78 @@ func (q *sumcheckQueries) Answer(proof *Proof) ([]field.Element, []field.Element
 	tr.absorb(outputs...)
 	z := tr.challenges(bitsFor(circ.NumOutputs))
 
+	w := widest(widths)
+	gEq := eqTable(f, make([]field.Element, w), z, circ.NumOutputs)
+	uEq, vEq := make([]field.Element, w), make([]field.Element, w)
+	// One slot past the widest layer: an odd live count pads its last pair
+	// with a zero.
+	tblA, tblR := make([]field.Element, w+1), make([]field.Element, w+1)
+
 	stream := make([]field.Element, 0, SumcheckProofLen(circ))
-	point := [][]field.Element{z} // eq points against the current layer's gate index
-	coeff := []field.Element{f.One()}
 	for d := len(circ.Layers) - 1; d >= 0; d-- {
 		terms := circ.Layers[d].Terms
 		prev := layers[d] // layer below (input layer when d == 0)
-		b := bitsFor(widths[d])
+		n := len(prev)
+		b := bitsFor(n)
 
-		// κ_t folds the gate-index MLE into a per-term scalar.
-		kappa := make([]field.Element, len(terms))
-		for t, gt := range terms {
-			s := f.Zero()
-			for i, pt := range point {
-				s = f.Add(s, f.Mul(coeff[i], eqAt(f, pt, gt.G)))
-			}
-			kappa[t] = f.Mul(s, gt.C)
+		// u-phase over A[x] = Σ_{t:U_t=x} eq(ĝ,G_t)·C_t·prev[V_t]: the
+		// boolean sum over v collapses against eq(v, V_t).
+		A := tblA[:n]
+		clear(A)
+		for _, gt := range terms {
+			A[gt.U] = f.Add(A[gt.U], f.Mul(f.Mul(gEq[gt.G], gt.C), prev[gt.V]))
 		}
+		u, vu := proveProduct(f, tr, A, append(tblR[:0], prev...), b, &stream)
 
-		u, vu := proveHalf(f, tr, terms, kappa, prev, b, &stream, false)
-		// After the u-phase each κ carries eq(u*, u_t); scale by Ṽ(u*) once
-		// and run the v-phase.
-		for t := range kappa {
-			kappa[t] = f.Mul(kappa[t], vu)
+		// v-phase over B[y] = Ṽ(u*)·Σ_{t:V_t=y} eq(ĝ,G_t)·C_t·eq(u*,U_t).
+		eqTable(f, uEq, u, n)
+		B := tblA[:n]
+		clear(B)
+		for _, gt := range terms {
+			B[gt.V] = f.Add(B[gt.V], f.Mul(f.Mul(gEq[gt.G], gt.C), uEq[gt.U]))
 		}
-		v, vv := proveHalf(f, tr, terms, kappa, prev, b, &stream, true)
+		for y := range B {
+			B[y] = f.Mul(B[y], vu)
+		}
+		v, vv := proveProduct(f, tr, B, append(tblR[:0], prev...), b, &stream)
+
 		stream = append(stream, vu, vv)
 		tr.absorb(vu, vv)
 		if d > 0 {
 			alpha, beta := tr.challenge(), tr.challenge()
-			point = [][]field.Element{u, v}
-			coeff = []field.Element{alpha, beta}
+			gEq = mixEq(f, gEq, alpha, uEq, beta, eqTable(f, vEq, v, n))
 		}
 	}
 	return stream, nil, nil
 }
 
-// proveHalf runs b sum-check rounds binding one operand's variables (the
-// u-phase when vPhase is false, the v-phase otherwise). kappa carries each
-// term's accumulated scalar and is updated in place with the eq factors of
-// the drawn challenges. Returns the bound point and the restricted table's
-// final value Ṽ(point).
-//
-// During the u-phase each term's untouched operand contributes the plain
-// value prev[v_t] (the boolean sum over v collapses against eq(v, v_t));
-// during the v-phase that role is played by Ṽ(u*), already folded into
-// kappa by the caller — so the per-term companion factor is 1.
-func proveHalf(f *field.Field, tr *transcript, terms []constraint.GateTerm, kappa []field.Element, prev []field.Element, b int, stream *[]field.Element, vPhase bool) ([]field.Element, field.Element) {
-	// Restricted table over the previous layer's values, padded to 2^b.
-	R := make([]field.Element, 1<<b)
-	copy(R, prev)
-
-	// opIdx[t] is the operand index this phase binds; fv[t] the companion
-	// factor (prev[v_t] in the u-phase, 1 in the v-phase since Ṽ(u*) is in
-	// kappa already).
-	opIdx := make([]int, len(terms))
-	fv := make([]field.Element, len(terms))
-	one := f.One()
-	for t, gt := range terms {
-		if vPhase {
-			opIdx[t] = gt.V
-			fv[t] = one
-		} else {
-			opIdx[t] = gt.U
-			fv[t] = prev[gt.V]
-		}
-	}
-
-	bound := make([]field.Element, 0, b)
+// proveProduct runs b sum-check rounds on Σ_x A(x)·R(x), where A and R
+// hold the live entries of two tables that are zero up to 2^b. Each round
+// ships the round polynomial's values at 0, 1, 2, binds the lowest
+// variable and folds both tables in half; an odd live count is evened
+// with one zero slot, which the slices' capacity holds. Returns the bound
+// point and R's value there.
+func proveProduct(f *field.Field, tr *transcript, A, R []field.Element, b int, stream *[]field.Element) ([]field.Element, field.Element) {
+	point := make([]field.Element, 0, b)
 	for j := 0; j < b; j++ {
+		if len(A)&1 == 1 {
+			A, R = append(A, field.Element{}), append(R, field.Element{})
+		}
 		var p0, p1, p2 field.Element
-		for t := range terms {
-			s := opIdx[t] >> j
-			base := f.Mul(kappa[t], fv[t])
-			if f.IsZero(base) {
-				continue
-			}
-			k := (s >> 1) << 1
-			a0, a1 := R[k], R[k|1]
-			if s&1 == 0 {
-				// eq(X,0) = 1−X: contributes at X=0 and X=2.
-				p0 = f.Add(p0, f.Mul(base, a0))
-				// (1−2)·((1−2)a0 + 2a1) = a0 − 2a1
-				p2 = f.Add(p2, f.Mul(base, f.Sub(a0, f.Double(a1))))
-			} else {
-				// eq(X,1) = X: contributes at X=1 and X=2.
-				p1 = f.Add(p1, f.Mul(base, a1))
-				// 2·((1−2)a0 + 2a1) = 4a1 − 2a0
-				p2 = f.Add(p2, f.Mul(base, f.Sub(f.Double(f.Double(a1)), f.Double(a0))))
-			}
+		for k := 0; k < len(A); k += 2 {
+			a0, a1, r0, r1 := A[k], A[k+1], R[k], R[k+1]
+			p0 = f.Add(p0, f.Mul(a0, r0))
+			p1 = f.Add(p1, f.Mul(a1, r1))
+			// At X = 2 a multilinear table reads 2·hi − lo.
+			p2 = f.Add(p2, f.Mul(f.Sub(f.Double(a1), a0), f.Sub(f.Double(r1), r0)))
 		}
 		*stream = append(*stream, p0, p1, p2)
 		tr.absorb(p0, p1, p2)
 		r := tr.challenge()
-		bound = append(bound, r)
-		// Fold the table on the current (lowest) variable.
-		R = FoldMLE(f, R, r)
-		oneMinusR := f.Sub(one, r)
-		// Accumulate the eq factor on each term.
-		for t := range terms {
-			if (opIdx[t]>>j)&1 == 1 {
-				kappa[t] = f.Mul(kappa[t], r)
-			} else {
-				kappa[t] = f.Mul(kappa[t], oneMinusR)
-			}
-		}
+		point = append(point, r)
+		A, R = FoldMLE(f, A, r), FoldMLE(f, R, r)
 	}
-	return bound, R[0]
+	return point, R[0]
 }
 
 // Decide runs the GKR verifier for one instance: replay the transcript,
@@ -296,15 +265,19 @@ func (q *sumcheckQueries) Decide(r1, r2 []field.Element, io []field.Element) Che
 	tr := newTranscript(f, q.salt)
 	tr.absorb(outputs...)
 	z := tr.challenges(bitsFor(circ.NumOutputs))
-	claim := evalMLE(f, outputs, z)
 
 	widths := circ.Widths()
+	w := widest(widths)
+	gEq := eqTable(f, make([]field.Element, w), z, circ.NumOutputs)
+	uEq, vEq := make([]field.Element, w), make([]field.Element, w)
+	claim := f.InnerProduct(outputs, gEq)
+	inv2 := f.Inv(f.Double(f.One()))
+
 	next := r1
-	point := [][]field.Element{z}
-	coeff := []field.Element{f.One()}
 	for d := len(circ.Layers) - 1; d >= 0; d-- {
 		terms := circ.Layers[d].Terms
-		b := bitsFor(widths[d])
+		n := widths[d]
+		b := bitsFor(n)
 
 		cur := claim
 		u := make([]field.Element, 0, b)
@@ -322,68 +295,58 @@ func (q *sumcheckQueries) Decide(r1, r2 []field.Element, io []field.Element) Che
 			} else {
 				v = append(v, r)
 			}
-			cur = evalDeg2(f, p0, p1, p2, r)
+			cur = evalDeg2(f, inv2, p0, p1, p2, r)
 		}
 		vu, vv := next[0], next[1]
 		next = next[2:]
 
 		// Final layer check: cur must equal W̃(ĝ,u*,v*)·Ṽ(u*)·Ṽ(v*), with
-		// the wiring MLE evaluated directly from the sparse gate terms.
-		var w field.Element
+		// the wiring MLE summed over the sparse gate terms from eq tables.
+		uEq, vEq = eqTable(f, uEq, u, n), eqTable(f, vEq, v, n)
+		var wire field.Element
 		for _, gt := range terms {
-			s := f.Zero()
-			for i, pt := range point {
-				s = f.Add(s, f.Mul(coeff[i], eqAt(f, pt, gt.G)))
-			}
-			s = f.Mul(s, f.Mul(gt.C, f.Mul(eqAt(f, u, gt.U), eqAt(f, v, gt.V))))
-			w = f.Add(w, s)
+			wire = f.Add(wire, f.Mul(f.Mul(gEq[gt.G], gt.C), f.Mul(uEq[gt.U], vEq[gt.V])))
 		}
-		if !f.Equal(cur, f.Mul(w, f.Mul(vu, vv))) {
+		if !f.Equal(cur, f.Mul(wire, f.Mul(vu, vv))) {
 			return CheckResult{Reason: fmt.Sprintf("wiring check failed (layer %d)", d)}
 		}
 		tr.absorb(vu, vv)
 
 		if d == 0 {
 			// Ground in the input layer the verifier knows: [1, inputs...].
-			in := make([]field.Element, circ.NumInputs+1)
+			in := make([]field.Element, n)
 			in[0] = f.One()
 			copy(in[1:], inputs)
-			if !f.Equal(vu, evalMLE(f, in, u)) || !f.Equal(vv, evalMLE(f, in, v)) {
+			if !f.Equal(vu, f.InnerProduct(in, uEq)) || !f.Equal(vv, f.InnerProduct(in, vEq)) {
 				return CheckResult{Reason: "input layer evaluation mismatch"}
 			}
 			break
 		}
 		alpha, beta := tr.challenge(), tr.challenge()
-		point = [][]field.Element{u, v}
-		coeff = []field.Element{alpha, beta}
+		gEq = mixEq(f, gEq, alpha, uEq, beta, vEq)
 		claim = f.Add(f.Mul(alpha, vu), f.Mul(beta, vv))
 	}
 	return CheckResult{OK: true}
 }
 
 // evalDeg2 interpolates the degree-≤2 polynomial through (0,p0), (1,p1),
-// (2,p2) at r:
+// (2,p2) at r, given inv2 = 1/2:
 //
 //	p(r) = p0·(r−1)(r−2)/2 − p1·r(r−2) + p2·r(r−1)/2
-func evalDeg2(f *field.Field, p0, p1, p2, r field.Element) field.Element {
-	one := f.One()
-	two := f.Double(one)
-	rm1 := f.Sub(r, one)
-	rm2 := f.Sub(r, two)
-	inv2 := f.Inv(two)
-	t0 := f.Mul(p0, f.Mul(f.Mul(rm1, rm2), inv2))
-	t1 := f.Neg(f.Mul(p1, f.Mul(r, rm2)))
-	t2 := f.Mul(p2, f.Mul(f.Mul(r, rm1), inv2))
-	return f.Add(t0, f.Add(t1, t2))
+//	     = (r−1)·(p0·(r−2) + p2·r)/2 − p1·r(r−2)
+func evalDeg2(f *field.Field, inv2, p0, p1, p2, r field.Element) field.Element {
+	rm1 := f.Sub(r, f.One())
+	rm2 := f.Sub(rm1, f.One())
+	even := f.Mul(f.Mul(rm1, f.Add(f.Mul(p0, rm2), f.Mul(p2, r))), inv2)
+	return f.Sub(even, f.Mul(p1, f.Mul(r, rm2)))
 }
 
 // FoldMLE binds the lowest variable of a restricted MLE table to r in
 // place and returns the halved slice: R'[k] = (1−r)·R[2k] + r·R[2k+1].
-// The table is always padded to a power of two, so the pair loop covers it
-// exactly with no tail — which unlocks the single-multiplication form
-// R[2k] + r·(R[2k+1]−R[2k]), halving the field multiplications in the
-// round-fold inner loop (the sum-check prover's hottest path after the
-// round-polynomial sums).
+// The table always has an even length (proveProduct evens an odd one with
+// a zero slot), so the pair loop covers it exactly with no tail, in the
+// single-multiplication form R[2k] + r·(R[2k+1]−R[2k]) — half the field
+// multiplications of the textbook fold in the prover's round loop.
 func FoldMLE(f *field.Field, R []field.Element, r field.Element) []field.Element {
 	half := len(R) >> 1
 	for k := 0; k < half; k++ {
@@ -405,45 +368,51 @@ func FoldMLETwoMul(f *field.Field, R []field.Element, r field.Element) []field.E
 	return R[:half]
 }
 
-// eqAt evaluates the multilinear equality polynomial eq(point, idx) with
-// idx's bits read least-significant-first — the same variable order the
-// round folds use.
-func eqAt(f *field.Field, point []field.Element, idx int) field.Element {
-	out := f.One()
-	for j, pj := range point {
-		if (idx>>j)&1 == 1 {
-			out = f.Mul(out, pj)
-		} else {
-			out = f.Mul(out, f.Sub(f.One(), pj))
-		}
-	}
-	return out
-}
-
-// evalMLE evaluates the multilinear extension of vals (padded with zeros to
-// 2^len(point)) at point, in O(2^b) via the eq weight table.
-func evalMLE(f *field.Field, vals []field.Element, point []field.Element) field.Element {
-	tbl := []field.Element{f.One()}
+// eqTable writes eq(point, i) for i < n into dst and returns dst[:n],
+// with i's bits read least-significant-first — the variable order the
+// round folds bind. It splits on the highest variable first and keeps only
+// the prefix that the n live entries descend from, so the cost is O(n),
+// not O(2^len(point)). n must be in [1, 2^len(point)].
+func eqTable(f *field.Field, dst, point []field.Element, n int) []field.Element {
+	dst = dst[:n]
+	dst[0] = f.One()
+	m := 1
 	for j := len(point) - 1; j >= 0; j-- {
+		next := (n + 1<<j - 1) >> j
 		pj := point[j]
-		next := make([]field.Element, 2*len(tbl))
-		for k, t := range tbl {
+		// In place, top down: entry k is read before 2k and 2k+1 are written.
+		for k := m - 1; k >= 0; k-- {
+			t := dst[k]
 			// t·(1−pj) = t − t·pj: one multiplication per split, like FoldMLE.
 			hi := f.Mul(t, pj)
-			next[2*k+1] = hi
-			next[2*k] = f.Sub(t, hi)
+			if 2*k+1 < next {
+				dst[2*k+1] = hi
+			}
+			dst[2*k] = f.Sub(t, hi)
 		}
-		tbl = next
+		m = next
 	}
-	// tbl is indexed with point[0] as the lowest bit (LSB-first), matching
-	// eqAt: entry i = Π_j (i_j ? p_j : 1−p_j).
-	out := f.Zero()
-	for i, v := range vals {
-		if !f.IsZero(v) {
-			out = f.Add(out, f.Mul(v, tbl[i]))
-		}
+	return dst
+}
+
+// mixEq sets dst[i] = α·x[i] + β·y[i] over y's length and returns that
+// prefix: the next layer's gate table, eq-weighted for the claim
+// α·Ṽ(u*) + β·Ṽ(v*).
+func mixEq(f *field.Field, dst []field.Element, alpha field.Element, x []field.Element, beta field.Element, y []field.Element) []field.Element {
+	dst = dst[:len(y)]
+	for i := range y {
+		dst[i] = f.Add(f.Mul(alpha, x[i]), f.Mul(beta, y[i]))
 	}
-	return out
+	return dst
+}
+
+// widest returns the largest of widths.
+func widest(widths []int) int {
+	w := 0
+	for _, n := range widths {
+		w = max(w, n)
+	}
+	return w
 }
 
 // transcript is the deterministic challenge chain shared by prover and

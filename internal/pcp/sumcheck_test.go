@@ -3,7 +3,9 @@ package pcp
 import (
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"zaatar/internal/benchprogs"
@@ -185,52 +187,35 @@ func TestSumcheckProofLen(t *testing.T) {
 
 // FuzzSumcheckRound feeds mutated proof streams to the verifier: it must
 // never panic and never accept a stream that differs from the honest one.
+// Fixture 0 is sumcheckSrc; fixture 1 is sumcheckPinSrc, whose layers are
+// not powers of two wide and whose output layer has b = 0.
 func FuzzSumcheckRound(f *testing.F) {
-	prog, err := compiler.Compile(field.F128(), sumcheckSrc)
-	if err != nil {
-		f.Fatal(err)
+	type fixture struct {
+		q          Queries
+		io, honest []field.Element
 	}
-	bk, err := Lookup(BackendSumcheck)
-	if err != nil {
-		f.Fatal(err)
+	var fixtures []fixture
+	for _, c := range []struct {
+		src    string
+		inputs []int64
+	}{{sumcheckSrc, []int64{7, 5}}, {sumcheckPinSrc, []int64{3, -7, 11, 2}}} {
+		_, q, io, honest := sumcheckStream(f, field.F128(), c.src, c.inputs, "fuzz-seed")
+		fixtures = append(fixtures, fixture{q, io, honest})
 	}
-	pre, err := bk.Precompute(prog)
-	if err != nil {
-		f.Fatal(err)
-	}
-	fld := prog.Field
+	fld := field.F128()
 
-	in := []*big.Int{big.NewInt(7), big.NewInt(5)}
-	outs, witness, err := bk.Solve(pre, prog, in)
-	if err != nil {
-		f.Fatal(err)
+	for which := range fixtures {
+		f.Add(uint8(which), uint16(0), uint64(1))
+		f.Add(uint8(which), uint16(5), uint64(1<<40))
+		f.Add(uint8(which), uint16(len(fixtures[which].honest)-1), uint64(0))
 	}
-	proof, err := bk.BuildProof(pre, witness)
-	if err != nil {
-		f.Fatal(err)
-	}
-	q, err := bk.Queries(pre, TestParams(), prg.NewFromSeed([]byte("fuzz-seed"), 0))
-	if err != nil {
-		f.Fatal(err)
-	}
-	honest, _, err := q.Answer(proof)
-	if err != nil {
-		f.Fatal(err)
-	}
-	io, err := prog.IOValues(in, outs)
-	if err != nil {
-		f.Fatal(err)
-	}
-
-	f.Add(uint16(0), uint64(1))
-	f.Add(uint16(5), uint64(1<<40))
-	f.Add(uint16(len(honest)-1), uint64(0))
-	f.Fuzz(func(t *testing.T, pos uint16, delta uint64) {
-		mutated := make([]field.Element, len(honest))
-		copy(mutated, honest)
+	f.Fuzz(func(t *testing.T, which uint8, pos uint16, delta uint64) {
+		fx := fixtures[int(which)%len(fixtures)]
+		mutated := make([]field.Element, len(fx.honest))
+		copy(mutated, fx.honest)
 		i := int(pos) % len(mutated)
 		mutated[i] = fld.Add(mutated[i], fld.FromUint64(delta))
-		res := q.Decide(mutated, nil, io)
+		res := fx.q.Decide(mutated, nil, fx.io)
 		if fld.IsZero(fld.FromUint64(delta)) {
 			if !res.OK {
 				t.Fatalf("honest stream rejected: %s", res.Reason)
@@ -238,7 +223,78 @@ func FuzzSumcheckRound(f *testing.F) {
 			return
 		}
 		if res.OK {
-			t.Fatalf("accepted stream with element %d shifted by %d", i, delta)
+			t.Fatalf("fixture %d: accepted stream with element %d shifted by %d", int(which)%len(fixtures), i, delta)
+		}
+	})
+}
+
+// FuzzSumcheckProver draws small random layered circuits — widths from 1
+// up to 2^k+1, random gate terms and coefficients, gates with no terms —
+// and checks that Answer's stream equals answerReference's, the O(S·log S)
+// prover it replaced, and that Decide accepts it.
+func FuzzSumcheckProver(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed%4))
+	}
+	widths := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33}
+	f.Fuzz(func(t *testing.T, seed int64, depth uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		fld := field.F128()
+		if seed&1 == 1 {
+			fld = field.F220()
+		}
+		src := prg.NewFromSeed([]byte("fuzz-prover"), uint64(seed))
+		pick := func() int { return widths[rng.Intn(len(widths))] }
+
+		circ := &constraint.LayeredCircuit{NumInputs: pick() - 1}
+		prevWidth := circ.InputWidth()
+		for d := 0; d <= int(depth%5); d++ {
+			ly := constraint.CircuitLayer{Width: pick()}
+			for n := rng.Intn(3*ly.Width + 1); n > 0; n-- {
+				c := fld.FromInt64(rng.Int63n(7) - 3)
+				if rng.Intn(2) == 0 {
+					c = fld.Rand(src)
+				}
+				ly.Terms = append(ly.Terms, constraint.GateTerm{G: rng.Intn(ly.Width), U: rng.Intn(prevWidth), V: rng.Intn(prevWidth), C: c})
+			}
+			circ.Layers = append(circ.Layers, ly)
+			prevWidth = ly.Width
+		}
+		circ.NumOutputs = prevWidth
+
+		inputs := fld.RandVector(circ.NumInputs, src)
+		vals, err := circ.Eval(fld, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var witness []field.Element
+		for _, layer := range vals {
+			witness = append(witness, layer...)
+		}
+		q := &sumcheckQueries{pre: &sumcheckPre{f: fld, circ: circ}}
+		if _, err := io.ReadFull(src, q.salt[:]); err != nil {
+			t.Fatal(err)
+		}
+
+		got, _, err := q.Answer(&Proof{U1: witness})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := q.answerReference(&Proof{U1: witness})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("widths %v: stream has %d elements, reference %d", circ.Widths(), len(got), len(want))
+		}
+		for i := range want {
+			if !fld.Equal(got[i], want[i]) {
+				t.Fatalf("widths %v: stream element %d differs from the reference prover's", circ.Widths(), i)
+			}
+		}
+		ioVals := append(append([]field.Element{}, inputs...), vals[len(vals)-1]...)
+		if res := q.Decide(got, nil, ioVals); !res.OK {
+			t.Fatalf("widths %v: honest proof rejected: %s", circ.Widths(), res.Reason)
 		}
 	})
 }
@@ -359,4 +415,36 @@ func TestSumcheckTranscriptPinned(t *testing.T) {
 			t.Errorf("%s (widths %v): stream sha256 %s, want %s", c.name, circ.Widths(), got, c.want)
 		}
 	}
+}
+
+// BenchmarkSumcheck times one instance's prover and verifier on the bench
+// matrix chain (8×8, depth 6) over F128.
+func BenchmarkSumcheck(b *testing.B) {
+	in := make([]int64, 2*8*8)
+	for i := range in {
+		in[i] = int64(i*37%201) - 100
+	}
+	circ, q, io, r1 := sumcheckStream(b, field.F128(), benchprogs.MatMulChain(8, 6).Source, in, "bench")
+	vals, err := circ.Eval(field.F128(), io[:circ.NumInputs])
+	if err != nil {
+		b.Fatal(err)
+	}
+	var witness []field.Element
+	for _, layer := range vals {
+		witness = append(witness, layer...)
+	}
+	b.Run("answer", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := q.Answer(&Proof{U1: witness}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decide", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if res := q.Decide(r1, nil, io); !res.OK {
+				b.Fatal(res.Reason)
+			}
+		}
+	})
 }
