@@ -169,7 +169,7 @@ func (q *sumcheckQueries) Answer(proof *Proof) ([]field.Element, []field.Element
 	tr.absorb(outputs...)
 	z := tr.challenges(bitsFor(circ.NumOutputs))
 
-	w := widest(widths)
+	w := circ.Stats().MaxWidth
 	gEq := eqTable(f, make([]field.Element, w), z, circ.NumOutputs)
 	uEq, vEq := make([]field.Element, w), make([]field.Element, w)
 	// One slot past the widest layer: an odd live count pads its last pair
@@ -267,7 +267,7 @@ func (q *sumcheckQueries) Decide(r1, r2 []field.Element, io []field.Element) Che
 	z := tr.challenges(bitsFor(circ.NumOutputs))
 
 	widths := circ.Widths()
-	w := widest(widths)
+	w := circ.Stats().MaxWidth
 	gEq := eqTable(f, make([]field.Element, w), z, circ.NumOutputs)
 	uEq, vEq := make([]field.Element, w), make([]field.Element, w)
 	claim := f.InnerProduct(outputs, gEq)
@@ -404,15 +404,6 @@ func mixEq(f *field.Field, dst []field.Element, alpha field.Element, x []field.E
 		dst[i] = f.Add(f.Mul(alpha, x[i]), f.Mul(beta, y[i]))
 	}
 	return dst
-}
-
-// widest returns the largest of widths.
-func widest(widths []int) int {
-	w := 0
-	for _, n := range widths {
-		w = max(w, n)
-	}
-	return w
 }
 
 // transcript is the deterministic challenge chain shared by prover and

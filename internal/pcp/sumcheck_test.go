@@ -416,35 +416,3 @@ func TestSumcheckTranscriptPinned(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkSumcheck times one instance's prover and verifier on the bench
-// matrix chain (8×8, depth 6) over F128.
-func BenchmarkSumcheck(b *testing.B) {
-	in := make([]int64, 2*8*8)
-	for i := range in {
-		in[i] = int64(i*37%201) - 100
-	}
-	circ, q, io, r1 := sumcheckStream(b, field.F128(), benchprogs.MatMulChain(8, 6).Source, in, "bench")
-	vals, err := circ.Eval(field.F128(), io[:circ.NumInputs])
-	if err != nil {
-		b.Fatal(err)
-	}
-	var witness []field.Element
-	for _, layer := range vals {
-		witness = append(witness, layer...)
-	}
-	b.Run("answer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := q.Answer(&Proof{U1: witness}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decide", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if res := q.Decide(r1, nil, io); !res.OK {
-				b.Fatal(res.Reason)
-			}
-		}
-	})
-}
