@@ -70,13 +70,11 @@ func TestServeAndDial(t *testing.T) {
 	}
 }
 
-// TestServeWithStoreWarmRestart drives the public artifact-store surface:
-// a server started with WithStore compiles once and persists the bundle;
-// a second server over the same directory (a "restart") serves a returning
-// client off disk — one store hit, no compile cache miss beyond the load,
-// and the v3 client never uploads its source.
-func TestServeWithStoreWarmRestart(t *testing.T) {
-	dir := t.TempDir()
+// TestServeRestartRecompilesOnce: compiled programs live in memory only.
+// After a restart on a fresh registry the returning client uploads its
+// source and the server compiles exactly once; a second client on that
+// process hits memory and never uploads the source.
+func TestServeRestartRecompilesOnce(t *testing.T) {
 	src := `input x : int32; output y : int32; y = x - 3;`
 
 	serve := func(reg *obs.Registry) (addr string, stop func(*testing.T)) {
@@ -87,7 +85,7 @@ func TestServeWithStoreWarmRestart(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			done <- Serve(ctx, ln, WithServerWorkers(2), WithStore(dir), WithServerMetrics(reg))
+			done <- Serve(ctx, ln, WithServerWorkers(2), WithServerMetrics(reg))
 		}()
 		return ln.Addr().String(), func(t *testing.T) {
 			cancel()
@@ -118,26 +116,32 @@ func TestServeWithStoreWarmRestart(t *testing.T) {
 		}
 	}
 
-	reg1 := obs.NewRegistry()
-	addr, stop := serve(reg1)
-	runOnce(addr, "cold")
-	stop(t) // Serve's return waits for the async bundle write-back
-	if got := reg1.Counter(transport.MetricStoreMisses).Value(); got != 1 {
-		t.Fatalf("cold run store misses = %d, want 1", got)
-	}
-
-	reg2 := obs.NewRegistry()
-	addr, stop = serve(reg2)
-	runOnce(addr, "warm")
+	addr, stop := serve(obs.NewRegistry())
+	runOnce(addr, "first")
 	stop(t)
-	if got := reg2.CounterVec(transport.MetricStoreHits, transport.LabelBackend, transport.LabelProgramHash).Total(); got != 1 {
-		t.Fatalf("restart store hits = %d, want 1", got)
+
+	reg := obs.NewRegistry()
+	addr, stop = serve(reg)
+	skipped := func() int64 {
+		return reg.CounterVec(transport.MetricHelloSourceSkipped, transport.LabelProgramHash).Total()
 	}
-	if got := reg2.CounterVec(transport.MetricHelloSourceSkipped, transport.LabelProgramHash).Total(); got != 1 {
-		t.Fatalf("restart source uploads skipped = %d, want 1", got)
+	runOnce(addr, "returning")
+	if misses, s := reg.Counter(transport.MetricCacheMisses).Value(), skipped(); misses != 1 || s != 0 {
+		t.Fatalf("returning client after restart: %d cache misses, %d skipped uploads; want 1 and 0", misses, s)
 	}
-	if got := reg2.Counter(transport.MetricStoreBytesSaved).Value(); got != int64(len(src)) {
-		t.Fatalf("restart bytes saved = %d, want %d", got, len(src))
+	runOnce(addr, "second")
+	stop(t)
+	if got := reg.Counter(transport.MetricCacheMisses).Value(); got != 1 {
+		t.Fatalf("cache misses = %d, want 1 (one compile per process)", got)
+	}
+	if got := reg.Counter(transport.MetricCacheHits).Value(); got != 1 {
+		t.Fatalf("cache hits = %d, want 1", got)
+	}
+	if got := skipped(); got != 1 {
+		t.Fatalf("source uploads skipped = %d, want 1", got)
+	}
+	if got := reg.Counter(transport.MetricHelloBytesSaved).Value(); got != int64(len(src)) {
+		t.Fatalf("bytes saved = %d, want %d", got, len(src))
 	}
 }
 

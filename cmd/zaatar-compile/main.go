@@ -3,18 +3,10 @@
 // proof-vector sizes that drive the Zaatar-vs-Ginger comparison — without
 // running the protocol.
 //
-// With -bundle (or -store) it additionally runs the prover-side
-// preprocessing and persists the compiled program as a content-addressed
-// bundle, ready for a zaatar-server artifact store: a server started with
-// -store over a pre-seeded directory serves its first session for that
-// program without compiling anything.
-//
 // Usage:
 //
 //	zaatar-compile -src prog.zr
 //	zaatar-compile -src prog.zr -dump      # also print the constraints
-//	zaatar-compile -src prog.zr -bundle prog.zb
-//	zaatar-compile -src prog.zr -store /var/lib/zaatar/store
 package main
 
 import (
@@ -27,8 +19,6 @@ import (
 	"zaatar"
 	"zaatar/internal/constraint"
 	"zaatar/internal/field"
-	"zaatar/internal/store"
-	"zaatar/internal/vc"
 )
 
 func main() {
@@ -36,9 +26,6 @@ func main() {
 		srcPath = flag.String("src", "", "path to the mini-SFDL source file")
 		f220    = flag.Bool("f220", false, "use the 220-bit field")
 		dump    = flag.Bool("dump", false, "dump the quadratic-form constraints")
-		bundle  = flag.String("bundle", "", "write the compiled program and its preprocessing to this bundle file")
-		stDir   = flag.String("store", "", "save the bundle into this artifact store directory under its canonical name")
-		backend = flag.String("backend", zaatar.BackendZaatar, "proof backend to preprocess the bundle for")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the compilation to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -86,24 +73,6 @@ func main() {
 		fmt.Println("\nquadratic-form constraints (pA · pB = pC):")
 		for j, c := range prog.Quad.Cons {
 			fmt.Printf("%6d: (%s) * (%s) = (%s)\n", j, lcString(prog, c.A), lcString(prog, c.B), lcString(prog, c.C))
-		}
-	}
-
-	if *bundle != "" || *stDir != "" {
-		pre, err := vc.PreprocessBackend(prog, *backend)
-		check(err)
-		if *bundle != "" {
-			key, n, err := store.WriteBundle(*bundle, prog, pre)
-			check(err)
-			fmt.Printf("bundle: %s (%d bytes, key %s)\n", *bundle, n, key)
-		}
-		if *stDir != "" {
-			st, err := store.Open(*stDir)
-			check(err)
-			key := store.KeyFor(prog.Source, prog.Field.Name(), *backend)
-			n, err := st.Save(key, prog, pre)
-			check(err)
-			fmt.Printf("stored: %s (%d bytes)\n", st.Path(key), n)
 		}
 	}
 }

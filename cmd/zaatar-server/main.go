@@ -1,12 +1,12 @@
 // Command zaatar-server runs a long-lived multi-tenant prover service that
 // accepts verifier sessions over TCP: each session receives a computation
 // and batches of inputs, executes them, and produces the
-// verified-computation argument. Compiled programs are cached across
-// sessions (-cache) and, with -store, persisted to disk as content-addressed
-// bundles that survive restarts; concurrent sessions share the kernel pool
-// under a bounded admission semaphore (-maxsessions), and the one wire
-// dialect (v3) lets one connection carry many batches and a returning client
-// name its program by hash instead of re-uploading the source.
+// verified-computation argument. Compiled programs are cached in memory
+// across sessions (-cache) and compiled again after a restart; concurrent
+// sessions share the kernel pool under a bounded admission semaphore
+// (-maxsessions), and the one wire dialect (v3) lets one connection carry
+// many batches and a returning client name its program by hash instead of
+// re-uploading the source.
 //
 // The server installs a per-message I/O deadline on every connection
 // (-timeout), drains in-flight sessions on SIGINT/SIGTERM before exiting,
@@ -17,7 +17,7 @@
 // -log-format (text by default, or json): one structured record per
 // session negotiation/batch/close or failure, carrying the session id,
 // backend, program hash, and trace correlation ids, plus refused
-// connections and artifact-store errors.
+// connections.
 //
 // Usage:
 //
@@ -53,14 +53,13 @@ func main() {
 		maxBatch    = flag.Int("maxbatch", 4096, "maximum batch size per session")
 		maxConns    = flag.Int("maxconns", 0, "open connections kept at once, idle included (0 = 16*maxsessions, <0 unlimited)")
 		cacheSize   = flag.Int("cache", 32, "compiled programs kept in the cross-session LRU")
-		storeDir    = flag.String("store", "", "directory for the persistent artifact store: compiled programs survive restarts as content-addressed bundles (empty disables)")
 		maxSource   = flag.Int("maxsource", 0, "largest program source accepted, in bytes (0 = 1 MiB)")
 		backends    = flag.String("backends", "", "comma-separated proof backends to serve (empty = all compiled in)")
 		timeout     = flag.Duration("timeout", 2*time.Minute, "per-message read/write deadline (0 disables)")
 		idleTimeout = flag.Duration("idletimeout", 0, "reap keep-alive connections idle this long between batches (0 = 2m, <0 disables)")
 		metrics     = flag.String("metrics", "", "address for the HTTP metrics endpoint (empty disables)")
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -metrics address")
-		logFormat   = flag.String("log-format", "text", "structured logs to stderr (sessions, refused connections, store errors): text or json (empty disables)")
+		logFormat   = flag.String("log-format", "text", "structured logs to stderr (sessions, refused connections): text or json (empty disables)")
 		drain       = flag.Duration("drain", 30*time.Second, "how long to wait for in-flight sessions on shutdown")
 		workerMode  = flag.Bool("worker", false, "run as a prover-farm worker: identical service, plus the farm.worker.up gauge for farm monitoring (see zaatar-client -connect)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file (covers the whole server lifetime)")
@@ -149,10 +148,6 @@ func main() {
 	}
 	if *logFormat != "" {
 		srvOpts = append(srvOpts, zaatar.WithServerLogger(obs.NewLogger(os.Stderr, *logFormat)))
-	}
-	if *storeDir != "" {
-		srvOpts = append(srvOpts, zaatar.WithStore(*storeDir))
-		log.Printf("zaatar-server: artifact store at %s", *storeDir)
 	}
 	if *maxSource != 0 {
 		srvOpts = append(srvOpts, zaatar.WithMaxSourceBytes(*maxSource))

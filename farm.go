@@ -44,8 +44,8 @@ func WithFarmShardSize(n int) RunOption {
 // digest: each worker scores sha256(srcDigest ‖ addr), and higher scores
 // front the ranking. Every farm for the same program computes the same
 // order whatever order the caller listed the workers in, which is what
-// keeps shard placement (and so each worker's program cache and artifact
-// store) stable across restarts.
+// keeps shard placement (and so each worker's program cache) stable
+// across restarts.
 func rankAddrs(addrs []string, src string) []string {
 	digest := sha256.Sum256([]byte(src))
 	score := func(addr string) string {

@@ -1,10 +1,12 @@
 // Package store persists compiled programs and their prover-side
-// precomputations as content-addressed single-file bundles, so a restarted
-// prover service serves previously-seen programs warm (no compile, no QAP
-// preprocessing) and pre-baked bundles can be shipped between hosts
-// (zaatar-compile -bundle). Bundles are keyed by source hash + field +
-// backend — exactly the transport program-cache key — making the disk store
-// a second tier under the in-memory LRU.
+// precomputations as content-addressed single-file bundles, keyed by
+// source hash + field + backend. No product path opens a store: the prover
+// service keeps compiled programs in memory only, because loading a bundle
+// measured slower than recompiling it. The benchmark ledger's storeSection
+// (bench/ledger.go), which times Save and Load, is the package's only
+// caller; once its store.* rows go, this package and the payload codecs it
+// alone uses (vc/marshal.go, pcp/codec.go, qap/marshal.go,
+// compiler/marshal.go) can go too.
 //
 // A bundle file is:
 //
@@ -19,9 +21,8 @@
 // partial bundle and a crashed writer leaves only a stale temp file.
 //
 // Every failure mode short of an I/O error on a healthy file is typed —
-// ErrNotFound, *VersionError, *CorruptError — and callers (transport's
-// two-tier cache) treat all of them as a miss: recompile, overwrite, never
-// crash.
+// ErrNotFound, *VersionError, *CorruptError — so a caller can treat all of
+// them as a miss: recompile, overwrite, never crash.
 package store
 
 import (
@@ -148,19 +149,9 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the canonical bundle filename for a key.
 func (s *Store) Path(k Key) string {
 	return filepath.Join(s.dir, k.String()+".zb")
-}
-
-// Contains reports whether a bundle file exists for the key (without
-// validating it — Load does that).
-func (s *Store) Contains(k Key) bool {
-	_, err := os.Stat(s.Path(k))
-	return err == nil
 }
 
 // Load reads, verifies, and decodes the bundle for a key. It returns
@@ -209,77 +200,6 @@ func (s *Store) Save(k Key, prog *compiler.Program, pre *vc.Precomputation) (int
 		return 0, fmt.Errorf("store: %w", err)
 	}
 	return int64(len(raw)), nil
-}
-
-// Install validates a bundle file produced elsewhere (zaatar-compile
-// -bundle on another host) and copies it into the store under its canonical
-// name, returning its key.
-func (s *Store) Install(path string) (Key, error) {
-	b, err := ReadBundle(path)
-	if err != nil {
-		return Key{}, err
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Key{}, fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return Key{}, fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return Key{}, fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return Key{}, fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.Path(b.Key)); err != nil {
-		return Key{}, fmt.Errorf("store: %w", err)
-	}
-	return b.Key, nil
-}
-
-// WriteBundle encodes prog and pre into a standalone bundle file at path
-// (atomically, via a temp file in the same directory), deriving the key
-// from the program and precomputation themselves. Returns the key and the
-// bundle size.
-func WriteBundle(path string, prog *compiler.Program, pre *vc.Precomputation) (Key, int64, error) {
-	k := KeyFor(prog.Source, prog.Field.Name(), pre.Backend)
-	raw, err := encodeBundle(k, prog, pre)
-	if err != nil {
-		return Key{}, 0, err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return Key{}, 0, fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return Key{}, 0, fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return Key{}, 0, fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return Key{}, 0, fmt.Errorf("store: %w", err)
-	}
-	return k, int64(len(raw)), nil
-}
-
-// ReadBundle reads and fully verifies a standalone bundle file.
-func ReadBundle(path string) (*Bundle, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ErrNotFound
-		}
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return decodeBundle(path, raw)
 }
 
 func encodeBundle(k Key, prog *compiler.Program, pre *vc.Precomputation) ([]byte, error) {

@@ -47,7 +47,8 @@ func (k cacheKey) labelHash() string {
 // cacheEntry is one cached program plus its prover-side precomputation.
 // Entries are created open (ready unclosed) so that concurrent sessions for
 // the same program wait for a single build instead of compiling in
-// parallel; prog/pre/err are written exactly once, before ready closes.
+// parallel; prog/pre/err are written exactly once, by the lookup winner,
+// before ready closes (Service.settle).
 type cacheEntry struct {
 	ready chan struct{}
 	prog  *compiler.Program
@@ -112,30 +113,22 @@ func (c *programCache) drop(key cacheKey, e *cacheEntry) {
 	}
 }
 
-// finish resolves an entry without compiling — from a disk-store bundle, or
-// with the error that kept the source from arriving — and closes ready.
-// Exactly one of finish and build runs, by the lookup winner.
-func (e *cacheEntry) finish(prog *compiler.Program, pre *vc.Precomputation, err error) {
-	e.prog, e.pre, e.err = prog, pre, err
-	close(e.ready)
-}
-
-// build compiles the program and its prover precomputation into e and
-// closes ready. Only the lookup miss winner calls this, outside the
-// Service's lock. The prover.compile span is emitted only here — a cache
-// hit has no compile span in its trace, which is how callers observe the
-// amortization.
-func (e *cacheEntry) build(ctx context.Context, h Hello, backend string) {
-	defer close(e.ready)
+// build compiles the program and its prover precomputation into e; the
+// caller settles the entry with the returned error. Only the lookup miss
+// winner calls this, outside the Service's lock. The prover.compile span is
+// emitted only here — a cache hit has no compile span in its trace, which
+// is how callers observe the amortization.
+func (e *cacheEntry) build(ctx context.Context, h Hello, backend string) (err error) {
 	compileTr := trace.Start(ctx, "prover.compile")
-	e.prog, e.err = compiler.Compile(h.Field(), h.Source)
+	e.prog, err = compiler.Compile(h.Field(), h.Source)
 	compileTr.End()
-	if e.err != nil {
-		return
+	if err != nil {
+		return err
 	}
 	preTr := trace.Start(ctx, "prover.preprocess")
-	e.pre, e.err = vc.PreprocessBackend(e.prog, backend)
+	e.pre, err = vc.PreprocessBackend(e.prog, backend)
 	preTr.End()
+	return err
 }
 
 // await blocks until the entry is built or ctx is cancelled.

@@ -74,8 +74,8 @@ func (c *Conn) handshake(hello Hello) error {
 		return err
 	}
 	if c.ack.SourceNeeded {
-		// This prover holds the program in neither its memory cache nor its
-		// artifact store: upload the source the hello hashed.
+		// This prover does not hold the program in its memory cache:
+		// upload the source the hello hashed.
 		if err := c.cc.send(SourceMsg{Source: hello.Source}); err != nil {
 			return err
 		}

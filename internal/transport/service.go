@@ -18,7 +18,6 @@ import (
 	"zaatar/internal/obs"
 	"zaatar/internal/obs/trace"
 	"zaatar/internal/pcp"
-	"zaatar/internal/store"
 	"zaatar/internal/vc"
 )
 
@@ -57,13 +56,6 @@ type ServiceOptions struct {
 	// CacheSize is the number of compiled programs kept in the LRU shared
 	// across sessions. Defaults to 32.
 	CacheSize int
-	// Store, when non-nil, is the on-disk artifact store backing the memory
-	// cache: programs fall back to a bundle load before compiling, and
-	// freshly compiled programs are written back asynchronously. This is
-	// what makes restarts warm — a new process with the same store serves
-	// known programs without a single compile or preprocess — and lets
-	// hash-first clients open sessions without uploading the source.
-	Store *store.Store
 	// MaxSourceBytes bounds the program source a client may send (in the
 	// hello or a source upload). Zero means DefaultMaxSourceBytes.
 	MaxSourceBytes int
@@ -78,7 +70,7 @@ type ServiceOptions struct {
 	// Logger receives structured records: per session (start/end, batches
 	// served, failures), each carrying session/backend/program_hash
 	// attributes plus trace correlation when the client sent a trace, and
-	// per service (connections refused at MaxConns, artifact-store errors).
+	// per service (connections refused at MaxConns).
 	// Nil disables logging.
 	Logger *slog.Logger
 }
@@ -98,8 +90,6 @@ type Service struct {
 	ioTimeout   time.Duration
 	idleTimeout time.Duration
 	backends    []string
-	store       *store.Store
-	storeWG     sync.WaitGroup
 	log         *slog.Logger
 
 	reg     *obs.Registry
@@ -112,7 +102,6 @@ type Service struct {
 	sessionsVec  *obs.CounterVec
 	batchesVec   *obs.CounterVec
 	instancesVec *obs.CounterVec
-	storeHitsVec *obs.CounterVec
 	skippedVec   *obs.CounterVec
 
 	mu    sync.Mutex
@@ -173,14 +162,12 @@ func NewService(opts ServiceOptions) *Service {
 		ioTimeout:    opts.IOTimeout,
 		idleTimeout:  idle,
 		backends:     backends,
-		store:        opts.Store,
 		log:          obs.OrNop(opts.Logger),
 		reg:          reg,
 		sem:          make(chan struct{}, maxSessions),
 		sessionsVec:  reg.CounterVec(MetricSessions, LabelBackend),
 		batchesVec:   reg.CounterVec(MetricServedBatches, LabelBackend, LabelProgramHash),
 		instancesVec: reg.CounterVec(MetricServedInstance, LabelBackend, LabelProgramHash),
-		storeHitsVec: reg.CounterVec(MetricStoreHits, LabelBackend, LabelProgramHash),
 		skippedVec:   reg.CounterVec(MetricHelloSourceSkipped, LabelProgramHash),
 		cache:        newProgramCache(cacheSize, reg),
 	}
@@ -201,7 +188,6 @@ func NewService(opts ServiceOptions) *Service {
 // failures are logged to ServiceOptions.Logger, not returned.
 func (s *Service) Serve(ctx context.Context, ln net.Listener) error {
 	defer context.AfterFunc(ctx, func() { _ = ln.Close() })()
-	defer s.storeWG.Wait() // drain artifact write-backs before returning
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
@@ -256,72 +242,71 @@ func (s *Service) releaseSlot() {
 	<-s.sem
 }
 
-// storeKeyOf maps the memory cache key onto the artifact store's — they are
-// the same triple by construction.
-func storeKeyOf(key cacheKey) store.Key {
-	return store.Key{SourceHash: key.source, Field: key.field, Backend: key.backend}
-}
+// errUploadFailed is what a singleflight entry's waiters see when its
+// winner's own client failed to upload the source (hangup, stall, or a
+// source that does not match the hash). That failure belongs to the
+// uploader alone: each waiter looks the key up again, and the new winner
+// asks its own client for the source.
+var errUploadFailed = errors.New("transport: the singleflight uploader's source upload failed")
 
 // program resolves the session's compiled program and prover precomputation
-// through the two-tier cache: the in-memory LRU, then (on a miss) the disk
-// artifact store, then a compile. Exactly one session per key runs the miss
-// path — concurrent sessions wait on the same entry, so the store load and
-// the compile are both collapsed by the singleflight entry. A hash-first
-// hello whose program both tiers miss triggers the SourceNeeded exchange on
-// cc, filling hello.Source before compiling. The prover.compile trace span
-// exists only on the compile path; a disk hit has a prover.store.load span
-// instead, which is how a warm restart is observed.
+// through the in-memory LRU, compiling on a miss. Exactly one session per
+// key runs the miss path — concurrent sessions wait on the same entry, so
+// the compile is collapsed by the singleflight entry. A hash-first hello
+// whose program the cache misses triggers the SourceNeeded exchange on cc,
+// filling hello.Source before compiling. The prover.compile trace span
+// exists only on the compile path, which is how a cache hit is observed.
 func (s *Service) program(ctx context.Context, cc *timedCodec, hello *Hello, key cacheKey, backend string) (*cacheEntry, error) {
-	s.mu.Lock()
-	entry, build := s.cache.lookup(key)
-	s.mu.Unlock()
-	if build {
-		s.buildEntry(ctx, cc, hello, key, backend, entry)
-		if entry.err != nil {
-			s.mu.Lock()
-			s.cache.drop(key, entry)
-			s.mu.Unlock()
+	for {
+		s.mu.Lock()
+		entry, build := s.cache.lookup(key)
+		s.mu.Unlock()
+		var err error
+		if build {
+			err = s.buildEntry(ctx, cc, hello, key, backend, entry)
+		} else {
+			err = entry.await(ctx)
 		}
+		switch {
+		case errors.Is(err, errUploadFailed):
+			continue
+		case err != nil:
+			return nil, err
+		}
+		return entry, nil
 	}
-	if err := entry.await(ctx); err != nil {
-		return nil, err
-	}
-	return entry, nil
 }
 
-// buildEntry runs the miss path for one cache entry: disk store, then
-// compile (requesting the source from a hash-first client when needed),
-// then an asynchronous write-back of the fresh artifact.
-func (s *Service) buildEntry(ctx context.Context, cc *timedCodec, hello *Hello, key cacheKey, backend string, entry *cacheEntry) {
-	if s.store != nil {
-		loadTr := trace.Start(ctx, "prover.store.load")
-		b, err := s.store.Load(storeKeyOf(key))
-		loadTr.End()
-		if err == nil {
-			s.storeHitsVec.With(backend, key.labelHash()).Inc()
-			entry.finish(b.Prog, b.Pre, nil)
-			return
-		}
-		// Anything short of a clean not-found is a damaged or incompatible
-		// bundle: log it, fall through to a compile (whose write-back
-		// atomically replaces the bad file), never fail the session over it.
-		if !errors.Is(err, store.ErrNotFound) {
-			s.log.WarnContext(ctx, "store load failed, recompiling", "err", err.Error())
-		}
-		s.reg.Counter(MetricStoreMisses).Inc()
-	}
+// buildEntry runs the miss path for one cache entry: it asks a hash-first
+// client for the source if needed, then compiles. Only a compile or
+// preprocess error is shared with the entry's waiters; a failed upload is
+// returned to this session alone and wakes the waiters with
+// errUploadFailed.
+func (s *Service) buildEntry(ctx context.Context, cc *timedCodec, hello *Hello, key cacheKey, backend string, entry *cacheEntry) error {
 	if hello.Source == "" {
 		src, err := s.requestSource(cc, key)
 		if err != nil {
-			entry.finish(nil, nil, err)
-			return
+			s.settle(key, entry, errUploadFailed)
+			return err
 		}
 		hello.Source = src
 	}
-	entry.build(ctx, *hello, backend)
-	if entry.err == nil && s.store != nil {
-		s.writeBack(key, entry)
+	err := entry.build(ctx, *hello, backend)
+	s.settle(key, entry, err)
+	return err
+}
+
+// settle resolves an entry and wakes its waiters. A failed entry leaves the
+// cache first, so a waiter that looks the key up again builds afresh
+// instead of finding the dead entry.
+func (s *Service) settle(key cacheKey, entry *cacheEntry, err error) {
+	if err != nil {
+		s.mu.Lock()
+		s.cache.drop(key, entry)
+		s.mu.Unlock()
 	}
+	entry.err = err
+	close(entry.ready)
 }
 
 // requestSource runs the SourceNeeded exchange: an interim ack asking the
@@ -344,25 +329,6 @@ func (s *Service) requestSource(cc *timedCodec, key cacheKey) (string, error) {
 		return "", fmt.Errorf("%w: uploaded source does not match the hello hash", ErrMalformedHello)
 	}
 	return src.Source, nil
-}
-
-// writeBack persists a freshly built artifact without blocking the session;
-// failures are counted and logged, never surfaced to the client.
-func (s *Service) writeBack(key cacheKey, entry *cacheEntry) {
-	s.storeWG.Add(1)
-	go func() {
-		defer s.storeWG.Done()
-		if _, err := s.store.Save(storeKeyOf(key), entry.prog, entry.pre); err != nil {
-			s.reg.Counter(MetricStoreWriteErrors).Inc()
-			s.log.Error("store write-back failed", "key", storeKeyOf(key).String(), "err", err.Error())
-		}
-	}()
-}
-
-// FlushStore blocks until every pending artifact write-back has finished —
-// for graceful shutdown and for tests that reopen the store directory.
-func (s *Service) FlushStore() {
-	s.storeWG.Wait()
 }
 
 // cleanHangup reports a peer hangup at a message boundary — gob sees a bare
@@ -461,10 +427,10 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 	}
 	if hashFirst && hello.Source == "" {
 		// The session opened without the source ever crossing the wire:
-		// both tiers knew the program (or another session's singleflight
+		// the cache knew the program (or another session's singleflight
 		// build supplied it).
 		s.skippedVec.With(key.labelHash()).Inc()
-		s.reg.Counter(MetricStoreBytesSaved).Add(int64(len(prog.Source)))
+		s.reg.Counter(MetricHelloBytesSaved).Add(int64(len(prog.Source)))
 	}
 	phash := key.labelHash()
 	s.sessionsVec.With(backend).Inc()

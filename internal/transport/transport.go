@@ -6,10 +6,9 @@
 // PRG seed, and the consistency points, rather than full query sets.
 //
 // One wire dialect is spoken, protocol v3. The hello names the program by
-// sha256(source); the server answers SourceNeeded only when neither its
-// memory cache nor its disk artifact store (internal/store,
-// ServiceOptions.Store) holds the program, so a warm server opens the
-// session with the program never crossing the wire. After the hello a
+// sha256(source); the server answers SourceNeeded only when its memory
+// cache does not hold the program, so a warm server opens the session with
+// the program never crossing the wire. After the hello a
 // connection carries any number of batches, all reusing the negotiated
 // program (and, server-side, its cached compilation and QAP
 // precomputation). Each batch carries its own commit request: the
@@ -109,7 +108,7 @@ func (e *ProtocolVersionError) Error() string {
 
 // Metric names recorded into the obs registry by the transport layer. Each
 // is one family of one kind (docs/PROTOCOL.md §6.1, §7): the sessions,
-// batches, instances, store-hit, source-skip and client-session counters
+// batches, instances, source-skip and client-session counters
 // exist only as the labeled vectors keyed by the labels below — a total is
 // sum() in the scrape, or CounterVec.Total in Go.
 const (
@@ -133,12 +132,8 @@ const (
 	MetricConnsRejected = "transport.conns.rejected" // counter: connections refused at the MaxConns cap
 	MetricIdleClosed    = "transport.idle.closed"    // counter: idle keep-alive connections reaped
 
-	MetricStoreHits        = "transport.store.hits"         // counter{backend,program_hash}: programs served from the disk artifact store
-	MetricStoreMisses      = "transport.store.misses"       // counter: store lookups that fell through to a compile
-	MetricStoreBytesSaved  = "transport.store.bytes_saved"  // counter: source bytes never sent thanks to hash-first hellos
-	MetricStoreWriteErrors = "transport.store.write_errors" // counter: failed bundle write-backs (service keeps running)
-
 	MetricHelloSourceSkipped = "transport.hello.source_skipped" // counter{program_hash}: sessions opened without a source upload
+	MetricHelloBytesSaved    = "transport.hello.bytes_saved"    // counter: source bytes never sent thanks to hash-first hellos
 )
 
 // Label keys of the labeled transport metrics. The label schema — allowed
@@ -181,10 +176,9 @@ type Hello struct {
 	Version int
 
 	// SourceHash is sha256(Source). A client may send the hash alone
-	// (Source empty): a server that already holds the program — in its
-	// memory cache or its on-disk artifact store — opens the session
-	// without the source ever crossing the wire, and answers
-	// HelloAck.SourceNeeded otherwise. When both fields are present they
+	// (Source empty): a server that already holds the program in its
+	// memory cache opens the session without the source ever crossing the
+	// wire, and answers HelloAck.SourceNeeded otherwise. When both fields are present they
 	// must agree.
 	SourceHash []byte
 
@@ -262,8 +256,8 @@ func (h Hello) validate(maxSource int) error {
 }
 
 // HelloAck reports compilation results (or an error) back to the verifier.
-// A first ack with SourceNeeded set is an interim frame: the server knows
-// neither the program nor a stored bundle for the hello's hash, the client
+// A first ack with SourceNeeded set is an interim frame: the server does
+// not hold the program for the hello's hash, the client
 // answers with a SourceMsg, and the definitive ack follows.
 type HelloAck struct {
 	Err                   string

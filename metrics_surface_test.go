@@ -19,7 +19,7 @@ import (
 const surfaceGoldenPath = "testdata/metrics_surface.golden"
 
 // TestMetricSurface pins the metric surface: every family that zaatar.Run,
-// a Dial'ed session against a WithStore server (cold, then warm) and a
+// two Dial'ed sessions against one server (cold, then warm) and a
 // two-worker DialFarm record, each path into registries of its own, as
 // "family type label-keys" lines. Every family has one # TYPE line, never
 // mixes unlabeled and labeled samples, and is documented in
@@ -51,10 +51,10 @@ func TestMetricSurface(t *testing.T) {
 	res, err := Run(prog, batch, WithParams(1, 1), WithGroup(testGroup(t)), WithSeed([]byte("surface")), WithMetrics(newReg()))
 	check(err, err == nil && res.AllAccepted())
 
-	// A Dial'ed session against a store-backed server, cold then warm.
-	dir := t.TempDir()
+	// Two Dial'ed sessions against one server: the cold one compiles, the
+	// warm one hits the cache and skips the source upload.
+	addr, stop := serveFor(t, Serve, newReg())
 	for _, seed := range []string{"cold", "warm"} {
-		addr, stop := serveFor(t, Serve, newReg(), WithStore(dir))
 		c, err := Dial(context.Background(), addr, src, WithParams(1, 1), WithoutCommitment(), WithSeed([]byte(seed)), WithMetrics(newReg()))
 		if err != nil {
 			t.Fatal(err)
@@ -62,8 +62,8 @@ func TestMetricSurface(t *testing.T) {
 		sres, err := c.RunBatch(context.Background(), batch)
 		check(err, err == nil && sres.AllAccepted())
 		c.Close()
-		stop()
 	}
+	stop()
 
 	// A two-worker farm.
 	a1, stop1 := serveFor(t, ServeWorker, newReg())

@@ -2,21 +2,18 @@ package zaatar
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net"
 	"time"
 
 	"zaatar/internal/obs"
-	"zaatar/internal/store"
 	"zaatar/internal/transport"
 )
 
 // serverOptions wraps the service configuration so ServerOption's
 // signature stays free of internal types.
 type serverOptions struct {
-	svc      transport.ServiceOptions
-	storeDir string
+	svc transport.ServiceOptions
 }
 
 // ServerOption configures Serve.
@@ -91,24 +88,9 @@ func WithServerMetrics(r *obs.Registry) ServerOption {
 // failure) carrying the session id, negotiated backend, program hash, and —
 // when the client's hello carries a trace — trace_id/span_id fields
 // joinable against the exported Perfetto trace, plus a record per refused
-// connection and per artifact-store error. By default the service emits no
-// records.
+// connection. By default the service emits no records.
 func WithServerLogger(l *slog.Logger) ServerOption {
 	return func(o *serverOptions) { o.svc.Logger = l }
-}
-
-// WithStore persists compiled programs (with their prover-side
-// precomputations) as content-addressed bundles under dir, keyed by
-// source, field, and backend. A restarted server reloads a known program
-// from disk instead of recompiling it, so a warm restart serves its first
-// session without paying compilation or preprocessing; together with the
-// v3 hash-first hello, repeat clients then also skip uploading the
-// source. The directory is created if missing; a corrupt or
-// version-skewed bundle is treated as a cache miss (the program is
-// recompiled and the bundle rewritten), never a failure. Disk traffic is
-// reported under the transport.store.* metric series.
-func WithStore(dir string) ServerOption {
-	return func(o *serverOptions) { o.storeDir = dir }
 }
 
 // WithMaxSourceBytes bounds the program source a client may submit, in
@@ -126,23 +108,16 @@ func WithMaxSourceBytes(n int) ServerOption {
 // compilation — and a bounded admission semaphore shares the kernel pool
 // fairly among concurrent sessions. The service speaks wire protocol v3
 // only: hash-first hellos (a client names its program by digest and uploads
-// the source only when the server holds neither a cached nor a stored
-// copy), then many batches per connection, reusing the program, each batch
-// carrying its own commitment key, which soundness keeps per-batch. A
-// client stamping another version is refused with a *ProtocolVersionError
-// message. With WithStore, compiled programs additionally persist across
-// server restarts.
+// the source only when the server holds no cached copy), then many batches
+// per connection, reusing the program, each batch carrying its own
+// commitment key, which soundness keeps per-batch. A client stamping
+// another version is refused with a *ProtocolVersionError message.
+// Compiled programs live in memory only: a restarted server compiles each
+// program again on its first session.
 func Serve(ctx context.Context, ln net.Listener, opts ...ServerOption) error {
 	var o serverOptions
 	for _, fn := range opts {
 		fn(&o)
-	}
-	if o.storeDir != "" {
-		st, err := store.Open(o.storeDir)
-		if err != nil {
-			return fmt.Errorf("zaatar: opening artifact store: %w", err)
-		}
-		o.svc.Store = st
 	}
 	return transport.NewService(o.svc).Serve(ctx, ln)
 }
