@@ -39,6 +39,60 @@ func TestHashFirstMemoryWarm(t *testing.T) {
 	}
 }
 
+// TestServiceRestartRecompilesOnce: a fresh Service shares nothing with
+// the one before it. The returning client is asked for its source and the
+// service compiles exactly once; a second client on the new service opens
+// off memory, and its stitched trace shows no compile or preprocess span.
+func TestServiceRestartRecompilesOnce(t *testing.T) {
+	hello := Hello{Source: sessionSrc, Backends: zaatarOnly, RhoLin: 2, Rho: 2, NoCommitment: true}
+	run := func(ctx context.Context, svc *Service, seed string) {
+		t.Helper()
+		client, errCh := servicePipe(svc)
+		res, err := oneBatch(ctx, client, hello, clientOpts{Seed: []byte(seed)}, instances(5))
+		if err != nil {
+			t.Fatalf("%s: %v", seed, err)
+		}
+		if !res.AllAccepted() {
+			t.Fatalf("%s rejected: %v", seed, res.Reasons)
+		}
+		if err := <-errCh; err != nil {
+			t.Fatalf("%s server: %v", seed, err)
+		}
+	}
+
+	svc1, _ := testService(ServiceOptions{Workers: 2})
+	run(context.Background(), svc1, "first")
+
+	svc2, reg := testService(ServiceOptions{Workers: 2})
+	skipped := func() int64 { return reg.CounterVec(MetricHelloSourceSkipped, LabelProgramHash).Total() }
+	ctxR, tcR := tracedContext(t)
+	run(ctxR, svc2, "returning")
+	if misses, s := reg.Counter(MetricCacheMisses).Value(), skipped(); misses != 1 || s != 0 {
+		t.Fatalf("returning client after restart: %d cache misses, %d skipped uploads; want 1 and 0", misses, s)
+	}
+	if n := len(byName(tcR.Recorder().Snapshot(), "prover.compile")); n != 1 {
+		t.Fatalf("returning client: prover.compile spans = %d, want 1", n)
+	}
+
+	ctxS, tcS := tracedContext(t)
+	run(ctxS, svc2, "second")
+	if got := reg.Counter(MetricCacheMisses).Value(); got != 1 {
+		t.Fatalf("cache misses = %d, want 1 (one compile per service)", got)
+	}
+	if got := reg.Counter(MetricCacheHits).Value(); got != 1 {
+		t.Fatalf("cache hits = %d, want 1", got)
+	}
+	if got := skipped(); got != 1 {
+		t.Fatalf("source uploads skipped = %d, want 1", got)
+	}
+	recs := tcS.Recorder().Snapshot()
+	for _, span := range []string{"prover.compile", "prover.preprocess"} {
+		if n := len(byName(recs, span)); n != 0 {
+			t.Fatalf("second client ran %d %s spans, want 0", n, span)
+		}
+	}
+}
+
 // TestHashFirstDowngradeInterop: a server from before hash-first hellos
 // rejected one with its own, older version in the error ack, which used to
 // make the client redial with the full source. The client now takes the
