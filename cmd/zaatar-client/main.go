@@ -53,7 +53,7 @@ func main() {
 		metrics  = flag.String("metrics", "", "address for the HTTP metrics endpoint for the session's lifetime: /metrics in the Prometheus text format (empty disables)")
 		logFmt   = flag.String("log-format", "", "emit structured session logs to stderr: text or json (empty disables)")
 
-		shardSize  = flag.Int("shard-size", 0, "farm: instances per shard (0 = auto-size to about two shards per worker)")
+		shardSize  = flag.Int("shard-size", 0, "farm: instances per shard (0 = one shard, one commitment key, per live worker; smaller shards let idle workers steal from stragglers at one key per shard)")
 		shardRetry = flag.Int("shard-retries", 0, "farm: max requeues per shard after a worker death (0 = default 2, negative disables)")
 	)
 	flag.Parse()

@@ -31,11 +31,14 @@ func WithShardRetries(n int) RunOption {
 }
 
 // WithFarmShardSize fixes the number of instances per DialFarm shard. By
-// default a lone live worker gets the whole batch, and otherwise the farm
-// sizes shards so each live worker expects about two — small enough for
-// work stealing to absorb stragglers, large enough to amortize the
-// per-shard key generation. Dial ignores it: its one worker takes each
-// batch whole.
+// default each live worker gets one contiguous shard of the batch (sizes
+// within one of each other), because every shard costs a commitment key:
+// at bench/'s bisection size one key is 704 kB of Enc(r) on the wire and
+// about 0.42 s of verifier work. The price is that a slow worker cannot
+// hand part of its shard to an idle one. A smaller size buys work stealing
+// — idle workers take queued shards from stragglers, useful on uneven
+// workers — at one key per shard. Dial ignores it: its one worker takes
+// each batch whole.
 func WithFarmShardSize(n int) RunOption {
 	return runOption(func(o *options) { o.shardSize = n })
 }
@@ -60,8 +63,9 @@ func rankAddrs(addrs []string, src string) []string {
 // DialFarm connects to a fleet of prover workers and returns a Client that
 // shards every batch across them: each shard runs as an independent
 // mini-batch (its own commitment key and query seed, so shards are sound to
-// run concurrently and to replay) on one worker, placed affinity-first with
-// work stealing for stragglers. A worker that dies mid-batch has its shard
+// run concurrently and to replay) on one worker, placed affinity-first, one
+// shard per live worker unless WithFarmShardSize asks for finer shards and
+// work stealing. A worker that dies mid-batch has its shard
 // requeued onto the survivors (bounded by WithShardRetries); only an
 // unrecoverable failure surfaces, as a *FarmError naming the worker. The
 // returned Client behaves exactly like a Dial'ed one — same RunBatch, same

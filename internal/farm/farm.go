@@ -6,24 +6,32 @@
 // shape, and builds the one dial-time verifier. RunBatch then shards each
 // batch across the live workers: every shard is an independent wire batch
 // — its own commit request, its own query seed, its own commitment key —
-// run by vc.Drive over that worker's connection. A lone live worker gets
-// the whole batch as one shard, so a session over one prover (zaatar.Dial)
-// sends one wire batch per batch, under one key. Per-shard keys are what
-// make the scheme sound without a global barrier: the workers are
-// collectively one adversary, and each shard's seed is revealed only after
-// that shard's commitments are in, exactly the per-batch discipline of
-// Verifier.Reseed. A requeued or stolen shard therefore replays on another
-// worker with fresh randomness, never re-exposing a seed whose commitments
-// the dead worker already saw.
+// run by vc.Drive over that worker's connection. By default each live
+// worker gets one contiguous shard (sizes differ by at most one), so a
+// batch costs one key per leg: a key is the verifier's Enc(r) plus the
+// prover's query regeneration (at bench/'s bisection size 704 kB on the
+// wire and about 0.42 s of verifier work), and it is the per-batch set-up
+// the batch exists to amortize. A lone live worker thus gets the whole
+// batch, so a session over one prover (zaatar.Dial) sends one wire batch
+// per batch, under one key. Per-shard keys are what make the scheme sound
+// without a global barrier: the workers are collectively one adversary,
+// and each shard's seed is revealed only after that shard's commitments
+// are in, exactly the per-batch discipline of Verifier.Reseed. A requeued
+// or stolen shard therefore replays on another worker with fresh
+// randomness, never re-exposing a seed whose commitments the dead worker
+// already saw.
 //
-// Scheduling is affinity-first with work stealing: shard i prefers the
-// worker ranked i mod N in the connection order (zaatar.DialFarm orders
-// workers by rendezvous hash of the program, so the same workers front the
-// ranking across restarts and keep their program caches warm), and an idle
-// worker steals any queued shard. When a worker dies mid-shard the shard is
-// requeued (bounded by Options.ShardRetries) and the worker is retired; a
-// worker that reports a prover-side error is healthy, so that error is
-// fatal rather than retried.
+// Scheduling is affinity-first: shard i prefers the worker ranked i mod N
+// in the connection order (zaatar.DialFarm orders workers by rendezvous
+// hash of the program, so the same workers front the ranking across
+// restarts and keep their program caches warm). A worker that has run out
+// of its own shards steals any requeued shard and any shard whose worker is
+// busy with another. With one shard per leg no worker ever has a second, so
+// a slow worker cannot hand work to an idle one; Options.ShardSize buys
+// finer shards and work stealing at the price of a key per shard. When a
+// worker dies mid-shard the shard is requeued (bounded by
+// Options.ShardRetries) and the worker is retired; a worker that reports a
+// prover-side error is healthy, so that error is fatal rather than retried.
 package farm
 
 import (
@@ -90,10 +98,10 @@ type Options struct {
 	// worker death before the batch fails; 0 means the default (2), and a
 	// negative value disables requeueing.
 	ShardRetries int
-	// ShardSize fixes the instances per shard. 0 gives a lone live worker
-	// the whole batch and otherwise sizes shards so each live worker
-	// expects about two (small enough to steal, large enough to amortize
-	// the per-shard key generation).
+	// ShardSize fixes the instances per shard. 0 gives each live worker
+	// one contiguous shard (a lone worker the whole batch), so every leg
+	// pays one key per batch; a positive size cuts finer shards that idle
+	// workers can steal from stragglers, each under its own key.
 	ShardSize int
 	// Obs receives the client's transport.client.*, vc.* and farm.*
 	// metrics; nil uses obs.Default().
@@ -124,9 +132,10 @@ type Farm struct {
 	closed  bool
 	batches int // batches verified
 
-	mu   sync.Mutex
-	live int
-	seq  int // re-key counter, monotone across batches and forks
+	mu    sync.Mutex
+	live  int
+	seq   int           // re-key counter, monotone across batches and forks
+	setup time.Duration // the dial-time verifier's set-up
 
 	// pool holds the verifiers no shard is using, the dial-time one
 	// first. A verifier is forked only when every pooled one is busy, so
@@ -263,6 +272,7 @@ func New(ctx context.Context, addrs []string, conns []net.Conn, hello transport.
 	if f.base, err = vc.NewVerifierPre(tctx, f.prog, cfg, nil); err != nil {
 		return nil, err
 	}
+	f.setup = f.base.SetupDuration()
 	f.pool <- f.base
 	for _, name := range []string{MetricShardRequeued, MetricShardStolen, MetricWorkerFailures} {
 		reg.Counter(name) // scraped as 0 until the first event
@@ -283,7 +293,7 @@ func (f *Farm) Backend() string { return f.backend }
 // SetupDuration reports the dial-time verifier's setup cost (query
 // construction plus commitment-key generation) — the amortized numerator
 // of the batching argument.
-func (f *Farm) SetupDuration() time.Duration { return f.base.SetupDuration() }
+func (f *Farm) SetupDuration() time.Duration { return f.setup }
 
 // LiveWorkers reports how many workers are still serving.
 func (f *Farm) LiveWorkers() int {
@@ -429,18 +439,17 @@ func (f *Farm) RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.Ses
 	batchTr.WithArg("batch", int64(f.batches)).WithArg("instances", int64(n))
 	defer batchTr.End()
 	start := time.Now()
-	size := f.opts.ShardSize
-	if size <= 0 {
-		size = n
-		if len(live) > 1 {
-			size = (n + 2*len(live) - 1) / (2 * len(live))
-		}
+	// One shard per live leg, contiguous, sizes within one of each other;
+	// or fixed-width shards when the caller asked for them.
+	shards := min(n, len(live))
+	bound := func(i int) int { return i * n / shards }
+	if size := f.opts.ShardSize; size > 0 {
+		shards = (n + size - 1) / size
+		bound = func(i int) int { return min(i*size, n) }
 	}
-	q := newShardQueue()
-	for s, i := 0, 0; s < n; i++ {
-		e := min(s+size, n)
-		q.tasks = append(q.tasks, &task{lo: s, hi: e, pref: live[i%len(live)]})
-		s = e
+	q := newShardQueue(len(f.workers))
+	for i := range shards {
+		q.tasks = append(q.tasks, &task{lo: bound(i), hi: bound(i + 1), pref: live[i%len(live)]})
 	}
 	q.outstanding = len(q.tasks)
 	q.workers = len(live)
@@ -473,6 +482,8 @@ func (f *Farm) RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.Ses
 			accepted++
 		}
 	}
+	out.Metrics = q.metrics
+	out.Metrics.Instances = n
 	f.reg.HistogramVec(vc.MetricPhase, vc.LabelPhase, vc.LabelBackend).With("batch", f.backend).Observe(time.Since(start))
 	f.log.InfoContext(ctx, "batch verified", "batch", f.batches, "instances", n, "accepted", accepted)
 	f.batches++
@@ -487,26 +498,33 @@ type task struct {
 	retries int
 }
 
-// shardQueue is the scheduler: a mutex/cond work queue that hands each
-// worker its preferred shards first and lets idle workers steal the rest.
+// shardQueue is the scheduler: one mutex/cond work queue that hands each
+// worker its preferred shards first and then lets it take the rest.
 type shardQueue struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
 	tasks       []*task
-	outstanding int // tasks not yet completed
-	workers     int // worker goroutines still running
+	started     []bool // by worker index: has taken a task this batch
+	outstanding int    // tasks not yet completed
+	workers     int    // worker goroutines still running
 	err         error
+	metrics     vc.BatchMetrics // the completed shards' Drives, merged
 }
 
-func newShardQueue() *shardQueue {
-	q := &shardQueue{}
+func newShardQueue(workers int) *shardQueue {
+	q := &shardQueue{started: make([]bool, workers)}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// pop blocks until a task is available for leg (preferred first, then any),
-// the queue fails, or all tasks complete; nil means stop. stolen reports
-// that the task preferred another worker.
+// pop blocks until a task is available for leg, the queue fails, or all
+// tasks complete; nil means stop. A leg takes its preferred tasks first,
+// then the front-most task that is requeued or whose preferred leg has
+// started — a started leg takes its own tasks first, so one still queued
+// waits behind that leg's current shard. A first attempt thus stays with
+// its leg until the leg has started, and a leg the scheduler runs late is
+// not robbed of its only shard. stolen reports that the task preferred
+// another worker.
 func (q *shardQueue) pop(leg int) (t *task, stolen bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -514,19 +532,41 @@ func (q *shardQueue) pop(leg int) (t *task, stolen bool) {
 		if q.err != nil || q.outstanding == 0 {
 			return nil, false
 		}
+		if !q.started[leg] {
+			q.started[leg] = true
+			q.cond.Broadcast() // this leg's backlog is now free to steal
+		}
 		for i, c := range q.tasks {
 			if c.pref == leg {
 				q.tasks = append(q.tasks[:i], q.tasks[i+1:]...)
 				return c, false
 			}
 		}
-		if len(q.tasks) > 0 {
-			c := q.tasks[0]
-			q.tasks = q.tasks[1:]
-			return c, true
+		for i, c := range q.tasks {
+			if c.retries > 0 || q.started[c.pref] {
+				q.tasks = append(q.tasks[:i], q.tasks[i+1:]...)
+				return c, true
+			}
 		}
 		q.cond.Wait()
 	}
+}
+
+// addShard folds one completed shard's measurements into the batch's: the
+// verifier's set-up and verification work add up over shards, and each
+// phase's wall, which the legs run side by side, is the slowest shard's.
+func (q *shardQueue) addShard(m vc.BatchMetrics) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	b := &q.metrics
+	b.Workers = m.Workers
+	b.Setup += m.Setup
+	b.VerifyTotal += m.VerifyTotal
+	b.Commit = max(b.Commit, m.Commit)
+	b.Decommit = max(b.Decommit, m.Decommit)
+	b.Respond = max(b.Respond, m.Respond)
+	b.RespondVerify = max(b.RespondVerify, m.RespondVerify)
+	b.ProverWall = max(b.ProverWall, m.ProverWall)
 }
 
 func (q *shardQueue) done() {
@@ -589,7 +629,7 @@ func (f *Farm) legWorker(ctx context.Context, leg int, q *shardQueue, batch [][]
 		if stolen {
 			f.reg.Counter(MetricShardStolen).Inc()
 		}
-		err := f.runShard(ctx, leg, t, batch, out)
+		err := f.runShard(ctx, leg, t, batch, out, q)
 		if err == nil {
 			q.done()
 			continue
@@ -615,8 +655,9 @@ func (f *Farm) legWorker(ctx context.Context, leg int, q *shardQueue, batch [][]
 }
 
 // runShard drives one shard as a wire mini-batch on one leg under its own
-// verifier, writing its verdicts into the shard's slice of out.
-func (f *Farm) runShard(ctx context.Context, leg int, t *task, batch [][]*big.Int, out *transport.SessionResult) error {
+// verifier, writing its verdicts into the shard's slice of out and its
+// measurements into q.
+func (f *Farm) runShard(ctx context.Context, leg int, t *task, batch [][]*big.Int, out *transport.SessionResult, q *shardQueue) error {
 	sp := f.reg.StartSpan(MetricShardWall)
 	defer sp.End()
 	f.reg.CounterVec(MetricShards, LabelWorker).With(f.workers[leg].addr).Inc()
@@ -629,9 +670,7 @@ func (f *Farm) runShard(ctx context.Context, leg int, t *task, batch [][]*big.In
 	if err != nil {
 		return err
 	}
-	if t.hi-t.lo == len(batch) {
-		out.Metrics = res.Metrics // one shard: the batch's one Drive
-	}
+	q.addShard(res.Metrics)
 	copy(out.Accepted[t.lo:], res.Accepted)
 	copy(out.Reasons[t.lo:], res.Reasons)
 	copy(out.Outputs[t.lo:], res.Outputs)

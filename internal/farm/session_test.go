@@ -7,11 +7,12 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/big"
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"zaatar/internal/elgamal"
 	"zaatar/internal/field"
@@ -24,23 +25,28 @@ import (
 )
 
 // wireLog records what the coordinator sends one worker: each batch's
-// commit request and each decommit's query seed.
+// commit request and instances, and each decommit's query seed.
 type wireLog struct {
-	mu    sync.Mutex
-	reqs  []*vc.CommitRequest
-	seeds [][]byte
-	done  chan struct{} // closed once the goodbye frame (or a hangup) is decoded
+	mu        sync.Mutex
+	reqs      []*vc.CommitRequest
+	instances [][][]*big.Int
+	seeds     [][]byte
+	done      chan struct{} // closed once the goodbye frame (or a hangup) is decoded
 }
 
-// tee wraps a worker's end of a pipe so every byte the worker reads is also
-// decoded into the returned log: the hello, the source upload a fresh
-// service always asks for, then BatchMsg/DecommitMsg pairs until the
-// goodbye frame.
+// tee wraps the coordinator's end of a worker's pipe so every frame the
+// coordinator writes is also decoded into the returned log: the hello, the
+// source upload a fresh service always asks for, then BatchMsg/DecommitMsg
+// pairs until the goodbye frame. A frame is logged whole before the worker
+// reads any of it, so a worker that dies mid-frame is still logged as
+// having been sent it. A batch's frame is logged before its decommit is
+// written, so once RunBatch returns, every commit request it sent is in
+// the log.
 func tee(conn net.Conn) (net.Conn, *wireLog) {
 	r, w := io.Pipe()
 	log := &wireLog{done: make(chan struct{})}
 	go func() {
-		defer io.Copy(io.Discard, r) // keep the worker's reads flowing
+		defer io.Copy(io.Discard, r) // keep the coordinator's writes flowing
 		defer close(log.done)
 		dec := gob.NewDecoder(r)
 		var h transport.Hello
@@ -53,12 +59,15 @@ func tee(conn net.Conn) (net.Conn, *wireLog) {
 			if dec.Decode(&b) != nil || b.Close {
 				return
 			}
+			log.mu.Lock()
+			log.reqs = append(log.reqs, b.Req)
+			log.instances = append(log.instances, b.Instances)
+			log.mu.Unlock()
 			var d transport.DecommitMsg
 			if dec.Decode(&d) != nil {
 				return
 			}
 			log.mu.Lock()
-			log.reqs = append(log.reqs, b.Req)
 			log.seeds = append(log.seeds, append([]byte(nil), d.Req.Seed...))
 			log.mu.Unlock()
 		}
@@ -71,28 +80,19 @@ type teeConn struct {
 	w *io.PipeWriter
 }
 
-func (c *teeConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 {
-		_, _ = c.w.Write(p[:n])
-	}
-	if err != nil {
-		c.w.Close()
-	}
-	return n, err
+func (c *teeConn) Write(p []byte) (int, error) {
+	_, _ = c.w.Write(p)
+	return c.Conn.Write(p)
 }
 
-// oneTeedWorker opens a one-worker farm on hello whose worker's input is
-// logged.
-func oneTeedWorker(t *testing.T, hello transport.Hello, opts Options) (*Farm, *obs.Registry, *wireLog) {
-	t.Helper()
-	var log *wireLog
-	f, srv := newTestFarm(t, 1, hello, opts, func(_ int, conn net.Conn, _ *atomic.Bool) net.Conn {
-		conn, log = tee(conn)
-		return conn
-	})
-	return f, srv, log
+func (c *teeConn) Close() error {
+	c.w.Close()
+	return c.Conn.Close()
 }
+
+// keyOf names the commitment key a commit request carries by its first
+// Enc(r) component.
+func keyOf(req *vc.CommitRequest) string { return req.EncR1[0].A.String() }
 
 // committedHello is farmHello with the commitment on, over a small test
 // group.
@@ -114,7 +114,8 @@ func committedHello(t *testing.T, seed string) (transport.Hello, *elgamal.Group)
 // consistency points t = r + Σ αᵢqᵢ and solve for r.
 func TestKeepAliveRekeysPerBatch(t *testing.T) {
 	hello, g := committedHello(t, "kg")
-	f, _, log := oneTeedWorker(t, hello, Options{Seed: []byte("kc"), Group: g})
+	f, _, logs := newTestFarm(t, 1, hello, Options{Seed: []byte("kc"), Group: g}, nil)
+	log := logs[0]
 	setup := f.SetupDuration()
 	for b, n := range []int{1, 2} {
 		batch := intBatch(n)
@@ -135,8 +136,44 @@ func TestKeepAliveRekeysPerBatch(t *testing.T) {
 	if log.reqs[0].PK.H.Cmp(log.reqs[1].PK.H) == 0 {
 		t.Fatal("ElGamal key reused across keep-alive batches")
 	}
-	if log.reqs[0].EncR1[0].A.Cmp(log.reqs[1].EncR1[0].A) == 0 {
+	if keyOf(log.reqs[0]) == keyOf(log.reqs[1]) {
 		t.Fatal("commitment vector Enc(r) reused across keep-alive batches")
+	}
+}
+
+// TestKeepAliveSetupPerBatch: on a kept-alive session each batch reports
+// its own set-up. Batch 1 runs on the dial-time verifier; batch 2 re-keys
+// it, and its Metrics.Setup must be that re-key — the one vc.setup span
+// the two batches record — not batch 1's dial-time set-up again.
+func TestKeepAliveSetupPerBatch(t *testing.T) {
+	hello, g := committedHello(t, "su")
+	f, _, _ := newTestFarm(t, 1, hello, Options{Seed: []byte("su"), Group: g}, nil)
+	rec := trace.NewRecorder(4096)
+	ctx := trace.NewContext(context.Background(), trace.New(rec, "verifier"))
+	var setups []time.Duration
+	for b := 0; b < 2; b++ {
+		res, err := f.RunBatch(ctx, intBatch(2))
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		setups = append(setups, res.Metrics.Setup)
+	}
+	var spans []trace.Record
+	for _, r := range rec.Snapshot() {
+		if r.Name == "vc.setup" {
+			spans = append(spans, r)
+		}
+	}
+	if len(spans) != 1 {
+		t.Fatalf("%d vc.setup spans over two batches, want batch 2's re-key only", len(spans))
+	}
+	if setups[1] == setups[0] {
+		t.Fatalf("batch 2 reports batch 1's set-up %v", setups[0])
+	}
+	// The span brackets the phase timer, so it is longer by the two clock
+	// reads between them.
+	if d := time.Duration(spans[0].Dur) - setups[1]; d < 0 || d > time.Millisecond {
+		t.Fatalf("batch 2 Metrics.Setup = %v, its vc.setup span lasted %v", setups[1], time.Duration(spans[0].Dur))
 	}
 }
 
@@ -146,7 +183,8 @@ func TestKeepAliveRekeysPerBatch(t *testing.T) {
 func TestKeepAliveFreshSeeds(t *testing.T) {
 	hello := farmHello
 	hello.RhoLin, hello.Rho = 1, 1
-	f, _, log := oneTeedWorker(t, hello, Options{Seed: []byte("fs")})
+	f, _, logs := newTestFarm(t, 1, hello, Options{Seed: []byte("fs")}, nil)
+	log := logs[0]
 	for b := 0; b < 2; b++ {
 		if res, err := f.RunBatch(context.Background(), intBatch(1)); err != nil || !res.AllAccepted() {
 			t.Fatalf("batch %d: %v %v", b, err, res)
@@ -169,7 +207,8 @@ func TestKeepAliveFreshSeeds(t *testing.T) {
 func TestOneWorkerBatchIsOneWireBatch(t *testing.T) {
 	hello, g := committedHello(t, "ow")
 	reg := obs.NewRegistry()
-	f, srv, log := oneTeedWorker(t, hello, Options{Seed: []byte("ow"), Group: g, Obs: reg})
+	f, srv, logs := newTestFarm(t, 1, hello, Options{Seed: []byte("ow"), Group: g, Obs: reg}, nil)
+	log := logs[0]
 	shards := reg.CounterVec(MetricShards, LabelWorker)
 	const batches = 2
 	for b := 1; b <= batches; b++ {
@@ -195,7 +234,7 @@ func TestOneWorkerBatchIsOneWireBatch(t *testing.T) {
 	if len(log.reqs) != batches {
 		t.Fatalf("recorded %d commit requests, want %d", len(log.reqs), batches)
 	}
-	if log.reqs[0].EncR1[0].A.Cmp(log.reqs[1].EncR1[0].A) == 0 {
+	if keyOf(log.reqs[0]) == keyOf(log.reqs[1]) {
 		t.Fatal("consecutive batches carried the same Enc(r)")
 	}
 }

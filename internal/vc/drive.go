@@ -36,7 +36,9 @@ type Verdict struct {
 	Outputs  [][]*big.Int
 
 	// Metrics holds the per-phase measurements of the Drive that produced
-	// the verdict; a farm batch of several shards leaves it zero.
+	// the verdict. A farm batch of several shards merges its shards'
+	// Drives: Setup and VerifyTotal are summed, the phase walls are the
+	// slowest shard's.
 	Metrics BatchMetrics
 }
 

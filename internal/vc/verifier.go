@@ -110,10 +110,11 @@ func (v *Verifier) genKeys(ctx context.Context) error {
 // have been collected. The caller must ship the new Setup() output to the
 // prover: the previous batch's commit request is dead. Sessions and farms
 // reseed exactly when Spent reports the previous request went out. The
-// whole call is the vc.setup phase.
+// whole call is the vc.setup phase, and its duration becomes
+// SetupDuration: the next batch's Metrics.Setup.
 func (v *Verifier) Reseed(ctx context.Context, seed []byte) error {
 	sp, ctx := v.phase(ctx, "setup")
-	defer sp.end()
+	defer func() { v.setupDur = sp.end() }()
 	var err error
 	if v.seed, err = freshSeed(seed); err != nil {
 		return err
@@ -145,12 +146,10 @@ func (v *Verifier) Spent() bool { return v.spent }
 // either across shards would break binding exactly like reusing a key
 // across batches (see Reseed). The receiver is left untouched.
 func (v *Verifier) Fork(ctx context.Context, seed []byte) (*Verifier, error) {
-	start := time.Now()
 	nv := &Verifier{Prog: v.Prog, Cfg: v.Cfg, bk: v.bk, pre: v.pre}
 	if err := nv.Reseed(ctx, seed); err != nil {
 		return nil, err
 	}
-	nv.setupDur = time.Since(start)
 	return nv, nil
 }
 
@@ -169,8 +168,10 @@ func (v *Verifier) ProofVectorLen() int {
 // Backend reports the resolved backend name.
 func (v *Verifier) Backend() string { return v.bk.Name() }
 
-// SetupDuration reports the time spent in NewVerifier (query + key setup),
-// the amortized cost that determines break-even batch sizes.
+// SetupDuration reports the time spent setting up the current batch's
+// state: all of NewVerifier (preprocessing included) for the first batch,
+// the last Reseed or Fork after that. It is the amortized cost that
+// determines break-even batch sizes.
 func (v *Verifier) SetupDuration() time.Duration { return v.setupDur }
 
 // Setup emits the commit request opening the batch and marks the verifier
