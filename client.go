@@ -81,15 +81,13 @@ func dial(ctx context.Context, addrs []string, src string, o options) (*Client, 
 		conns = append(conns, conn)
 	}
 	f, err := farm.New(ctx, addrs, conns, hello, farm.Options{
-		Seed:         o.cfg.Seed,
-		Group:        o.cfg.Group,
-		Program:      prog,
-		Workers:      o.cfg.Workers,
-		IOTimeout:    o.ioTo,
-		ShardRetries: o.shardRetries,
-		ShardSize:    o.shardSize,
-		Obs:          o.cfg.Obs,
-		Logger:       o.logger,
+		Seed:      o.cfg.Seed,
+		Group:     o.cfg.Group,
+		Program:   prog,
+		Workers:   o.cfg.Workers,
+		IOTimeout: o.ioTo,
+		Obs:       o.cfg.Obs,
+		Logger:    o.logger,
 	})
 	if err != nil {
 		return nil, err
@@ -113,9 +111,7 @@ func Dial(ctx context.Context, addr, src string, opts ...RunOption) (*Client, er
 	case strings.Contains(addr, ","):
 		return nil, fmt.Errorf("zaatar: Dial takes one prover address, got %q; use DialFarm to shard batches across several", addr)
 	}
-	o := buildRunOptions(opts)
-	o.shardSize = 0 // one worker takes the whole batch; WithFarmShardSize is DialFarm's
-	return dial(ctx, []string{addr}, src, o)
+	return dial(ctx, []string{addr}, src, buildRunOptions(opts))
 }
 
 // RunBatch proves and verifies one batch of instances against the session's

@@ -52,9 +52,6 @@ func main() {
 		pprofOn  = flag.String("pprof", "", "address to serve net/http/pprof on for the session's lifetime (empty disables)")
 		metrics  = flag.String("metrics", "", "address for the HTTP metrics endpoint for the session's lifetime: /metrics in the Prometheus text format (empty disables)")
 		logFmt   = flag.String("log-format", "", "emit structured session logs to stderr: text or json (empty disables)")
-
-		shardSize  = flag.Int("shard-size", 0, "farm: instances per shard (0 = one shard, one commitment key, per live worker; smaller shards let idle workers steal from stragglers at one key per shard)")
-		shardRetry = flag.Int("shard-retries", 0, "farm: max requeues per shard after a worker death (0 = default 2, negative disables)")
 	)
 	flag.Parse()
 	if *srcPath == "" || *inputs == "" {
@@ -125,9 +122,6 @@ func main() {
 	}
 	var client *zaatar.Client
 	if len(provers) > 1 {
-		opts = append(opts,
-			zaatar.WithShardRetries(*shardRetry),
-			zaatar.WithFarmShardSize(*shardSize))
 		client, err = zaatar.DialFarm(ctx, provers, string(src), opts...)
 	} else {
 		client, err = zaatar.Dial(ctx, strings.Join(provers, ","), string(src), opts...)

@@ -18,30 +18,10 @@ import (
 // worker, Leg its connection index, and Unwrap exposes the cause. Every
 // client — Dial'ed or DialFarm'ed — wraps each failure of a prover's
 // connection in one. RunBatch returns one only when a shard could not be
-// recovered (every retry exhausted, or all workers lost; a Dial'ed client
-// has no other worker to retry on); a mere verification failure is never
-// an error — it surfaces as SessionResult.Accepted[i] == false.
+// recovered (a prover-side error, or no live worker left to requeue it on;
+// a Dial'ed client has no other worker); a mere verification failure is
+// never an error — it surfaces as SessionResult.Accepted[i] == false.
 type FarmError = transport.FarmError
-
-// WithShardRetries bounds how many times a farm may requeue one shard after
-// a worker death before failing the batch. The default is 2; negative
-// disables requeueing (any worker death fails the batch).
-func WithShardRetries(n int) RunOption {
-	return runOption(func(o *options) { o.shardRetries = n })
-}
-
-// WithFarmShardSize fixes the number of instances per DialFarm shard. By
-// default each live worker gets one contiguous shard of the batch (sizes
-// within one of each other), because every shard costs a commitment key:
-// at bench/'s bisection size one key is 704 kB of Enc(r) on the wire and
-// about 0.42 s of verifier work. The price is that a slow worker cannot
-// hand part of its shard to an idle one. A smaller size buys work stealing
-// — idle workers take queued shards from stragglers, useful on uneven
-// workers — at one key per shard. Dial ignores it: its one worker takes
-// each batch whole.
-func WithFarmShardSize(n int) RunOption {
-	return runOption(func(o *options) { o.shardSize = n })
-}
 
 // rankAddrs orders worker addresses by rendezvous hash of the program
 // digest: each worker scores sha256(srcDigest ‖ addr), and higher scores
@@ -61,13 +41,13 @@ func rankAddrs(addrs []string, src string) []string {
 }
 
 // DialFarm connects to a fleet of prover workers and returns a Client that
-// shards every batch across them: each shard runs as an independent
-// mini-batch (its own commitment key and query seed, so shards are sound to
-// run concurrently and to replay) on one worker, placed affinity-first, one
-// shard per live worker unless WithFarmShardSize asks for finer shards and
-// work stealing. A worker that dies mid-batch has its shard
-// requeued onto the survivors (bounded by WithShardRetries); only an
-// unrecoverable failure surfaces, as a *FarmError naming the worker. The
+// shards every batch across them: one contiguous shard per live worker,
+// placed affinity-first, each run as an independent mini-batch (its own
+// commitment key and query seed, so shards are sound to run concurrently
+// and to replay). When a worker dies mid-batch, its shard is requeued onto
+// the survivors once the other shards are done, round after round until
+// the batch verifies or no worker is left; only an unrecoverable failure
+// surfaces, as a *FarmError naming the worker. The
 // returned Client behaves exactly like a Dial'ed one — same RunBatch, same
 // result shape, verdicts index-aligned with the batch. Scheduling telemetry
 // lands in the farm.* metric series of the registry given by WithMetrics

@@ -148,8 +148,7 @@ func TestDialFarmSurvivesWorkerDeath(t *testing.T) {
 	creg := obs.NewRegistry()
 	client, err := zaatar.DialFarm(context.Background(), addrs, farmTestSrc,
 		zaatar.WithParams(2, 2), zaatar.WithoutCommitment(),
-		zaatar.WithSeed([]byte("farm-kill")), zaatar.WithMetrics(creg),
-		zaatar.WithShardRetries(3))
+		zaatar.WithSeed([]byte("farm-kill")), zaatar.WithMetrics(creg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,32 +6,36 @@
 // shape, and builds the one dial-time verifier. RunBatch then shards each
 // batch across the live workers: every shard is an independent wire batch
 // — its own commit request, its own query seed, its own commitment key —
-// run by vc.Drive over that worker's connection. By default each live
-// worker gets one contiguous shard (sizes differ by at most one), so a
-// batch costs one key per leg: a key is the verifier's Enc(r) plus the
-// prover's query regeneration (at bench/'s bisection size 704 kB on the
-// wire and about 0.42 s of verifier work), and it is the per-batch set-up
-// the batch exists to amortize. A lone live worker thus gets the whole
-// batch, so a session over one prover (zaatar.Dial) sends one wire batch
-// per batch, under one key. Per-shard keys are what make the scheme sound
-// without a global barrier: the workers are collectively one adversary,
-// and each shard's seed is revealed only after that shard's commitments
-// are in, exactly the per-batch discipline of Verifier.Reseed. A requeued
-// or stolen shard therefore replays on another worker with fresh
-// randomness, never re-exposing a seed whose commitments the dead worker
-// already saw.
+// run by vc.Drive over that worker's connection. Each live worker gets one
+// contiguous shard (sizes differ by at most one), so a batch costs one key
+// per leg: a key is the verifier's Enc(r) plus the prover's query
+// regeneration (at bench/'s bisection size 704 kB on the wire and about
+// 0.42 s of verifier work), and it is the per-batch set-up the batch exists
+// to amortize. A worker proves whole instances, so a finer cut would only
+// add keys. A lone live worker thus gets the whole batch, so a session over
+// one prover (zaatar.Dial) sends one wire batch per batch, under one key.
 //
-// Scheduling is affinity-first: shard i prefers the worker ranked i mod N
-// in the connection order (zaatar.DialFarm orders workers by rendezvous
-// hash of the program, so the same workers front the ranking across
-// restarts and keep their program caches warm). A worker that has run out
-// of its own shards steals any requeued shard and any shard whose worker is
-// busy with another. With one shard per leg no worker ever has a second, so
-// a slow worker cannot hand work to an idle one; Options.ShardSize buys
-// finer shards and work stealing at the price of a key per shard. When a
-// worker dies mid-shard the shard is requeued (bounded by
-// Options.ShardRetries) and the worker is retired; a worker that reports a
-// prover-side error is healthy, so that error is fatal rather than retried.
+// Per-shard keys are what make the scheme sound without a global barrier:
+// the workers are collectively one adversary, and each shard's seed is
+// revealed only after that shard's commitments are in, exactly the
+// per-batch discipline of Verifier.Reseed. Each leg owns one verifier and
+// re-keys it before every shard after its first, so a requeued shard
+// replays on another worker with fresh randomness, never re-exposing a seed
+// whose commitments the dead worker already saw.
+//
+// Shard i goes to the worker ranked i in the connection order
+// (zaatar.DialFarm orders workers by rendezvous hash of the program, so the
+// same workers front the ranking across restarts and keep their program
+// caches warm). When a worker dies mid-shard it is retired, and once the
+// round's other shards are done its unfinished shards are dealt
+// round-robin to the survivors for another round; with no survivor left
+// the batch fails. Each round retires at least one worker or ends the
+// batch, so requeueing is bounded by the live workers. The price of rounds
+// is that a requeued shard waits for the round to end rather than starting
+// on the first idle leg; with two workers that costs nothing, as the
+// survivor had its own shard to finish first. A worker that reports a
+// prover-side error is healthy, so that error is fatal rather than
+// requeued.
 package farm
 
 import (
@@ -59,7 +63,9 @@ const (
 	// MetricShardRequeued counts shards requeued after a worker died
 	// mid-shard.
 	MetricShardRequeued = "farm.shard.requeued"
-	// MetricShardStolen counts shards run by a non-preferred worker.
+	// MetricShardStolen counts requeued shards as a surviving leg runs
+	// them, once per run; it reads as MetricShardRequeued unless a leg dies
+	// before running a shard it was dealt.
 	MetricShardStolen = "farm.shard.stolen"
 	// MetricWorkerFailures counts workers retired after a leg failure.
 	MetricWorkerFailures = "farm.worker.failures"
@@ -68,9 +74,6 @@ const (
 	// MetricWorkerUp is the gauge a worker process sets to 1 while serving
 	// (zaatar.ServeWorker registers it).
 	MetricWorkerUp = "farm.worker.up"
-	// MetricShardWall times one shard; a whole batch is
-	// vc.phase{phase="batch"}, as in process.
-	MetricShardWall = "farm.shard"
 	// LabelWorker is the worker-address label on MetricShards.
 	LabelWorker = "worker"
 )
@@ -94,17 +97,8 @@ type Options struct {
 	// IOTimeout, when positive, is the per-message read/write deadline on
 	// every worker connection.
 	IOTimeout time.Duration
-	// ShardRetries bounds how many times one shard may be requeued after a
-	// worker death before the batch fails; 0 means the default (2), and a
-	// negative value disables requeueing.
-	ShardRetries int
-	// ShardSize fixes the instances per shard. 0 gives each live worker
-	// one contiguous shard (a lone worker the whole batch), so every leg
-	// pays one key per batch; a positive size cuts finer shards that idle
-	// workers can steal from stragglers, each under its own key.
-	ShardSize int
-	// Obs receives the client's transport.client.*, vc.* and farm.*
-	// metrics; nil uses obs.Default().
+	// Obs receives the client's vc.* and farm.* metrics; nil uses
+	// obs.Default().
 	Obs *obs.Registry
 	// Logger receives the session's records (negotiation, each batch,
 	// worker deaths and requeues) carrying backend and program_hash
@@ -126,7 +120,6 @@ type Farm struct {
 	workers []*worker
 	tc      *trace.Ctx // the session's trace position: batches nest under it
 	sessTr  *trace.Span
-	obsSpan obs.Span
 
 	runMu   sync.Mutex // one batch in flight at a time; Close waits for it
 	closed  bool
@@ -137,10 +130,10 @@ type Farm struct {
 	seq   int           // re-key counter, monotone across batches and forks
 	setup time.Duration // the dial-time verifier's set-up
 
-	// pool holds the verifiers no shard is using, the dial-time one
-	// first. A verifier is forked only when every pooled one is busy, so
-	// there are never more than one per worker.
-	pool chan *vc.Verifier
+	// verifiers holds each leg's verifier, by worker index: the
+	// dial-time one at 0, the others forked on their leg's first shard.
+	// Only the leg's own goroutine touches its slot.
+	verifiers []*vc.Verifier
 }
 
 // worker is one prover: its connection, named for failure attribution. It
@@ -211,14 +204,12 @@ func New(ctx context.Context, addrs []string, conns []net.Conn, hello transport.
 		workers: make([]*worker, len(conns)),
 		tc:      trace.FromContext(tctx),
 		sessTr:  sessTr,
-		obsSpan: reg.StartSpan(transport.MetricSpanClient),
 		live:    len(conns),
 		seq:     1,
-		pool:    make(chan *vc.Verifier, len(conns)),
 	}
 	defer func() {
 		if err != nil {
-			f.finish()
+			sessTr.End()
 		}
 	}()
 	hello.Trace, hello.TraceParent = f.tc.TraceID(), f.tc.SpanID()
@@ -273,11 +264,11 @@ func New(ctx context.Context, addrs []string, conns []net.Conn, hello transport.
 		return nil, err
 	}
 	f.setup = f.base.SetupDuration()
-	f.pool <- f.base
+	f.verifiers = make([]*vc.Verifier, len(conns))
+	f.verifiers[0] = f.base
 	for _, name := range []string{MetricShardRequeued, MetricShardStolen, MetricWorkerFailures} {
 		reg.Counter(name) // scraped as 0 until the first event
 	}
-	reg.CounterVec(transport.MetricClientSessions, transport.LabelBackend).With(f.backend).Inc()
 	reg.RegisterGauge(MetricWorkersLive, func() float64 { return float64(f.LiveWorkers()) })
 	f.log = f.log.With(transport.LabelBackend, f.backend)
 	f.log.InfoContext(tctx, "session negotiated", "provers", int64(len(conns)))
@@ -302,12 +293,6 @@ func (f *Farm) LiveWorkers() int {
 	return f.live
 }
 
-// finish ends the session's spans exactly once.
-func (f *Farm) finish() {
-	f.sessTr.End()
-	f.obsSpan.End()
-}
-
 // Close ends the session once any batch in flight has returned: every
 // worker whose batches all completed gets a goodbye frame, so it logs a
 // clean end rather than a hangup, and every connection is closed. Later
@@ -322,20 +307,8 @@ func (f *Farm) Close() error {
 	for _, w := range f.workers {
 		w.conn.Close()
 	}
-	f.finish()
+	f.sessTr.End()
 	return nil
-}
-
-// retries resolves Options.ShardRetries (0 = default 2, negative = none).
-func (f *Farm) retries() int {
-	switch {
-	case f.opts.ShardRetries > 0:
-		return f.opts.ShardRetries
-	case f.opts.ShardRetries < 0:
-		return 0
-	default:
-		return 2
-	}
 }
 
 func (f *Farm) nextSeed() []byte {
@@ -344,24 +317,6 @@ func (f *Farm) nextSeed() []byte {
 	f.seq++
 	f.mu.Unlock()
 	return vc.DeriveSeed(f.opts.Seed, n)
-}
-
-// verifier hands one shard a verifier with fresh per-shard state: a pooled
-// one, re-keyed if its key is spent, or a new Fork of the dial-time
-// verifier when every pooled one is busy. The shard returns it to the pool.
-func (f *Farm) verifier(ctx context.Context) (*vc.Verifier, error) {
-	select {
-	case v := <-f.pool:
-		if v.Spent() {
-			if err := v.Reseed(ctx, f.nextSeed()); err != nil {
-				f.pool <- v
-				return nil, err
-			}
-		}
-		return v, nil
-	default:
-		return f.base.Fork(ctx, f.nextSeed())
-	}
 }
 
 // liveLegs snapshots the indices of workers still serving, in rank order.
@@ -420,6 +375,13 @@ func isWorkerDeath(ctx context.Context, err error) (*transport.FarmError, bool) 
 // transport.ErrSessionClosed, and a cancelled one with ctx.Err(). After
 // any other error the workers may be mid-protocol — close the farm rather
 // than reuse it.
+//
+// The batch runs in rounds. Round 1 cuts it into min(n, live) contiguous
+// shards, sizes within one, shard i on the i-th live leg. When a round
+// ends, the shards of legs that died are dealt round-robin to the legs
+// still alive and the next round runs them. Every round completes the
+// batch, fails it, or retires a worker, so requeueing is bounded by the
+// live workers.
 func (f *Farm) RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.SessionResult, error) {
 	f.runMu.Lock()
 	defer f.runMu.Unlock()
@@ -439,126 +401,71 @@ func (f *Farm) RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.Ses
 	batchTr.WithArg("batch", int64(f.batches)).WithArg("instances", int64(n))
 	defer batchTr.End()
 	start := time.Now()
-	// One shard per live leg, contiguous, sizes within one of each other;
-	// or fixed-width shards when the caller asked for them.
-	shards := min(n, len(live))
-	bound := func(i int) int { return i * n / shards }
-	if size := f.opts.ShardSize; size > 0 {
-		shards = (n + size - 1) / size
-		bound = func(i int) int { return min(i*size, n) }
+	r := &batchRun{
+		batch: batch,
+		out: &transport.SessionResult{
+			Accepted: make([]bool, n),
+			Reasons:  make([]string, n),
+			Outputs:  make([][]*big.Int, n),
+		},
 	}
-	q := newShardQueue(len(f.workers))
-	for i := range shards {
-		q.tasks = append(q.tasks, &task{lo: bound(i), hi: bound(i + 1), pref: live[i%len(live)]})
+	k := min(n, len(live))
+	plan := make([][]shard, len(f.workers))
+	for i := range k {
+		plan[live[i]] = []shard{{lo: i * n / k, hi: (i + 1) * n / k}}
 	}
-	q.outstanding = len(q.tasks)
-	q.workers = len(live)
-	// A cancelled caller context must wake workers parked in cond.Wait.
-	stop := context.AfterFunc(ctx, func() { q.fail(ctx.Err()) })
-	defer stop()
-	out := &transport.SessionResult{
-		Accepted: make([]bool, n),
-		Reasons:  make([]string, n),
-		Outputs:  make([][]*big.Int, n),
-	}
-	var wg sync.WaitGroup
-	for _, leg := range live {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f.legWorker(ctx, leg, q, batch, out)
-		}()
-	}
-	wg.Wait()
-	if err := q.failure(); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+	for round := 1; ; round++ {
+		orphans, err := f.runRound(ctx, plan, round > 1, r)
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
+		if len(orphans) == 0 {
+			break
+		}
+		plan = make([][]shard, len(f.workers))
+		live = f.liveLegs()
+		for i, s := range orphans {
+			leg := live[i%len(live)]
+			plan[leg] = append(plan[leg], s)
+			f.reg.Counter(MetricShardRequeued).Inc()
+			f.log.Info("farm shard requeued", "lo", s.lo, "hi", s.hi, "round", round+1, "worker", f.workers[leg].addr)
+		}
 	}
 	accepted := 0
-	for _, ok := range out.Accepted {
+	for _, ok := range r.out.Accepted {
 		if ok {
 			accepted++
 		}
 	}
-	out.Metrics = q.metrics
-	out.Metrics.Instances = n
+	r.out.Metrics.Instances = n
 	f.reg.HistogramVec(vc.MetricPhase, vc.LabelPhase, vc.LabelBackend).With("batch", f.backend).Observe(time.Since(start))
 	f.log.InfoContext(ctx, "batch verified", "batch", f.batches, "instances", n, "accepted", accepted)
 	f.batches++
-	return out, nil
+	return r.out, nil
 }
 
-// task is one shard: instances [lo,hi) of the batch, preferring worker
-// pref, requeued retries times so far.
-type task struct {
-	lo, hi  int
-	pref    int
-	retries int
+// shard is instances [lo,hi) of a batch.
+type shard struct{ lo, hi int }
+
+// batchRun is one batch's shared state: the result its shards fill in,
+// their measurements merged into its Metrics under mu.
+type batchRun struct {
+	batch [][]*big.Int
+	out   *transport.SessionResult
+	mu    sync.Mutex
 }
 
-// shardQueue is the scheduler: one mutex/cond work queue that hands each
-// worker its preferred shards first and then lets it take the rest.
-type shardQueue struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	tasks       []*task
-	started     []bool // by worker index: has taken a task this batch
-	outstanding int    // tasks not yet completed
-	workers     int    // worker goroutines still running
-	err         error
-	metrics     vc.BatchMetrics // the completed shards' Drives, merged
-}
-
-func newShardQueue(workers int) *shardQueue {
-	q := &shardQueue{started: make([]bool, workers)}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// pop blocks until a task is available for leg, the queue fails, or all
-// tasks complete; nil means stop. A leg takes its preferred tasks first,
-// then the front-most task that is requeued or whose preferred leg has
-// started — a started leg takes its own tasks first, so one still queued
-// waits behind that leg's current shard. A first attempt thus stays with
-// its leg until the leg has started, and a leg the scheduler runs late is
-// not robbed of its only shard. stolen reports that the task preferred
-// another worker.
-func (q *shardQueue) pop(leg int) (t *task, stolen bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if q.err != nil || q.outstanding == 0 {
-			return nil, false
-		}
-		if !q.started[leg] {
-			q.started[leg] = true
-			q.cond.Broadcast() // this leg's backlog is now free to steal
-		}
-		for i, c := range q.tasks {
-			if c.pref == leg {
-				q.tasks = append(q.tasks[:i], q.tasks[i+1:]...)
-				return c, false
-			}
-		}
-		for i, c := range q.tasks {
-			if c.retries > 0 || q.started[c.pref] {
-				q.tasks = append(q.tasks[:i], q.tasks[i+1:]...)
-				return c, true
-			}
-		}
-		q.cond.Wait()
-	}
-}
-
-// addShard folds one completed shard's measurements into the batch's: the
-// verifier's set-up and verification work add up over shards, and each
-// phase's wall, which the legs run side by side, is the slowest shard's.
-func (q *shardQueue) addShard(m vc.BatchMetrics) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	b := &q.metrics
+// add records one completed shard: its verdicts go into its slice of the
+// result, and its measurements fold into the batch's — the verifier's
+// set-up and verification work add up over shards, and each phase's wall,
+// which the legs run side by side, is the slowest shard's.
+func (r *batchRun) add(s shard, res *transport.SessionResult) {
+	copy(r.out.Accepted[s.lo:], res.Accepted)
+	copy(r.out.Reasons[s.lo:], res.Reasons)
+	copy(r.out.Outputs[s.lo:], res.Outputs)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m, b := res.Metrics, &r.out.Metrics
 	b.Workers = m.Workers
 	b.Setup += m.Setup
 	b.VerifyTotal += m.VerifyTotal
@@ -569,110 +476,88 @@ func (q *shardQueue) addShard(m vc.BatchMetrics) {
 	b.ProverWall = max(b.ProverWall, m.ProverWall)
 }
 
-func (q *shardQueue) done() {
-	q.mu.Lock()
-	q.outstanding--
-	if q.outstanding == 0 {
-		q.cond.Broadcast()
-	}
-	q.mu.Unlock()
-}
-
-func (q *shardQueue) requeue(t *task) {
-	q.mu.Lock()
-	q.tasks = append(q.tasks, t)
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-func (q *shardQueue) fail(err error) {
-	q.mu.Lock()
-	if q.err == nil && err != nil {
-		q.err = err
-	}
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// retire records a worker goroutine exiting; if the last worker leaves with
-// shards still outstanding (every worker died), the queue fails with the
-// final worker's error so blocked pops — there are none left — and the
-// driver see it.
-func (q *shardQueue) retire(err error) {
-	q.mu.Lock()
-	q.workers--
-	if q.workers == 0 && q.outstanding > 0 && q.err == nil {
-		if err == nil {
-			err = errors.New("farm: all workers lost with shards outstanding")
-		}
-		q.err = err
-	}
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-func (q *shardQueue) failure() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.err
-}
-
-// legWorker drains the queue over one leg until the queue empties, a fatal
-// error lands, or this leg's worker dies.
-func (f *Farm) legWorker(ctx context.Context, leg int, q *shardQueue, batch [][]*big.Int, out *transport.SessionResult) {
-	for {
-		t, stolen := q.pop(leg)
-		if t == nil {
-			q.retire(nil)
-			return
-		}
-		if stolen {
-			f.reg.Counter(MetricShardStolen).Inc()
-		}
-		err := f.runShard(ctx, leg, t, batch, out, q)
-		if err == nil {
-			q.done()
+// runRound runs one round: each leg with shards in plan runs them in
+// order in its own goroutine, stopping at its first error. It returns the
+// shards left unfinished by legs that died, to be dealt to the survivors;
+// a fatal error, a cancellation, or the loss of the last live worker ends
+// the batch instead.
+func (f *Farm) runRound(ctx context.Context, plan [][]shard, requeued bool, r *batchRun) ([]shard, error) {
+	rest := make([][]shard, len(plan))
+	errs := make([]error, len(plan))
+	var wg sync.WaitGroup
+	for leg, shards := range plan {
+		if len(shards) == 0 {
 			continue
 		}
-		fe, death := isWorkerDeath(ctx, err)
-		if !death {
-			q.fail(err)
-			q.retire(err)
-			return
-		}
-		f.workerDied(leg, fe.Err)
-		if t.retries >= f.retries() || f.LiveWorkers() == 0 {
-			q.fail(fmt.Errorf("farm: shard [%d,%d) failed after %d attempts: %w", t.lo, t.hi, t.retries+1, err))
-		} else {
-			t.retries++
-			f.reg.Counter(MetricShardRequeued).Inc()
-			f.log.Info("farm shard requeued", "lo", t.lo, "hi", t.hi, "attempt", t.retries, "worker", f.workers[leg].addr)
-			q.requeue(t)
-		}
-		q.retire(err)
-		return
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, s := range shards {
+				if requeued {
+					f.reg.Counter(MetricShardStolen).Inc()
+				}
+				if errs[leg] = f.runShard(ctx, leg, s, r); errs[leg] != nil {
+					rest[leg] = shards[i:]
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
+	var orphans []shard
+	var fatal, death error
+	for leg, err := range errs {
+		if err == nil {
+			continue
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if fe, ok := isWorkerDeath(ctx, err); ok {
+			f.workerDied(leg, fe.Err)
+			orphans = append(orphans, rest[leg]...)
+			death = err
+		} else if fatal == nil {
+			fatal = err
+		}
+	}
+	switch {
+	case fatal != nil:
+		return nil, fatal
+	case death != nil && f.LiveWorkers() == 0:
+		return nil, fmt.Errorf("farm: no live worker left to requeue onto: %w", death)
+	}
+	return orphans, nil
 }
 
-// runShard drives one shard as a wire mini-batch on one leg under its own
-// verifier, writing its verdicts into the shard's slice of out and its
-// measurements into q.
-func (f *Farm) runShard(ctx context.Context, leg int, t *task, batch [][]*big.Int, out *transport.SessionResult, q *shardQueue) error {
-	sp := f.reg.StartSpan(MetricShardWall)
-	defer sp.End()
+// runShard drives one shard as a wire mini-batch on one leg under the
+// leg's verifier, writing its verdicts and measurements into r.
+func (f *Farm) runShard(ctx context.Context, leg int, s shard, r *batchRun) error {
 	f.reg.CounterVec(MetricShards, LabelWorker).With(f.workers[leg].addr).Inc()
-	v, err := f.verifier(ctx)
+	v, err := f.verifier(ctx, leg)
 	if err != nil {
 		return err
 	}
-	defer func() { f.pool <- v }()
-	res, err := vc.Drive(ctx, v, f.workers[leg], batch[t.lo:t.hi], f.opts.Workers)
+	res, err := vc.Drive(ctx, v, f.workers[leg], r.batch[s.lo:s.hi], f.opts.Workers)
 	if err != nil {
 		return err
 	}
-	q.addShard(res.Metrics)
-	copy(out.Accepted[t.lo:], res.Accepted)
-	copy(out.Reasons[t.lo:], res.Reasons)
-	copy(out.Outputs[t.lo:], res.Outputs)
+	r.add(s, res)
 	return nil
+}
+
+// verifier readies leg's verifier for a new shard. Leg 0 owns the
+// dial-time verifier; any other leg forks its own from it on its first
+// shard, so the dial pays for one verifier only. A verifier whose key is
+// spent is re-keyed, so every shard commits under a key no other shard —
+// and no worker that died — was sent.
+func (f *Farm) verifier(ctx context.Context, leg int) (v *vc.Verifier, err error) {
+	switch v = f.verifiers[leg]; {
+	case v == nil:
+		v, err = f.base.Fork(ctx, f.nextSeed())
+		f.verifiers[leg] = v
+	case v.Spent():
+		err = v.Reseed(ctx, f.nextSeed())
+	}
+	return v, err
 }

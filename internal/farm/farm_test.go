@@ -324,38 +324,6 @@ func TestFarmWorkerDeathRequeues(t *testing.T) {
 	}
 }
 
-// TestFarmFineShardsAreStolen: with one-instance shards a straggler's
-// queued shards go to the idle worker. Worker 1 reads nothing until a
-// steal is counted, so worker 0 must take worker 1's second shard.
-func TestFarmFineShardsAreStolen(t *testing.T) {
-	reg := obs.NewRegistry()
-	open := make(chan struct{})
-	go func() {
-		defer close(open)
-		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if reg.Counter(MetricShardStolen).Value() > 0 {
-				return
-			}
-		}
-	}()
-	f, _, _ := newTestFarm(t, 2, farmHello, Options{Seed: []byte("steal"), ShardSize: 1, Obs: reg},
-		func(i int, conn net.Conn, opened *atomic.Bool) net.Conn {
-			if i == 1 {
-				return &gateAfterOpen{Conn: conn, opened: opened, open: open}
-			}
-			return conn
-		})
-	batch := intBatch(4)
-	res, err := f.RunBatch(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOutputs(t, batch, res)
-	if got := reg.Counter(MetricShardStolen).Value(); got != 1 {
-		t.Fatalf("farm.shard.stolen = %d, want 1: the stuck worker's queued shard", got)
-	}
-}
-
 // TestFarmAllWorkersDead: when every worker dies the batch fails with a
 // *transport.FarmError naming a worker, never a bare I/O error. A farm of
 // one has no survivor to requeue onto, so it counts no requeue.
@@ -383,21 +351,70 @@ func TestFarmAllWorkersDead(t *testing.T) {
 	}
 }
 
-// TestFarmConcurrentShards drives many single-instance shards across three
-// workers; with -race this exercises concurrent shard completion into the
-// shared result (the CI race job runs this package).
+// TestFarmConcurrentShards drives three workers' shards side by side;
+// with -race this exercises concurrent shard completion into the shared
+// result (the CI race job runs this package).
 func TestFarmConcurrentShards(t *testing.T) {
 	reg := obs.NewRegistry()
-	f, _, _ := newTestFarm(t, 3, farmHello, Options{Seed: []byte("race"), ShardSize: 1, Obs: reg}, nil)
+	f, _, _ := newTestFarm(t, 3, farmHello, Options{Seed: []byte("race"), Obs: reg}, nil)
 	batch := intBatch(9)
 	res, err := f.RunBatch(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkOutputs(t, batch, res)
-	if got := reg.CounterVec(MetricShards, LabelWorker).With("worker-0").Value() +
-		reg.CounterVec(MetricShards, LabelWorker).With("worker-1").Value() +
-		reg.CounterVec(MetricShards, LabelWorker).With("worker-2").Value(); got != 9 {
-		t.Fatalf("farm.shards = %d, want 9", got)
+	for i := range 3 {
+		if got := reg.CounterVec(MetricShards, LabelWorker).With(fmt.Sprintf("worker-%d", i)).Value(); got != 1 {
+			t.Fatalf("farm.shards{worker-%d} = %d, want 1", i, got)
+		}
+	}
+}
+
+// TestFarmRequeueUntilNoWorkerLeft kills three of four workers as they are
+// sent their first shard: the batch must verify on the survivor, which
+// runs the three orphaned shards in a second round, each under a key no
+// dead worker was sent.
+func TestFarmRequeueUntilNoWorkerLeft(t *testing.T) {
+	hello, g := committedHello(t, "rounds")
+	reg := obs.NewRegistry()
+	f, _, logs := newTestFarm(t, 4, hello, Options{Seed: []byte("rounds"), Group: g, Obs: reg},
+		func(i int, conn net.Conn, opened *atomic.Bool) net.Conn {
+			if i == 0 {
+				return conn
+			}
+			return &dieOnReply{Conn: conn, opened: opened, died: make(chan struct{})}
+		})
+	batch := intBatch(8)
+	res, err := f.RunBatch(context.Background(), batch)
+	if err != nil {
+		t.Fatalf("batch should survive on its last worker: %v", err)
+	}
+	checkOutputs(t, batch, res)
+	for name, want := range map[string]int64{MetricShardRequeued: 3, MetricShardStolen: 3, MetricWorkerFailures: 3} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if f.LiveWorkers() != 1 {
+		t.Fatalf("live workers = %d, want 1", f.LiveWorkers())
+	}
+	f.Close()
+	for _, log := range logs {
+		<-log.done
+	}
+	if len(logs[0].reqs) != 4 {
+		t.Fatalf("survivor sent %d commit requests, want its own shard and three requeued ones", len(logs[0].reqs))
+	}
+	dead := make(map[string]bool)
+	for _, log := range logs[1:] {
+		if len(log.reqs) != 1 {
+			t.Fatalf("a dead worker was sent %d commit requests, want 1", len(log.reqs))
+		}
+		dead[keyOf(log.reqs[0])] = true
+	}
+	for i, req := range logs[0].reqs[1:] {
+		if dead[keyOf(req)] {
+			t.Fatalf("requeued shard %d committed under a key a dead worker was sent", i)
+		}
 	}
 }

@@ -108,17 +108,15 @@ func (e *ProtocolVersionError) Error() string {
 
 // Metric names recorded into the obs registry by the transport layer. Each
 // is one family of one kind (docs/PROTOCOL.md §6.1, §7): the sessions,
-// batches, instances, source-skip and client-session counters
-// exist only as the labeled vectors keyed by the labels below — a total is
-// sum() in the scrape, or CounterVec.Total in Go.
+// batches, instances and source-skip counters exist only as the labeled
+// vectors keyed by the labels below — a total is sum() in the scrape, or
+// CounterVec.Total in Go.
 const (
-	MetricSessions       = "transport.sessions"        // counter{backend}: server sessions negotiated
-	MetricSessionErrors  = "transport.session.errors"  // counter: server sessions failed
-	MetricServedInstance = "transport.instances"       // counter{backend,program_hash}: instances served
-	MetricServedBatches  = "transport.batches"         // counter{backend,program_hash}: batches served (≥ sessions under keep-alive)
-	MetricSpanSession    = "transport.session"         // histogram: server session wall
-	MetricClientSessions = "transport.client.sessions" // counter{backend}: client sessions negotiated
-	MetricSpanClient     = "transport.client.session"  // histogram: client session wall
+	MetricSessions       = "transport.sessions"       // counter{backend}: server sessions negotiated
+	MetricSessionErrors  = "transport.session.errors" // counter: server sessions failed
+	MetricServedInstance = "transport.instances"      // counter{backend,program_hash}: instances served
+	MetricServedBatches  = "transport.batches"        // counter{backend,program_hash}: batches served (≥ sessions under keep-alive)
+	MetricSpanSession    = "transport.session"        // histogram: server session wall
 
 	MetricCacheHits      = "transport.cache.hits"      // counter: program-cache hits
 	MetricCacheMisses    = "transport.cache.misses"    // counter: program-cache misses (compiles)

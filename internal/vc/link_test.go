@@ -154,9 +154,9 @@ func TestRejectionsCountedOnEveryLink(t *testing.T) {
 	bad := map[int64]bool{1: true, 2: true, 5: true}
 	defer vc.SetTestHooks(tamperOutputs(bad), nil)()
 	batch := linkBatch(8)
-	runs := runLinks(t, batch, zaatar.WithParams(2, 2), zaatar.WithoutCommitment(), zaatar.WithFarmShardSize(2))
+	runs := runLinks(t, batch, zaatar.WithParams(2, 2), zaatar.WithoutCommitment())
 
-	wantBatches := map[string]int64{"local": 1, "wire": 1, "farm": 4}
+	wantBatches := map[string]int64{"local": 1, "wire": 1, "farm": 2}
 	for _, run := range runs {
 		if got := run.reg.Counter(vc.MetricRejected).Value(); got != int64(len(bad)) {
 			t.Errorf("%s: %s = %d, want %d", run.name, vc.MetricRejected, got, len(bad))

@@ -141,10 +141,11 @@ func (v *Verifier) Spent() bool { return v.spent }
 // backend, and precomputation (the expensive, immutable part of setup) but
 // with its own per-batch state: fresh queries from seed (empty = fresh
 // randomness, matching Config.Seed semantics) and a fresh commitment key.
-// Forks are how a farm coordinator keeps several shards in flight at once —
-// each shard is its own batch, so each needs its own key and seed; sharing
-// either across shards would break binding exactly like reusing a key
-// across batches (see Reseed). The receiver is left untouched.
+// Forks are how a farm gives each worker's leg a verifier of its own, so
+// the legs' shards run at once — each shard is its own batch, so each needs
+// its own key and seed; sharing either across shards would break binding
+// exactly like reusing a key across batches (see Reseed). The receiver is
+// left untouched.
 func (v *Verifier) Fork(ctx context.Context, seed []byte) (*Verifier, error) {
 	nv := &Verifier{Prog: v.Prog, Cfg: v.Cfg, bk: v.bk, pre: v.pre}
 	if err := nv.Reseed(ctx, seed); err != nil {

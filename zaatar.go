@@ -102,10 +102,6 @@ type options struct {
 	cfg      vc.Config
 	ioTo     time.Duration
 	logger   *slog.Logger
-
-	// farm scheduling (Dial ignores shardSize)
-	shardRetries int
-	shardSize    int
 }
 
 // bothOption implements Option; runOption implements only RunOption.
